@@ -16,9 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .geom import (
+    _ETA,
     ORIGIN,
     Frame,
     Point,
+    apply_isometry_frame,
     dist,
     exp_map,
     fermi_point,
@@ -35,12 +37,9 @@ from .spline import (
     NonSimpleBoundaryError,
     ThicknessCertificate,
     arc_frames_batch,
-    transport,
     transport_coeffs,
 )
 from .steiner import BodyMeasure
-
-_ETA = np.diag([-1.0, 1.0, 1.0])
 
 CONTAIN_TOL = 1e-9
 # distances are arccosh of a Lorentz product, so values near zero carry
@@ -77,10 +76,6 @@ def _fermi_frame(s: float, t: float) -> Frame:
     p = fermi_point(s, t).v
     tv = np.array([math.sinh(s), math.cosh(s), 0.0])
     return Frame.create(p, tv, validate=False)
-
-
-def _boosted_frame(g: np.ndarray, f: Frame) -> Frame:
-    return Frame(g @ f.m)
 
 
 @dataclass
@@ -255,7 +250,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 
     def cap_center(t0: float) -> Point:
         g = _axis_boost(t0)
-        j = _boosted_frame(g, _fermi_frame(d, -h))
+        j = apply_isometry_frame(g, _fermi_frame(d, -h))
         return exp_map(j.point, rc * j.n)
 
     # pick the base height t0 so the right cap's center lands on the
@@ -285,7 +280,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 
     C = cap_center(t0)
     g = _axis_boost(t0)
-    j = _boosted_frame(g, _fermi_frame(d, -h))
+    j = apply_isometry_frame(g, _fermi_frame(d, -h))
     sC = math.asinh(C.v[1])
     e1 = np.array([math.sinh(sC), math.cosh(sC), 0.0])
     e2 = np.array([0.0, 0.0, 1.0])
@@ -298,7 +293,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 
     side = Arc(ks, 2.0 * d * math.cosh(h)) if ks > 0.0 else Arc(0.0, 2.0 * d)
     cap = Arc(lam, sweep * math.sinh(rc))
-    start = _boosted_frame(g, _fermi_frame(-d, -h))
+    start = apply_isometry_frame(g, _fermi_frame(-d, -h))
     body = _make_body(start, [side, cap, side, cap], convex=True,
                       meta={"kind": "q_counterexample", "lambda": lam,
                             "eps": eps, "d": d, "cap_sweep": sweep,

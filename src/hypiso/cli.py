@@ -216,15 +216,15 @@ def cmd_verify(args) -> int:
         })
 
     for rho in (0.1, 0.25, 0.4):
+        check = {"name": f"steiner_offset[rho={rho:g}]", "gate": True}
         try:
             err = _steiner_agreement(body, rho)
-            ok = err <= tol
+            check.update(ok=err <= tol, max_err=err)
         except (GeometryError, ValueError) as e:
-            err, ok = math.inf, False
-        checks.append({
-            "name": f"steiner_offset[rho={rho:g}]", "gate": True,
-            "ok": ok, "max_err": err,
-        })
+            # the offset body could not be built: no error to report
+            check.update(ok=False, max_err=None,
+                         error=f"{type(e).__name__}: {e}")
+        checks.append(check)
 
     overall = all(c["ok"] for c in checks if c["gate"])
     width = max(len(c["name"]) for c in checks) + 2
@@ -232,7 +232,8 @@ def cmd_verify(args) -> int:
         status = ("PASS" if c["ok"] else "FAIL") if c["gate"] else "INFO"
         detail = " ".join(
             f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in c.items() if k not in ("name", "gate", "ok"))
+            for k, v in c.items()
+            if k not in ("name", "gate", "ok") and v is not None)
         print(f"{c['name']:<{width}}{status}  {detail}")
     print(f"{'overall':<{width}}{'PASS' if overall else 'FAIL'}")
     if args.out:

@@ -19,8 +19,7 @@ from .spline import (
     Arc,
     ArcSpline,
     GeometryError,
-    arc_matrix,
-    arc_matrix_dkappa,
+    arc_matrices,
     frenet_matrix,
 )
 from .bodies import Body
@@ -113,41 +112,41 @@ class Candidate:
 # orthonormality of the frame.
 
 
-def _chain_matrices(kappas, lengths):
-    return [arc_matrix(k, l) for k, l in zip(kappas, lengths)]
+# rows and columns of the three independent closure entries
+_RES_IDX = ((1, 2, 2), (0, 0, 1))
+_I3 = np.eye(3)
 
 
 def closure_residual_vec(kappas, lengths) -> np.ndarray:
-    E = np.eye(3)
-    for A in _chain_matrices(kappas, lengths):
+    E = _I3
+    for A in arc_matrices(kappas, lengths):
         E = E @ A
-    return np.array([E[1, 0], E[2, 0], E[2, 1]])
+    return E[_RES_IDX]
 
 
 def closure_jacobian(kappas, lengths):
     """Residuals and their Jacobian wrt (kappas, lengths), shape (3, 2n).
 
-    Uses prefix and suffix chain products so each partial is a single
-    triple product with the per-arc derivative in the middle.
+    Prefix and suffix chain products put each partial in one triple
+    product with the per-arc derivative in the middle; all n triple
+    products of a column block are computed as one stacked product.
     """
-    n = len(kappas)
-    mats = _chain_matrices(kappas, lengths)
-    prefix = [np.eye(3)]
+    mats, dmats = arc_matrices(kappas, lengths, dkappa=True)
+    prefix = [_I3]
     for A in mats:
         prefix.append(prefix[-1] @ A)
-    suffix = [np.eye(3)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = mats[i] @ suffix[i + 1]
-    E = prefix[n]
-    res = np.array([E[1, 0], E[2, 0], E[2, 1]])
-    J = np.zeros((3, 2 * n))
-    for i in range(n):
-        dK = prefix[i] @ arc_matrix_dkappa(kappas[i], lengths[i]) @ suffix[i + 1]
-        # d/dlength of exp(s M) is exp(s M) M, applied inside the chain
-        dL = prefix[i + 1] @ frenet_matrix(kappas[i]) @ suffix[i + 1]
-        J[:, i] = (dK[1, 0], dK[2, 0], dK[2, 1])
-        J[:, n + i] = (dL[1, 0], dL[2, 0], dL[2, 1])
-    return res, J, E
+    suffix = [_I3]
+    for A in mats[::-1]:
+        suffix.append(A @ suffix[-1])
+    E = prefix[-1]
+    prefix = np.array(prefix)
+    suffix = np.array(suffix[::-1])
+    dK = prefix[:-1] @ dmats @ suffix[1:]
+    # d/dlength of exp(s M) is exp(s M) M, applied inside the chain
+    dL = prefix[1:] @ frenet_matrix(kappas) @ suffix[1:]
+    rows, cols = _RES_IDX
+    J = np.concatenate([dK[:, rows, cols].T, dL[:, rows, cols].T], axis=1)
+    return E[_RES_IDX], J, E
 
 
 def _full_constraints(x, n, perimeter):

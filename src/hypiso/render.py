@@ -17,6 +17,7 @@ from .geom import (
     CurveKind,
     Point,
     classify_curvature,
+    disk_to_uhp,
     fermi_point,
     to_disk,
     to_uhp,
@@ -112,13 +113,8 @@ def _circle_as_view_arc(center_z: complex, radius: float,
                        a0=0.0, sweep=2.0 * math.pi)
     pts = [center_z + radius * complex(math.cos(t), math.sin(t))
            for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
-    ws = [_disk_point_to_uhp(z) for z in pts]
+    ws = [disk_to_uhp(z) for z in pts]
     return arc_through_points(ws[0], ws[1], ws[2], ws[0])
-
-
-def _disk_point_to_uhp(z: complex) -> complex:
-    from .geom import disk_to_uhp
-    return disk_to_uhp(z)
 
 
 def _arc_bbox_samples(va: DiskArc) -> list[complex]:

@@ -10,11 +10,22 @@ whose solution for constant kappa is the matrix exponential of
     M(kappa) = [[0, 1, 0], [1, 0, -kappa], [0, kappa, 0]]
 
 acting on the frame columns (p, T, N).  With alpha = 1 - kappa^2 the
-exponential is I + c1(s) M + c2(s) M^2 where c1, c2 are trig functions
-of s*sqrt(-alpha) for circles, hyperbolic functions of s*sqrt(alpha)
-for hypercircles and geodesics, and plain polynomials in the horocycle
-band.  The three regimes join smoothly; a series branch keeps c1 and c2
-accurate whenever |alpha| s^2 is small, which always covers the band.
+exponential is I + c1(s) M + c2(s) M^2.
+
+One kernel, `transport_coeffs`, evaluates (c0 = c1', c1, c2) for
+arrays of kappa and s at once.  Each element falls in one of three
+regimes: trig functions of s*sqrt(-alpha) for circles, hyperbolic
+functions of s*sqrt(alpha) for hypercircles and geodesics, and a Taylor
+series in x = alpha s^2 wherever |x| is small, which always covers the
+horocycle band.  The regimes join smoothly.  With one kappa and many s
+(sampling, distance queries) every element shares a regime, so each
+transcendental runs once per element and only the few small-|x|
+entries are patched with the series.
+
+`arc_matrices` builds the stacked (n, 3, 3) transports of a whole chain
+from one kernel call, and their kappa-derivatives from the same
+coefficients.  Everything else here reads from those two: single-arc
+transport, frames along a chain, sampled points and frames, closure.
 
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
@@ -51,80 +62,159 @@ class NonSimpleBoundaryError(GeometryError):
     """The boundary curve intersects itself."""
 
 
-def frenet_matrix(kappa: float) -> np.ndarray:
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [1.0, 0.0, -kappa],
-        [0.0, kappa, 0.0],
-    ])
+def frenet_matrix(kappa) -> np.ndarray:
+    """M(kappa); an array of curvatures gives stacked (..., 3, 3) matrices."""
+    k = np.asarray(kappa, dtype=float)
+    m = np.zeros(k.shape + (3, 3))
+    m[..., 0, 1] = 1.0
+    m[..., 1, 0] = 1.0
+    m[..., 1, 2] = -k
+    m[..., 2, 1] = k
+    return m
 
 
+# dM/dkappa
 _M1 = np.array([
     [0.0, 0.0, 0.0],
     [0.0, 0.0, -1.0],
     [0.0, 1.0, 0.0],
 ])
+_I3 = np.eye(3)
+
+# |alpha s^2| below which the coefficients use their Taylor series; the
+# alpha-derivatives cancel harder in closed form and switch earlier
+_SERIES_X = 1e-8
+_SERIES_DX = 1e-6
 
 
-def transport_coeffs(kappa: float, s):
-    """Coefficients (c0, c1, c2) with exp(s M) = I + c1 M + c2 M^2.
+def _kernel(kappa, s):
+    """(alpha, x, c0, c1, c2) elementwise over broadcast kappa and s.
 
-    c0 = c1' is returned as well since distance queries need it.
-    Accepts a scalar or an array of arclengths s.
+    Built for one entry per arc, where regimes mix: both function
+    families are evaluated and the right one picked per element.
     """
+    kappa = np.asarray(kappa, dtype=float)
     s = np.asarray(s, dtype=float)
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
-    if np.all(np.abs(x) < 1e-8):
-        c0 = 1.0 + x / 2.0 + x * x / 24.0
-        c1 = s * (1.0 + x / 6.0 + x * x / 120.0)
-        c2 = s * s * (0.5 + x / 24.0 + x * x / 720.0)
-    elif alpha > 0.0:
-        mu = math.sqrt(alpha)
-        c0 = np.cosh(mu * s)
-        c1 = np.sinh(mu * s) / mu
-        c2 = 2.0 * np.sinh(mu * s / 2.0) ** 2 / alpha
+    small = np.abs(x) < _SERIES_X
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:
+        return (alpha, x) + _series_coeffs(x, s)
+    # the discarded family may overflow, and w = 0 only where x = 0
+    hyp = alpha > 0.0
+    w = np.sqrt(np.abs(alpha))
+    z = w * s
+    with np.errstate(all="ignore"):
+        c0 = np.where(hyp, np.cosh(z), np.cos(z))
+        c1 = np.where(hyp, np.sinh(z), np.sin(z)) / w
+        h = np.where(hyp, np.sinh(z / 2.0), np.sin(z / 2.0))
+        c2 = 2.0 * (h * h) / np.abs(alpha)
+    if n_small:
+        if s.shape != x.shape:
+            s = np.broadcast_to(s, x.shape)
+        c0[small], c1[small], c2[small] = _series_coeffs(x[small], s[small])
+    return alpha, x, c0, c1, c2
+
+
+def _coeffs_one(kappa, s):
+    """(c0, c1, c2) for one curvature and many arclengths.
+
+    Every element shares one regime, so each transcendental runs once
+    per element.  x = alpha s^2 has the sign of alpha, so |x| needs no
+    pass of its own, and s = 0 is exact in closed form, so only nonzero
+    small-|x| entries take the series.  s can be large (distance
+    queries), so x is dropped early and each coefficient is one
+    expression, whose temporaries numpy reuses.
+    """
+    alpha = 1.0 - kappa * kappa
+    x = alpha * s * s
+    if alpha == 0.0:
+        return _series_coeffs(x, s)
+    small = (x < _SERIES_X if alpha > 0.0 else x > -_SERIES_X) & (x != 0.0)
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:
+        return _series_coeffs(x, s)
+    if n_small:
+        # one pass to locate the few entries: flatnonzero is fast on a
+        # C-ordered mask, so an F-ordered one (distance queries make
+        # them) is read through its transpose
+        transposed = small.flags.f_contiguous
+        mask = small.T if transposed else small
+        at = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        if transposed:
+            at = at[::-1]
+        patch = _series_coeffs(x[at], s[at])
+    del x, small
+    w = math.sqrt(abs(alpha))
+    if alpha > 0.0:
+        c2 = 2.0 * np.square(np.sinh(w * s / 2.0)) / alpha
+        z = w * s
+        c0, c1 = np.cosh(z), np.sinh(z) / w
     else:
-        w = math.sqrt(-alpha)
-        c0 = np.cos(w * s)
-        c1 = np.sin(w * s) / w
-        c2 = -2.0 * np.sin(w * s / 2.0) ** 2 / alpha
+        c2 = 2.0 * np.square(np.sin(w * s / 2.0)) / -alpha
+        z = w * s
+        c0, c1 = np.cos(z), np.sin(z) / w
+    if n_small:
+        c0[at], c1[at], c2[at] = patch
     return c0, c1, c2
 
 
-def transport_coeffs_dalpha(kappa: float, s):
-    """d(c1)/d(alpha) and d(c2)/d(alpha), series-guarded near alpha = 0."""
-    s = np.asarray(s, dtype=float)
-    alpha = 1.0 - kappa * kappa
-    x = alpha * s * s
-    if np.all(np.abs(x) < 1e-6):
-        d1 = s ** 3 * (1.0 / 6.0 + x / 60.0 + x * x / 1680.0)
-        d2 = s ** 4 * (1.0 / 24.0 + x / 360.0 + x * x / 13440.0)
-        return d1, d2
-    c0, c1, c2 = transport_coeffs(kappa, s)
-    d1 = (s * c0 - c1) / (2.0 * alpha)
-    d2 = (s * c1 / 2.0 - c2) / alpha
-    return d1, d2
+def _series_coeffs(x, s):
+    c0 = 1.0 + x / 2.0 + x * x / 24.0
+    c1 = s * (1.0 + x / 6.0 + x * x / 120.0)
+    c2 = s * s * (0.5 + x / 24.0 + x * x / 720.0)
+    return c0, c1, c2
+
+
+def transport_coeffs(kappa, s):
+    """Coefficients (c0, c1, c2) with exp(s M(kappa)) = I + c1 M + c2 M^2.
+
+    c0 = c1' is returned as well since distance queries need it.  kappa
+    and s broadcast against each other: one curvature with many
+    arclengths, or one curvature per arclength.
+    """
+    if np.isscalar(kappa):
+        return _coeffs_one(kappa, np.asarray(s, dtype=float))
+    return _kernel(kappa, s)[2:]
+
+
+def arc_matrices(kappas, lengths, dkappa: bool = False):
+    """Stacked transports exp(l_i M(k_i)), shape (n, 3, 3).
+
+    With dkappa=True returns (A, dA) where dA holds the closed-form
+    kappa-derivatives, built from the same coefficients: with
+    alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
+    dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2) / alpha
+    away from alpha s^2 = 0, their Taylor series near it.
+    """
+    k = np.asarray(kappas, dtype=float)
+    s = np.asarray(lengths, dtype=float)
+    alpha, x, c0, c1, c2 = _kernel(k, s)
+    m = frenet_matrix(k)
+    m2 = m @ m
+    a = _I3 + c1[:, None, None] * m + c2[:, None, None] * m2
+    if not dkappa:
+        return a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (s * c0 - c1) / (2.0 * alpha)
+        d2 = (s * c1 / 2.0 - c2) / alpha
+    small = np.abs(x) < _SERIES_DX
+    if np.count_nonzero(small):
+        ss, xs = s[small], x[small]
+        d1[small] = ss ** 3 * (1.0 / 6.0 + xs / 60.0 + xs * xs / 1680.0)
+        d2[small] = ss ** 4 * (1.0 / 24.0 + xs / 360.0 + xs * xs / 13440.0)
+    dc1 = -2.0 * k * d1
+    dc2 = -2.0 * k * d2
+    da = (dc1[:, None, None] * m + dc2[:, None, None] * m2
+          + c1[:, None, None] * _M1
+          + c2[:, None, None] * (_M1 @ m + m @ _M1))
+    return a, da
 
 
 def arc_matrix(kappa: float, length: float) -> np.ndarray:
     """exp(length * M(kappa)): the frame transport along one arc."""
-    m = frenet_matrix(kappa)
-    _, c1, c2 = transport_coeffs(kappa, float(length))
-    return np.eye(3) + float(c1) * m + float(c2) * (m @ m)
-
-
-def arc_matrix_dkappa(kappa: float, length: float) -> np.ndarray:
-    """Derivative of arc_matrix with respect to kappa, closed form."""
-    m = frenet_matrix(kappa)
-    m2 = m @ m
-    _, c1, c2 = transport_coeffs(kappa, float(length))
-    d1a, d2a = transport_coeffs_dalpha(kappa, float(length))
-    dc1 = -2.0 * kappa * float(d1a)
-    dc2 = -2.0 * kappa * float(d2a)
-    return (dc1 * m + dc2 * m2
-            + float(c1) * _M1
-            + float(c2) * (_M1 @ m + m @ _M1))
+    return arc_matrices([kappa], [length])[0]
 
 
 def transport(f: Frame, kappa: float, length: float) -> Frame:
@@ -173,11 +263,24 @@ class Arc:
             raise ValueError("arc length must be positive")
 
 
-def chain_end_frame(start: Frame, arcs) -> Frame:
-    f = start
-    for a in arcs:
-        f = transport(f, a.kappa, a.length)
-    return f
+def _walk(start: Frame, arcs) -> tuple:
+    """Frames at each arc start along the chain, then the end frame."""
+    mats = arc_matrices([a.kappa for a in arcs], [a.length for a in arcs])
+    out = [start]
+    m = start.m
+    for a in mats:
+        m = m @ a
+        out.append(Frame(m))
+    return tuple(out)
+
+
+def _closure_gap(start: Frame, end: Frame) -> float:
+    pgap = end.p - start.p
+    d_pos = math.sqrt(max(minkowski(pgap, pgap), 0.0))  # 2 sinh(dist/2)
+    t_moved = parallel_transport(end.t, end.point, start.point)
+    tgap = t_moved - start.t
+    d_ang = math.sqrt(max(minkowski(tgap, tgap), 0.0))
+    return max(d_pos, d_ang)
 
 
 def chain_closure_residual(start: Frame, arcs) -> float:
@@ -188,13 +291,7 @@ def chain_closure_residual(start: Frame, arcs) -> float:
     tangent term is the chord norm of the transported difference, which
     matches the angle for small gaps without the acos precision cliff.
     """
-    end = chain_end_frame(start, arcs)
-    pgap = end.p - start.p
-    d_pos = math.sqrt(max(minkowski(pgap, pgap), 0.0))  # 2 sinh(dist/2)
-    t_moved = parallel_transport(end.t, end.point, start.point)
-    tgap = t_moved - start.t
-    d_ang = math.sqrt(max(minkowski(tgap, tgap), 0.0))
-    return max(d_pos, d_ang)
+    return _closure_gap(start, _walk(start, arcs)[-1])
 
 
 @dataclass(frozen=True)
@@ -222,7 +319,7 @@ class ArcSpline:
             raise ValueError("spline needs at least one arc")
         object.__setattr__(self, "arcs", tuple(self.arcs))
         if math.isfinite(self.closure_tol):
-            res = chain_closure_residual(self.start, self.arcs)
+            res = self.closure_residual()
             if res > self.closure_tol:
                 raise GeometryError(
                     f"chain does not close: residual {res:.3e} exceeds "
@@ -236,13 +333,10 @@ class ArcSpline:
     @cached_property
     def frames(self) -> tuple:
         """Frames at each arc start; the last entry is the chain end."""
-        out = [self.start]
-        for a in self.arcs:
-            out.append(transport(out[-1], a.kappa, a.length))
-        return tuple(out)
+        return _walk(self.start, self.arcs)
 
     def closure_residual(self) -> float:
-        return chain_closure_residual(self.start, self.arcs)
+        return _closure_gap(self.start, self.frames[-1])
 
     def perimeter(self) -> float:
         return float(sum(a.length for a in self.arcs))
@@ -312,6 +406,8 @@ class ArcSpline:
         return tuple(_disk_arc(self.frames[i], a) for i, a in enumerate(self.arcs))
 
     def is_simple(self) -> bool:
+        if any(_winds_past_full_turn(a) for a in self.arcs):
+            return False
         return _chain_is_simple(self.disk_arcs)
 
     def to_json_dict(self) -> dict:
@@ -563,6 +659,26 @@ def _pair_intersections(a: DiskArc, b: DiskArc):
                 _on_span(b, _arc_point_angle(b, z)):
             out.append(z)
     return out
+
+
+# relative slack on one full turn, so a ball's single closing arc (one
+# turn up to rounding) stays simple
+_TURN_TOL = 1e-9
+
+
+def _winds_past_full_turn(a: Arc) -> bool:
+    """Exact test: a circular arc running more than once round its circle.
+
+    Its disk image folds the sweep mod 2 pi, so the pairwise crossing
+    test below cannot see the overlap with itself.  A circle of
+    curvature |kappa| > 1 has radius arccoth |kappa|, and the arc turns
+    length / sinh(radius) radians about its center.
+    """
+    k = abs(a.kappa)
+    if k <= 1.0:
+        return False
+    turning = a.length / math.sinh(math.atanh(1.0 / k))
+    return turning > 2.0 * math.pi * (1.0 + _TURN_TOL)
 
 
 def _chain_is_simple(disk_arcs, join_tol: float = 1e-9) -> bool:

@@ -157,6 +157,31 @@ def test_verify_honors_tolerance_env(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_verify_offset_error_is_reported_not_raised(capsys, tmp_path,
+                                                   monkeypatch):
+    import hypiso.cli as cli
+    from hypiso.spline import GeometryError
+
+    def broken(body, rho):
+        raise GeometryError(f"offset by {rho:g} failed")
+
+    body = tmp_path / "s.json"
+    run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",
+        "--out", str(body))
+    monkeypatch.setattr(cli, "_steiner_agreement", broken)
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", str(body), "--out", str(report))
+    assert code == 1
+    assert "GeometryError: offset by 0.25 failed" in out
+    obj = json.loads(report.read_text())
+    assert obj["overall_ok"] is False
+    offs = [c for c in obj["checks"] if c["name"].startswith("steiner_offset")]
+    assert len(offs) == 3
+    for c in offs:
+        assert c["ok"] is False and c["max_err"] is None
+        assert c["error"].startswith("GeometryError: offset by")
+
+
 # --- optimize ---------------------------------------------------------------
 
 def test_optimize_quick_run(capsys, tmp_path):

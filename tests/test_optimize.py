@@ -16,7 +16,7 @@ from hypiso.optimize import (
     random_thick_body,
     solve,
 )
-from hypiso.spline import GeometryError
+from hypiso.spline import GeometryError, arc_matrices, arc_matrix, frenet_matrix
 from hypiso.steiner import sausage_measures
 
 SAUSAGE_P = 8.2464008819854406  # perimeter of sausage(2, 1)
@@ -81,6 +81,52 @@ def test_closure_jacobian_matches_finite_differences():
         assert np.max(np.abs(fd - J[:, j])) < 1e-5
 
 
+def _reference_jacobian(kappas, lengths):
+    """Per-arc prefix/suffix loop, one triple product per partial."""
+    n = len(kappas)
+    mats = [arc_matrix(k, l) for k, l in zip(kappas, lengths)]
+    dmats = [arc_matrices([k], [l], dkappa=True)[1][0]
+             for k, l in zip(kappas, lengths)]
+    prefix = [np.eye(3)]
+    for A in mats:
+        prefix.append(prefix[-1] @ A)
+    suffix = [np.eye(3)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = mats[i] @ suffix[i + 1]
+    E = prefix[n]
+    J = np.zeros((3, 2 * n))
+    for i in range(n):
+        dK = prefix[i] @ dmats[i] @ suffix[i + 1]
+        dL = prefix[i + 1] @ frenet_matrix(kappas[i]) @ suffix[i + 1]
+        J[:, i] = (dK[1, 0], dK[2, 0], dK[2, 1])
+        J[:, n + i] = (dL[1, 0], dL[2, 0], dL[2, 1])
+    return np.array([E[1, 0], E[2, 0], E[2, 1]]), J
+
+
+def test_closure_jacobian_matches_per_arc_reference_at_n64():
+    rng = np.random.default_rng(64)
+    n = 64
+    kap = rng.uniform(0.5, 2.0, size=n)
+    kap[::9] = 1.0  # horocycle arcs take the series branch
+    lon = rng.uniform(0.02, 0.3, size=n)
+    res, J, _ = closure_jacobian(kap, lon)
+    res_ref, J_ref = _reference_jacobian(kap, lon)
+    assert np.max(np.abs(J - J_ref)) <= 1e-14 * np.max(np.abs(J_ref))
+    assert np.max(np.abs(res - res_ref)) <= 1e-14 * np.max(np.abs(res_ref))
+    vec = closure_residual_vec(kap, lon)
+    assert np.max(np.abs(vec - res_ref)) <= 1e-14 * np.max(np.abs(res_ref))
+    # and the derivative itself, by central differences
+    h = 1e-6
+    for j in rng.choice(2 * n, size=16, replace=False):
+        dk, dl = kap.copy(), lon.copy()
+        (dk if j < n else dl)[j % n] += h
+        up = closure_residual_vec(dk, dl)
+        (dk if j < n else dl)[j % n] -= 2.0 * h
+        down = closure_residual_vec(dk, dl)
+        fd = (up - down) / (2.0 * h)
+        assert np.max(np.abs(fd - J[:, j])) < 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
 def test_solve_small_instance_reaches_sausage():
     # short run: the round start alone lands on the sausage optimum
     problem = ShapeProblem(2.0, SAUSAGE_P, 8)
@@ -114,6 +160,18 @@ def test_random_thick_body_properties():
     s = body.boundary
     assert s.total_turning() == pytest.approx(
         2.0 * math.pi + s.area_gauss_bonnet(), abs=1e-12)
+
+
+def test_random_thick_body_redraws_doubly_wound_arcs():
+    # this seed used to close with one arc running 1.32 times round its
+    # circle, a non-simple body that broke the isoperimetric inequality
+    body = random_thick_body(2.0, 12, seed=80)
+    for a in body.boundary.arcs:
+        if a.kappa > 1.0:
+            turning = a.length / math.sinh(math.atanh(1.0 / a.kappa))
+            assert turning < 2.0 * math.pi
+    A, L = body.measure.area, body.measure.perimeter
+    assert L * L >= 4.0 * math.pi * A + A * A
 
 
 def test_random_thick_body_is_deterministic():

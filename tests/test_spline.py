@@ -11,6 +11,7 @@ from hypiso.spline import (
     Arc,
     ArcSpline,
     GeometryError,
+    arc_matrices,
     arc_matrix,
     arc_points,
     area_polygonal,
@@ -90,6 +91,76 @@ def test_transport_coeffs_match_trig():
     assert c0 == pytest.approx(math.cos(0.7), abs=1e-15)
     assert c1 == pytest.approx(math.sin(0.7), abs=1e-15)
     assert c2 == pytest.approx(1.0 - math.cos(0.7), abs=1e-15)
+
+
+# one array mixing every regime: circles, hypercircles, a geodesic, a
+# concave circle, and the horocycle band on both sides of kappa = 1
+_MIXED_KAPPAS = np.array([2.0, 1.3, 0.5, 0.0, -1.7, -0.4, 1.0,
+                          1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-5, 0.99999])
+_MIXED_LENGTHS = np.array([1.1, 2.5, 0.8, 1.6, 0.4, 1.2, 0.9,
+                           1.3, 0.7, 1e-3, 2.0])
+
+
+def _scalar_coeffs(kappa, s):
+    """Closed forms per regime; the band uses its Taylor polynomial."""
+    alpha = 1.0 - kappa * kappa
+    x = alpha * s * s
+    if abs(x) < 1e-8:
+        return (1.0 + x / 2.0 + x * x / 24.0,
+                s * (1.0 + x / 6.0 + x * x / 120.0),
+                s * s * (0.5 + x / 24.0 + x * x / 720.0))
+    if alpha > 0.0:
+        mu = math.sqrt(alpha)
+        return (math.cosh(mu * s), math.sinh(mu * s) / mu,
+                (math.cosh(mu * s) - 1.0) / alpha)
+    w = math.sqrt(-alpha)
+    return (math.cos(w * s), math.sin(w * s) / w,
+            (1.0 - math.cos(w * s)) / -alpha)
+
+
+def test_transport_coeffs_mixed_array_matches_scalar_closed_forms():
+    c0, c1, c2 = transport_coeffs(_MIXED_KAPPAS, _MIXED_LENGTHS)
+    for i, (k, s) in enumerate(zip(_MIXED_KAPPAS, _MIXED_LENGTHS)):
+        ref = _scalar_coeffs(k, s)
+        for got, want in zip((c0[i], c1[i], c2[i]), ref):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # one curvature against many arclengths, zero and band-small included
+    s = np.array([0.0, 1e-9, 1e-5, 0.3, 2.0])
+    for k in (0.5, 1.0, 1.0 + 1e-9, 1.5):
+        c0, c1, c2 = transport_coeffs(k, s)
+        for j, sj in enumerate(s):
+            ref = _scalar_coeffs(k, sj)
+            for got, want in zip((c0[j], c1[j], c2[j]), ref):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # each element is computed alone: layout and batch do not matter
+        grid = np.tile(s, (3, 1))
+        for view in (grid, np.asfortranarray(grid), grid[:, ::-1].T):
+            for got, want in zip(transport_coeffs(k, view),
+                                 transport_coeffs(k, np.ascontiguousarray(view))):
+                assert np.array_equal(got, want)
+            for got, flat in zip(transport_coeffs(k, view), (c0, c1, c2)):
+                assert set(np.ravel(got)) == set(flat)
+
+
+def test_arc_matrices_match_expm():
+    from scipy.linalg import expm
+    A = arc_matrices(_MIXED_KAPPAS, _MIXED_LENGTHS)
+    assert A.shape == (len(_MIXED_KAPPAS), 3, 3)
+    for i, (k, s) in enumerate(zip(_MIXED_KAPPAS, _MIXED_LENGTHS)):
+        direct = expm(s * frenet_matrix(k))
+        assert np.max(np.abs(A[i] - direct)
+                      / np.maximum(1.0, np.abs(direct))) < 1e-12
+        # the single-arc view is the same stacked builder
+        assert np.array_equal(arc_matrix(k, s), A[i])
+
+
+def test_arc_matrices_dkappa_matches_central_differences():
+    _, dA = arc_matrices(_MIXED_KAPPAS, _MIXED_LENGTHS, dkappa=True)
+    h = 1e-6
+    fd = (arc_matrices(_MIXED_KAPPAS + h, _MIXED_LENGTHS)
+          - arc_matrices(_MIXED_KAPPAS - h, _MIXED_LENGTHS)) / (2.0 * h)
+    scale = np.maximum(1.0, np.abs(dA))
+    assert np.max(np.abs(dA - fd) / scale) < 1e-7
 
 
 def test_arc_points_on_sheet():
@@ -185,3 +256,18 @@ def test_simplicity_verdicts():
     # eroding the hull past its waist pinches the boundary
     pinched = offset(hull, -0.4, check_simple=False)
     assert not pinched.boundary.is_simple()
+
+
+def test_arc_turning_more_than_once_is_not_simple():
+    r = 0.8
+    kappa = 1.0 / math.tanh(r)
+    one_turn = 2.0 * math.pi * math.sinh(r)
+    assert _circle_spline(r).is_simple()
+    # the same circle run twice closes too, but overlaps itself
+    twice = ArcSpline(ORIGIN_FRAME, (Arc(kappa, 2.0 * one_turn),))
+    assert twice.closure_residual() < 1e-9
+    assert not twice.is_simple()
+    # a doubly wound arc inside a longer chain is caught as well
+    wound = ArcSpline(ORIGIN_FRAME, (Arc(kappa, 1.5 * one_turn),
+                                     Arc(kappa, 0.5 * one_turn)))
+    assert not wound.is_simple()
