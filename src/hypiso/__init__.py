@@ -58,7 +58,6 @@ from .steiner import (
     inner_flow,
     is_past_inradius,
     outer_flow,
-    reconstruct_from_inner,
     sausage_measures,
 )
 from .bodies import (
@@ -104,8 +103,7 @@ __all__ = [
     "SIGN_AS_PRINTED", "SIGN_STEINER_CONSISTENT", "BodyMeasure",
     "DeficitReport", "area_lower_bound", "ball_measures", "bound_scaled",
     "deficit", "deficit_both", "flow_invariant", "inner_flow",
-    "is_past_inradius", "outer_flow", "reconstruct_from_inner",
-    "sausage_measures",
+    "is_past_inradius", "outer_flow", "sausage_measures",
     "Body", "DegenerateBodyError", "RollReport", "ball",
     "boundary_proximity", "contains_body", "contains_point",
     "dist_to_boundary", "inradius", "inscribed_ball", "offset",

@@ -130,6 +130,25 @@ class Body:
                     meta=dict(obj.get("meta", {})))
 
 
+def _cap_sweep(center: Point, foot: np.ndarray, what: str) -> float:
+    """Sweep of a cap centered on the x1 axis, from foot to its mirror.
+
+    The foot's angle at the center is measured against the outward
+    axis direction and must lie in (-pi, 0); the cap runs the long way
+    around, through the axis, so it sweeps twice the angle's size.
+    what is the message of the GeometryError raised otherwise.
+    """
+    sC = math.asinh(center.v[1])
+    e1 = np.array([math.sinh(sC), math.cosh(sC), 0.0])
+    e2 = np.array([0.0, 0.0, 1.0])
+    v = foot + minkowski(center.v, foot) * center.v
+    v = v / math.sqrt(minkowski(v, v))
+    theta = math.atan2(minkowski(v, e2), minkowski(v, e1))
+    if not -math.pi < theta < 0.0:
+        raise GeometryError(what)
+    return 2.0 * (-theta)
+
+
 def _make_body(start: Frame, arcs, convex: bool, thick_for=None,
                meta=None, closure_tol=None) -> Body:
     kw = {} if closure_tol is None else {"closure_tol": closure_tol}
@@ -207,18 +226,8 @@ def two_ball_hull(r: float, d: float) -> Body:
     seg = dist(feet[0], feet[1])
     if seg <= 0.0:
         raise DegenerateBodyError("tangent points coincide")
-    # cap sweep from the foot's angle at its center, measured against
-    # the outward axis direction; the cap is the long way around
-    c = centers[1]
-    sC = math.asinh(c.v[1])
-    e1 = np.array([math.sinh(sC), math.cosh(sC), 0.0])
-    e2 = np.array([0.0, 0.0, 1.0])
-    v = feet[1].v + minkowski(c.v, feet[1].v) * c.v
-    v = v / math.sqrt(minkowski(v, v))
-    theta = math.atan2(minkowski(v, e2), minkowski(v, e1))
-    if not -math.pi < theta < 0.0:
-        raise GeometryError("tangent foot on the wrong side")
-    sweep = 2.0 * (-theta)
+    sweep = _cap_sweep(centers[1], feet[1].v,
+                       "tangent foot on the wrong side")
     cap = Arc(ch / sh, sweep * sh)
     # start at the lower-left foot heading along the tangent geodesic
     tv = feet[1].v + minkowski(feet[0].v, feet[1].v) * feet[0].v
@@ -278,18 +287,10 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
             break
     t0 = 0.5 * (lo + hi)
 
-    C = cap_center(t0)
     g = _axis_boost(t0)
     j = apply_isometry_frame(g, _fermi_frame(d, -h))
-    sC = math.asinh(C.v[1])
-    e1 = np.array([math.sinh(sC), math.cosh(sC), 0.0])
-    e2 = np.array([0.0, 0.0, 1.0])
-    v = j.p + minkowski(C.v, j.p) * C.v
-    v = v / math.sqrt(minkowski(v, v))
-    theta = math.atan2(minkowski(v, e2), minkowski(v, e1))
-    if not -math.pi < theta < 0.0:
-        raise GeometryError("junction on the wrong side of the axis")
-    sweep = 2.0 * (-theta)
+    sweep = _cap_sweep(cap_center(t0), j.p,
+                       "junction on the wrong side of the axis")
 
     side = Arc(ks, 2.0 * d * math.cosh(h)) if ks > 0.0 else Arc(0.0, 2.0 * d)
     cap = Arc(lam, sweep * math.sinh(rc))
@@ -315,27 +316,28 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 
 
 def _critical_params(kappa: float, length: float, B, D):
-    """Interior stationary parameters per query, invalid slots < 0."""
+    """Interior stationary parameters, one row per candidate root and
+    one column per query; invalid slots are < 0."""
     alpha = 1.0 - kappa * kappa
     if abs(alpha) < 1e-11:
         with np.errstate(divide="ignore", invalid="ignore"):
             s = -B / D
         s = np.where(np.isfinite(s), s, -1.0)
-        return s[:, None]
+        return s[None, :]
     if alpha > 0.0:
         mu = math.sqrt(alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = -B * mu / D
             s = np.arctanh(ratio) / mu
         s = np.where(np.isfinite(s), s, -1.0)
-        return s[:, None]
+        return s[None, :]
     w = math.sqrt(-alpha)
     base = np.arctan2(-B * w, D) / w
     period = math.pi / w
     k0 = np.ceil((0.0 - base) / period)
     # at most length/period + 1 roots can land inside the arc
     count = int(math.floor(length / period)) + 2
-    return base[:, None] + (k0[:, None] + np.arange(count)[None, :]) * period
+    return base + (k0 + np.arange(count)[:, None]) * period
 
 
 def boundary_proximity(body: Body, pts: np.ndarray):
@@ -356,22 +358,22 @@ def boundary_proximity(body: Body, pts: np.ndarray):
         A = -(Q @ f.p)
         B = -(Q @ f.t)
         D = A + a.kappa * (-(Q @ f.n))
+        # one row per candidate parameter, so every candidate is a
+        # contiguous vector over the queries
         S = _critical_params(a.kappa, a.length, B, D)
-        ends = np.broadcast_to(np.array([0.0, a.length]), (nq, 2))
-        S = np.concatenate([S, ends], axis=1)
+        ends = np.broadcast_to(np.array([[0.0], [a.length]]), (2, nq))
+        S = np.concatenate([S, ends])
         valid = (S >= -1e-12) & (S <= a.length + 1e-12)
         Sc = np.clip(S, 0.0, a.length)
         _, c1, c2 = transport_coeffs(a.kappa, Sc)
-        gvals = A[:, None] + c1 * B[:, None] + c2 * D[:, None]
-        gvals = np.where(valid, gvals, np.inf)
-        col = np.argmin(gvals, axis=1)
-        rows = np.arange(nq)
-        gmin = gvals[rows, col]
-        smin = Sc[rows, col]
-        better = gmin < best
-        best = np.where(better, gmin, best)
-        best_arc = np.where(better, i, best_arc)
-        best_s = np.where(better, smin, best_s)
+        gvals = A + c1 * B + c2 * D
+        # strict <: of equal minima the first candidate, in arc and row
+        # order, wins
+        for g, s, ok in zip(gvals, Sc, valid):
+            better = ok & (g < best)
+            best = np.where(better, g, best)
+            best_arc[better] = i
+            best_s = np.where(better, s, best_s)
     dists = np.arccosh(np.maximum(best, 1.0))
     return dists, best_arc, best_s
 

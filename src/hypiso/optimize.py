@@ -398,11 +398,10 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
 def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
     """Random simple closed body with curvature inside [1/lam, lam].
 
-    Draws curvatures and lengths, then closes the chain by Newton on
-    the last three degrees of freedom; draws the tail Newton cannot
-    close are handed to the all-variable restoration used by the
-    optimizer before being redrawn.  Draws that close on the reversed
-    branch or self-intersect are redrawn; deterministic per seed.
+    Draws curvatures and lengths, then closes the chain with the
+    optimizer's restoration at the drawn perimeter.  Draws it cannot
+    close, that close on the reversed branch or that self-intersect
+    are redrawn; deterministic per seed.
     """
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
@@ -418,17 +417,12 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
         # aim the total turning at a closed convex range above 2 pi
         target = 2.0 * math.pi * (1.0 + rng.uniform(0.1, 0.8))
         lon *= target / (kap @ lon)
-        x = _close_tail(kap, lon, lo, hi)
+        perim = float(lon.sum())
+        ub = np.concatenate([np.full(n, hi), np.full(n, perim)])
+        x = _restore(np.concatenate([kap, lon]), n, perim, lb, ub)
         if x is None:
-            # tail cannot reach closure for this head; let every
-            # variable share the correction instead of discarding
-            perim = float(lon.sum())
-            ub = np.concatenate([np.full(n, hi), np.full(n, perim)])
-            full = _restore(np.concatenate([kap, lon]), n, perim, lb, ub)
-            if full is None:
-                continue
-            x = (full[:n], full[n:])
-        kap, lon = x
+            continue
+        kap, lon = x[:n], x[n:]
         if np.any(lon <= 1e-6):
             continue
         try:
@@ -445,30 +439,3 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
                           "seed": seed})
     raise GeometryError(
         f"no simple thick body found for lam={lam}, n={n_arcs}, seed={seed}")
-
-
-def _close_tail(kap, lon, lo, hi, max_iter=25):
-    """Newton on (lon[-2], kap[-1], lon[-1]) to zero the closure triple."""
-    n = kap.size
-    kap = kap.copy()
-    lon = lon.copy()
-    for _ in range(max_iter):
-        res, J, E = closure_jacobian(kap, lon)
-        norm = np.max(np.abs(res))
-        if norm <= RESTORE_TOL:
-            return (kap, lon) if E[1, 1] > 0.0 else None
-        if not np.isfinite(norm) or norm > 1e6:
-            return None
-        cols = np.column_stack([J[:, n + (n - 2)], J[:, n - 1], J[:, n + (n - 1)]])
-        try:
-            delta = np.linalg.solve(cols, -res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        # damped, box-projected update
-        scale = min(1.0, 2.0 / (1.0 + np.max(np.abs(delta))))
-        lon[n - 2] = max(lon[n - 2] + scale * delta[0], 1e-9)
-        kap[n - 1] = min(max(kap[n - 1] + scale * delta[1], lo), hi)
-        lon[n - 1] = max(lon[n - 1] + scale * delta[2], 1e-9)
-    return None

@@ -136,14 +136,8 @@ def _coeffs_one(kappa, s):
     if n_small == small.size:
         return _series_coeffs(x, s)
     if n_small:
-        # one pass to locate the few entries: flatnonzero is fast on a
-        # C-ordered mask, so an F-ordered one (distance queries make
-        # them) is read through its transpose
-        transposed = small.flags.f_contiguous
-        mask = small.T if transposed else small
-        at = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        if transposed:
-            at = at[::-1]
+        # one pass to locate the few entries
+        at = np.unravel_index(np.flatnonzero(small), small.shape)
         patch = _series_coeffs(x[at], s[at])
     del x, small
     w = math.sqrt(abs(alpha))

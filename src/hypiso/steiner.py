@@ -90,11 +90,6 @@ def flow_invariant(m: BodyMeasure) -> float:
     return a2 * a2 - m.perimeter * m.perimeter
 
 
-def reconstruct_from_inner(inner: BodyMeasure, rho: float) -> BodyMeasure:
-    """Invert an erosion: outer flow applied to the eroded measures."""
-    return outer_flow(inner, rho)
-
-
 def sausage_measures(lam: float, d: float) -> BodyMeasure:
     """Closed-form measures of the thick sausage with cap curvature lam.
 

@@ -7,6 +7,7 @@ import pytest
 
 from hypiso.bodies import sausage
 from hypiso.optimize import (
+    RESTORE_TOL,
     Candidate,
     ShapeProblem,
     closure_jacobian,
@@ -15,6 +16,7 @@ from hypiso.optimize import (
     perimeter_to_d,
     random_thick_body,
     solve,
+    _restore,
 )
 from hypiso.spline import GeometryError, arc_matrices, arc_matrix, frenet_matrix
 from hypiso.steiner import sausage_measures
@@ -127,6 +129,25 @@ def test_closure_jacobian_matches_per_arc_reference_at_n64():
         assert np.max(np.abs(fd - J[:, j])) < 1e-7 * max(1.0, np.max(np.abs(J)))
 
 
+def test_restore_returns_perturbed_sausage_to_the_manifold():
+    kap, lon = _sausage_x(2.0, 1.0)
+    n = kap.size
+    lb = np.concatenate([np.full(n, 0.5), np.zeros(n)])
+    ub = np.concatenate([np.full(n, 2.0), np.full(n, SAUSAGE_P)])
+    rng = np.random.default_rng(3)
+    x0 = np.clip(np.concatenate([kap, lon]) + 0.05 * rng.standard_normal(2 * n),
+                 lb, ub)
+    assert np.max(np.abs(closure_residual_vec(x0[:n], x0[n:]))) > 1e-3
+    x = _restore(x0, n, SAUSAGE_P, lb, ub)
+    assert x is not None
+    assert np.all((lb <= x) & (x <= ub))
+    assert x[n:].sum() == pytest.approx(SAUSAGE_P, abs=RESTORE_TOL)
+    res, _, E = closure_jacobian(x[:n], x[n:])
+    assert np.max(np.abs(res)) <= RESTORE_TOL
+    # closed on the forward branch: the end frame keeps its tangent
+    assert E[1, 1] > 0.0
+
+
 def test_solve_small_instance_reaches_sausage():
     # short run: the round start alone lands on the sausage optimum
     problem = ShapeProblem(2.0, SAUSAGE_P, 8)
@@ -151,15 +172,16 @@ def test_solve_results_are_sorted_and_typed():
 
 
 def test_random_thick_body_properties():
-    body = random_thick_body(2.0, 12, seed=7)
-    assert body.thick_for == 2.0
-    assert body.boundary.check_thickness(2.0, tol=1e-9).ok
-    assert body.boundary.closure_residual() < 1e-9
-    assert body.boundary.is_simple()
-    # Gauss-Bonnet consistency: turning = 2 pi + area
-    s = body.boundary
-    assert s.total_turning() == pytest.approx(
-        2.0 * math.pi + s.area_gauss_bonnet(), abs=1e-12)
+    for seed in (7, 13):
+        body = random_thick_body(2.0, 12, seed=seed)
+        assert body.thick_for == 2.0
+        assert body.boundary.check_thickness(2.0, tol=1e-9).ok
+        assert body.boundary.closure_residual() < 1e-9
+        assert body.boundary.is_simple()
+        # Gauss-Bonnet consistency: turning = 2 pi + area
+        s = body.boundary
+        assert s.total_turning() == pytest.approx(
+            2.0 * math.pi + s.area_gauss_bonnet(), abs=1e-12)
 
 
 def test_random_thick_body_redraws_doubly_wound_arcs():
