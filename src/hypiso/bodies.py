@@ -9,6 +9,7 @@ boundary curvature matches the thickness bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,8 +37,8 @@ from .spline import (
     GeometryError,
     NonSimpleBoundaryError,
     ThicknessCertificate,
-    arc_frames_batch,
-    transport_coeffs,
+    _arc_normals,
+    _c12,
 )
 from .steiner import BodyMeasure
 
@@ -312,7 +313,14 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 # A = -<q,p>, B = -<q,T>, D = A + kappa * (-<q,N>), where c1, c2 are
 # the transport coefficients.  Its stationary points solve
 # c0(s) B + c1(s) D = 0, which each curvature regime inverts in closed
-# form, so the nearest parameter needs no iteration.
+# form, so the nearest parameter needs no iteration.  The candidates
+# per query are those interior roots, one row each, plus the two arc
+# ends.  The ends are the same two parameters for every query, so their
+# coefficients are evaluated once per arc: at s = 0, c1 = c2 = 0 and
+# the row is A itself; at s = length it is A + c1L B + c2L D with
+# scalar c1L, c2L.  Only the root rows need the clip, the validity mask
+# and a kernel call over all queries; the end rows, always valid, are
+# merged after them.
 
 
 def _critical_params(kappa: float, length: float, B, D):
@@ -358,22 +366,22 @@ def boundary_proximity(body: Body, pts: np.ndarray):
         A = -(Q @ f.p)
         B = -(Q @ f.t)
         D = A + a.kappa * (-(Q @ f.n))
-        # one row per candidate parameter, so every candidate is a
-        # contiguous vector over the queries
+        # one row per root, so every candidate is a contiguous vector
+        # over the queries
         S = _critical_params(a.kappa, a.length, B, D)
-        ends = np.broadcast_to(np.array([[0.0], [a.length]]), (2, nq))
-        S = np.concatenate([S, ends])
         valid = (S >= -1e-12) & (S <= a.length + 1e-12)
         Sc = np.clip(S, 0.0, a.length)
-        _, c1, c2 = transport_coeffs(a.kappa, Sc)
+        c1, c2 = _c12(a.kappa, Sc)
         gvals = A + c1 * B + c2 * D
-        # strict <: of equal minima the first candidate, in arc and row
-        # order, wins
-        for g, s, ok in zip(gvals, Sc, valid):
+        c1L, c2L = _c12(a.kappa, np.array([a.length]))
+        ends = ((A, 0.0, True), (A + c1L * B + c2L * D, a.length, True))
+        # strict <: of equal minima the first candidate, in arc order
+        # and then roots, s = 0, s = length, wins
+        for g, s, ok in itertools.chain(zip(gvals, Sc, valid), ends):
             better = ok & (g < best)
-            best = np.where(better, g, best)
-            best_arc[better] = i
-            best_s = np.where(better, s, best_s)
+            np.copyto(best, g, where=better)
+            np.copyto(best_arc, i, where=better)
+            np.copyto(best_s, s, where=better)
     dists = np.arccosh(np.maximum(best, 1.0))
     return dists, best_arc, best_s
 
@@ -399,8 +407,8 @@ def signed_boundary_distance(body: Body, pts: np.ndarray) -> np.ndarray:
             sel = arc_idx == i
             if not np.any(sel):
                 continue
-            _, _, N = arc_frames_batch(spline.frames[i], a.kappa, s_loc[sel])
-            normals[sel] = N
+            normals[sel] = _arc_normals(spline.frames[i], a.kappa,
+                                        s_loc[sel])
         side = np.einsum("ij,ij->i", pts @ _ETA, normals)
         return np.where(side >= 0.0, d, -d)
     signs = np.empty(pts.shape[0])
@@ -556,19 +564,39 @@ def _deepest_center(body: Body, tol: float):
     return float(-res.fun), (float(res.x[0]), float(res.x[1]))
 
 
+def _sausage_at_origin(body: Body) -> bool:
+    """True for a sausage as `sausage` built and placed it.
+
+    Its inradius is then the cap radius, attained along the whole core
+    segment on the x1 axis.  An offset keeps the sausage's meta but not
+    its inradius, and a moved sausage keeps its inradius but not its
+    core, so both fail the test.
+    """
+    meta = body.meta
+    if meta.get("kind") != "sausage" or "offset_rho" in meta:
+        return False
+    d, r = meta.get("d"), meta.get("cap_radius")
+    if not all(isinstance(v, (int, float)) for v in (d, r)):
+        return False  # meta read from a file that lacks them
+    return bool(np.array_equal(body.boundary.start.m,
+                               _fermi_frame(d, -r).m))
+
+
 def inradius(body: Body, tol: float = 1e-6) -> float:
     """Radius of the largest inscribed ball.
 
-    Maximizes the boundary distance over interior centers with a seed
+    Exact for a sausage at the origin (`_sausage_at_origin`).  Otherwise
+    maximizes the boundary distance over interior centers with a seed
     grid plus Nelder-Mead in disk coordinates.  Convex bodies only; the
     maximum may be attained along a segment, any point of it is fine.
     """
-    depth, _ = _deepest_center(body, tol)
-    return depth
+    return inscribed_ball(body, tol)[0]
 
 
 def inscribed_ball(body: Body, tol: float = 1e-6):
     """Inradius together with a center attaining it."""
+    if _sausage_at_origin(body):
+        return float(body.meta["cap_radius"]), ORIGIN
     depth, uv = _deepest_center(body, tol)
     return depth, from_disk(complex(uv[0], uv[1]))
 

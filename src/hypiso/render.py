@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Body, inscribed_ball, rolls_freely
+from .bodies import Body, _sausage_at_origin, inscribed_ball, rolls_freely
 from .geom import (
     CurveKind,
     Point,
@@ -242,10 +242,10 @@ def _inscribed_elements(body: Body, view: _View,
                         spec: RenderSpec) -> list[str]:
     style = _style(spec.overlay_color, spec.overlay_width, "4,4")
     balls = []
-    meta = body.meta or {}
-    if meta.get("kind") == "sausage":
+    if _sausage_at_origin(body):
+        meta = body.meta
         # the whole core segment attains the inradius; show the extremes
-        r = math.atanh(1.0 / meta["lambda"])
+        r = meta["cap_radius"]
         for s in (-meta["d"], 0.0, meta["d"]):
             if s == 0.0 and meta["d"] == 0.0:
                 continue

@@ -117,56 +117,61 @@ def _kernel(kappa, s):
     return alpha, x, c0, c1, c2
 
 
-def _coeffs_one(kappa, s):
+def _coeffs_one(kappa, s, with_c0=True):
     """(c0, c1, c2) for one curvature and many arclengths.
 
-    Every element shares one regime, so each transcendental runs once
-    per element.  x = alpha s^2 has the sign of alpha, so |x| needs no
-    pass of its own, and s = 0 is exact in closed form, so only nonzero
-    small-|x| entries take the series.  s can be large (distance
-    queries), so x is dropped early and each coefficient is one
-    expression, whose temporaries numpy reuses.
+    With with_c0 false only (c1, c2) are computed: points and normals
+    need no c0, and distance queries, the largest callers, skip a full
+    array of cosh or cos.  Every element shares one regime, so each
+    transcendental runs once per element.  x = alpha s^2 has the sign
+    of alpha, so |x| needs no pass of its own, and s = 0 is exact in
+    closed form, so only nonzero small-|x| entries take the series.
+    s can be large (distance queries), so x is dropped early and each
+    coefficient is one expression, whose temporaries numpy reuses.
     """
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
     if alpha == 0.0:
-        return _series_coeffs(x, s)
+        return _series_coeffs(x, s, with_c0)
     small = (x < _SERIES_X if alpha > 0.0 else x > -_SERIES_X) & (x != 0.0)
     n_small = np.count_nonzero(small)
     if n_small == small.size:
-        return _series_coeffs(x, s)
+        return _series_coeffs(x, s, with_c0)
     if n_small:
         # one pass to locate the few entries
         at = np.unravel_index(np.flatnonzero(small), small.shape)
-        patch = _series_coeffs(x[at], s[at])
+        patch = _series_coeffs(x[at], s[at], with_c0)
     del x, small
     w = math.sqrt(abs(alpha))
-    if alpha > 0.0:
-        c2 = 2.0 * np.square(np.sinh(w * s / 2.0)) / alpha
-        z = w * s
-        c0, c1 = np.cosh(z), np.sinh(z) / w
-    else:
-        c2 = 2.0 * np.square(np.sin(w * s / 2.0)) / -alpha
-        z = w * s
-        c0, c1 = np.cos(z), np.sin(z) / w
+    odd, even = (np.sinh, np.cosh) if alpha > 0.0 else (np.sin, np.cos)
+    c2 = 2.0 * np.square(odd(w * s / 2.0)) / abs(alpha)
+    z = w * s
+    out = (even(z), odd(z) / w, c2) if with_c0 else (odd(z) / w, c2)
     if n_small:
-        c0[at], c1[at], c2[at] = patch
-    return c0, c1, c2
+        for c, p in zip(out, patch):
+            c[at] = p
+    return out
 
 
-def _series_coeffs(x, s):
-    c0 = 1.0 + x / 2.0 + x * x / 24.0
+def _series_coeffs(x, s, with_c0=True):
     c1 = s * (1.0 + x / 6.0 + x * x / 120.0)
     c2 = s * s * (0.5 + x / 24.0 + x * x / 720.0)
-    return c0, c1, c2
+    if not with_c0:
+        return c1, c2
+    return 1.0 + x / 2.0 + x * x / 24.0, c1, c2
+
+
+def _c12(kappa, s):
+    """(c1, c2) of `transport_coeffs` for one curvature, without c0."""
+    return _coeffs_one(kappa, np.asarray(s, dtype=float), with_c0=False)
 
 
 def transport_coeffs(kappa, s):
     """Coefficients (c0, c1, c2) with exp(s M(kappa)) = I + c1 M + c2 M^2.
 
-    c0 = c1' is returned as well since distance queries need it.  kappa
-    and s broadcast against each other: one curvature with many
-    arclengths, or one curvature per arclength.
+    c0 = c1' is returned as well.  kappa and s broadcast against each
+    other: one curvature with many arclengths, or one curvature per
+    arclength.
     """
     if np.isscalar(kappa):
         return _coeffs_one(kappa, np.asarray(s, dtype=float))
@@ -226,21 +231,32 @@ def transport(f: Frame, kappa: float, length: float) -> Frame:
 
 def arc_points(f: Frame, kappa: float, s):
     """Curve points at arclengths s along the arc starting at frame f."""
-    _, c1, c2 = transport_coeffs(kappa, s)
+    c1, c2 = _c12(kappa, s)
     coeff = np.stack([1.0 + c2, c1, kappa * c2], axis=-1)
     return coeff @ f.m.T
 
 
+def _normal_coeffs(kappa: float, c1, c2):
+    # normal column of I + c1 M + c2 M^2, in start-frame coordinates
+    return np.stack([-kappa * c2, -kappa * c1, 1.0 - kappa * kappa * c2],
+                    axis=-1)
+
+
 def arc_frames_batch(f: Frame, kappa: float, s):
     """Points, tangents and normals at arclengths s (vectorized)."""
-    c0, c1, c2 = transport_coeffs(kappa, s)
+    c1, c2 = _c12(kappa, s)
     k = kappa
-    one = np.ones_like(np.asarray(s, dtype=float))
+    one = np.ones_like(c1)
     p_co = np.stack([1.0 + c2, c1, k * c2], axis=-1)
     t_co = np.stack([c1, one + c2 * (1.0 - k * k), k * c1], axis=-1)
-    n_co = np.stack([-k * c2, -k * c1, one - k * k * c2], axis=-1)
     mt = f.m.T
-    return p_co @ mt, t_co @ mt, n_co @ mt
+    return p_co @ mt, t_co @ mt, _normal_coeffs(k, c1, c2) @ mt
+
+
+def _arc_normals(f: Frame, kappa: float, s):
+    """The normals of `arc_frames_batch` alone."""
+    c1, c2 = _c12(kappa, s)
+    return _normal_coeffs(kappa, c1, c2) @ f.m.T
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from hypiso.geom import ORIGIN, Point, dist, exp_map, fermi_point, from_disk
-from hypiso.spline import NonSimpleBoundaryError
+from hypiso.geom import (
+    _ETA,
+    ORIGIN,
+    Frame,
+    Point,
+    apply_isometry_frame,
+    dist,
+    exp_map,
+    fermi_point,
+    from_disk,
+)
+from hypiso.optimize import random_thick_body
+from hypiso.spline import Arc, ArcSpline, NonSimpleBoundaryError, transport_coeffs
+from hypiso import bodies
 from hypiso.bodies import (
     Body,
+    _critical_params,
+    _sausage_at_origin,
     ball,
     boundary_proximity,
     contains_body,
@@ -154,11 +168,155 @@ def test_boundary_proximity_locates_arc():
     assert 0.0 <= best_s[0] <= s.boundary.arcs[best_arc[0]].length
 
 
+def _reference_proximity(body, pts):
+    """The per-row loop with the arc ends as two more rows per query."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    nq = pts.shape[0]
+    Q = pts @ _ETA
+    best = np.full(nq, np.inf)
+    best_arc = np.zeros(nq, dtype=int)
+    best_s = np.zeros(nq)
+    spline = body.boundary
+    for i, a in enumerate(spline.arcs):
+        f = spline.frames[i]
+        A = -(Q @ f.p)
+        B = -(Q @ f.t)
+        D = A + a.kappa * (-(Q @ f.n))
+        S = _critical_params(a.kappa, a.length, B, D)
+        ends = np.broadcast_to(np.array([[0.0], [a.length]]), (2, nq))
+        S = np.concatenate([S, ends])
+        valid = (S >= -1e-12) & (S <= a.length + 1e-12)
+        Sc = np.clip(S, 0.0, a.length)
+        _, c1, c2 = transport_coeffs(a.kappa, Sc)
+        gvals = A + c1 * B + c2 * D
+        for g, s, ok in zip(gvals, Sc, valid):
+            better = ok & (g < best)
+            best = np.where(better, g, best)
+            best_arc[better] = i
+            best_s = np.where(better, s, best_s)
+    return np.arccosh(np.maximum(best, 1.0)), best_arc, best_s
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _query_cloud(rng, n, g=np.eye(3)):
+    # points up to 3 units from the origin, then moved by g
+    r = rng.uniform(0.0, 3.0, n)
+    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    pts = np.column_stack([np.cosh(r), np.sinh(r) * np.cos(th),
+                           np.sinh(r) * np.sin(th)])
+    return pts @ g.T
+
+
+def _exact_center_tie_ball():
+    # ball of radius log 2, whose start frame and center are exact
+    # floats: every candidate of the center query evaluates to 1.25
+    m = np.column_stack([[1.25, 0.0, -0.75], [0.0, 1.0, 0.0],
+                         [-0.75, 0.0, 1.25]])
+    spline = ArcSpline(Frame(m), (Arc(1.25 / 0.75, 1.5 * math.pi),))
+    return Body(boundary=spline, convex=True)
+
+
+def test_boundary_proximity_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    s = sausage(2.0, 1.0)
+    g = np.array([[math.cosh(4.0), math.sinh(4.0), 0.0],
+                  [math.sinh(4.0), math.cosh(4.0), 0.0],
+                  [0.0, 0.0, 1.0]])
+    moved = Body(boundary=ArcSpline(apply_isometry_frame(g, s.boundary.start),
+                                    s.boundary.arcs),
+                 convex=True)
+    # open chains reach the horocycle branch and concave arcs
+    odd = Body(boundary=ArcSpline.open_chain(
+        Frame(np.eye(3)), (Arc(1.0, 2.0), Arc(1.0 + 1e-13, 1.0),
+                           Arc(-0.7, 1.5), Arc(-2.5, 3.0), Arc(0.0, 1.0))),
+        convex=False)
+    cases = [(b, _query_cloud(rng, 2000)) for b in (
+        ball(1.0), sausage(2.0, 1.0), sausage(2.507, 1.983),
+        sausage(3.0, 0.0), two_ball_hull(0.8, 0.7),
+        q_counterexample(2.0, 0.1), random_thick_body(2.0, 12, 7),
+        random_thick_body(2.0, 12, 23), odd)]
+    cases.append((moved, _query_cloud(rng, 2000, g)))
+    for b, pts in cases:
+        pts = np.concatenate([pts, b.boundary.sample_points(200)])
+        _assert_same_bits(boundary_proximity(b, pts),
+                          _reference_proximity(b, pts))
+
+
+def test_boundary_proximity_matches_reference_on_rolling_queries(monkeypatch):
+    seen = []
+    real = bodies.boundary_proximity
+
+    def record(body, pts):
+        seen.append(np.array(pts))
+        return real(body, pts)
+
+    s = sausage(2.0, 1.0)
+    monkeypatch.setattr(bodies, "boundary_proximity", record)
+    rep = rolls_freely(s, 2.0)
+    (pts,) = seen
+    assert pts.shape == (rep.n_boundary * rep.n_ball, 3)
+    _assert_same_bits(real(s, pts), _reference_proximity(s, pts))
+
+
+def test_boundary_proximity_keeps_the_first_of_equal_minima():
+    center = ORIGIN.v[None, :]
+    tie = _exact_center_tie_ball()
+    got = boundary_proximity(tie, center)
+    _assert_same_bits(got, _reference_proximity(tie, center))
+    # roots at 0, a half turn and a full turn tie with both arc ends;
+    # the first root wins, not an end row
+    assert got[1][0] == 0 and got[2][0] == 0.0
+    assert got[0][0] == pytest.approx(math.log(2.0), abs=1e-15)
+    # the same ball cut into quarters, and restarted at the first cut,
+    # ties across arcs and between a later root and the arc ends
+    a = tie.boundary.arcs[0]
+    quarters = ArcSpline(tie.boundary.start,
+                         (Arc(a.kappa, a.length / 4.0),) * 4)
+    restarted = ArcSpline(quarters.frames[1], tie.boundary.arcs)
+    for spline in (quarters, restarted):
+        b = Body(boundary=spline, convex=True)
+        _assert_same_bits(boundary_proximity(b, center),
+                          _reference_proximity(b, center))
+
+
 # --- inradius ---------------------------------------------------------------
 
 def test_inradius_of_ball_and_sausage():
     assert inradius(ball(1.0)) == pytest.approx(1.0, abs=1e-6)
     assert inradius(sausage(2.0, 1.0)) == pytest.approx(BIG_R, abs=1e-6)
+
+
+def test_sausage_inradius_is_the_cap_radius():
+    s = sausage(2.0, 1.0)
+    assert _sausage_at_origin(s)
+    assert inradius(s) == s.meta["cap_radius"] == BIG_R
+    depth, center = inscribed_ball(s)
+    assert depth == BIG_R and center == ORIGIN
+    assert _sausage_at_origin(Body.from_json_dict(s.to_json_dict()))
+    assert not _sausage_at_origin(Body(boundary=s.boundary, convex=True,
+                                       meta={"kind": "sausage"}))
+    # Nelder-Mead agrees once meta no longer names the body
+    bare = Body(boundary=s.boundary, convex=True)
+    assert inradius(bare) == pytest.approx(BIG_R, abs=1e-6)
+    # an offset sausage keeps its meta but not its inradius
+    grown = offset(s, 0.3)
+    assert not _sausage_at_origin(grown)
+    assert inradius(grown) == pytest.approx(BIG_R + 0.3, abs=1e-5)
+    # a moved sausage keeps its inradius but not its core
+    g = np.array([[math.cosh(1.0), 0.0, math.sinh(1.0)], [0.0, 1.0, 0.0],
+                  [math.sinh(1.0), 0.0, math.cosh(1.0)]])
+    moved = Body(boundary=ArcSpline(apply_isometry_frame(g, s.boundary.start),
+                                    s.boundary.arcs),
+                 convex=True, meta=dict(s.meta))
+    assert not _sausage_at_origin(moved)
+    depth, center = inscribed_ball(moved)
+    assert depth == pytest.approx(BIG_R, abs=1e-5)
+    assert dist_to_boundary(moved, center) == pytest.approx(BIG_R, abs=1e-5)
 
 
 def test_inscribed_ball_center_off_origin():

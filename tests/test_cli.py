@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -238,6 +239,32 @@ def test_render_ball_is_one_circle(capsys, tmp_path):
     assert code == 0
     # Euclidean radius of the disk image: tanh(1/2) of the frame radius
     assert f'r="{math.tanh(0.5) * 320.0:.6f}"' in out_svg.read_text()
+
+
+def _inscribed_circles(capsys, body, out_svg):
+    code, _, _ = run(capsys, "render", str(body), "--inscribed-balls",
+                     "--out", str(out_svg))
+    assert code == 0
+    return re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" '
+                      r'r="([0-9.]+)"[^>]*stroke-dasharray="4,4"',
+                      out_svg.read_text())
+
+
+def test_render_offset_sausage_draws_its_own_inscribed_ball(capsys, tmp_path):
+    body, grown = tmp_path / "s.json", tmp_path / "g.json"
+    run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",
+        "--out", str(body))
+    # the sausage file itself: balls at both core ends and the middle
+    assert len(_inscribed_circles(capsys, body, tmp_path / "s.svg")) == 3
+    run(capsys, "offset", str(body), "--rho", "0.3", "--out", str(grown))
+    balls = _inscribed_circles(capsys, grown, tmp_path / "g.svg")
+    assert len(balls) == 1
+    # back from pixels (disk radius 320 around (320, 320)) to the
+    # hyperbolic radius along the diameter through the image center
+    cx, cy, r = (float(v) / 320.0 for v in balls[0])
+    m = math.hypot(cx - 1.0, cy - 1.0)
+    radius = math.atanh(m + r) - math.atanh(m - r)
+    assert radius == pytest.approx(math.atanh(0.5) + 0.3, abs=1e-4)
 
 
 def test_render_uhp_model(capsys, tmp_path):

@@ -17,6 +17,7 @@ from hypiso.spline import (
     area_polygonal,
     chain_closure_residual,
     frenet_matrix,
+    _c12,
     transport,
     transport_coeffs,
 )
@@ -140,6 +141,29 @@ def test_transport_coeffs_mixed_array_matches_scalar_closed_forms():
                 assert np.array_equal(got, want)
             for got, flat in zip(transport_coeffs(k, view), (c0, c1, c2)):
                 assert set(np.ravel(got)) == set(flat)
+
+
+def test_arc_end_coefficients_match_a_long_row_bit_for_bit():
+    # distance queries evaluate the two arc ends once per arc; their
+    # coefficients must be the entries a long row of queries holds
+    rng = np.random.default_rng(17)
+    kappas = (2.0, 1.3, 0.5, 0.0, -0.7, 1.0, 1.0 + 1e-9, 1.0 - 1e-9)
+    for k in kappas:
+        for length in (1e-5, 0.7, 4.0, 9.0):
+            row = rng.uniform(0.0, length, 4099)
+            where = [0, 1, 1000, 4097, 4098]
+            row[where] = (0.0, length, 0.0, length, length)
+            full = transport_coeffs(k, row)
+            ends = transport_coeffs(k, np.array([0.0, length]))
+            for got, want in zip(ends, full):
+                for j in where:
+                    assert got[0 if row[j] == 0.0 else 1].tobytes() \
+                        == want[j].tobytes()
+            # the path without c0 gives the same c1 and c2
+            for got, want in zip(_c12(k, np.array([length])), full[1:]):
+                assert got[0].tobytes() == want[1].tobytes()
+            for got, want in zip(_c12(k, row), full[1:]):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_arc_matrices_match_expm():
