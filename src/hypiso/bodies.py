@@ -26,7 +26,6 @@ from .geom import (
     exp_map,
     fermi_point,
     from_disk,
-    lorentz_cross,
     minkowski,
     project_to_sheet,
     to_disk,
@@ -39,13 +38,18 @@ from .spline import (
     ThicknessCertificate,
     _arc_normals,
     _c12,
+    arc_frames_batch,
 )
 from .steiner import BodyMeasure
 
 CONTAIN_TOL = 1e-9
-# distances are arccosh of a Lorentz product, so values near zero carry
-# sqrt(machine eps) noise of order 1e-8; the rolling tolerance sits
-# above that floor and far below any real violation
+# rolling margins are center distances read near rho = arccoth(lam),
+# so at the origin they reach only -1e-12 (criterion 05's 1000 bodies,
+# the long sausages).  Bodies that roll and sit 4-6 units out still
+# read down to -1.05e-7: their ambient coordinates grow like cosh^2 of
+# the distance and lose that much to roundoff.  The tolerance stays
+# above that until coordinates are made placement-free, and far below
+# any real violation (the near-sausage counterexample reads -0.089).
 ROLL_TOL = 1e-6
 
 # erosion that lands a cap radius inside this band is snapped to the
@@ -664,12 +668,18 @@ def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
     # along that perpendicular geodesic, the normal stays in the plane
     start = Frame(np.column_stack([f.p * ch - f.n * sh, f.t,
                                    f.n * ch - f.p * sh]))
+    # offsets compose: an offset of an offset records the total
+    # distance, the first body's kind and any cap snapped on the way
+    meta = body.meta
     new_body = _make_body(start, new_arcs,
                           convex=min(a.kappa for a in new_arcs) >= -1e-12,
                           closure_tol=1e-8,
-                          meta={**body.meta, "offset_from": body.meta.get(
-                              "kind", "body"), "offset_rho": rho,
-                              "degenerate_caps": snapped})
+                          meta={**meta,
+                                "offset_from": meta.get(
+                                    "offset_from", meta.get("kind", "body")),
+                                "offset_rho": meta.get("offset_rho", 0.0) + rho,
+                                "degenerate_caps": bool(
+                                    meta.get("degenerate_caps")) or snapped})
     if check_simple and not snapped and not new_body.boundary.is_simple():
         raise NonSimpleBoundaryError(
             f"offset by {rho:.6g} pinches the boundary")
@@ -681,7 +691,14 @@ def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
 
 @dataclass(frozen=True)
 class RollReport:
-    """Outcome of the free-rolling test for the matched ball."""
+    """Outcome of the free-rolling test for the matched ball.
+
+    witness_center is the worst of the n_boundary ball centers and
+    witness_boundary_index its sample index.  witness_point is the
+    point of that ball on the normal geodesic through the center's
+    nearest boundary point, on the outer side of it; it lies outside a
+    convex body whenever the margin is negative.
+    """
 
     ok: bool
     lam: float
@@ -690,9 +707,7 @@ class RollReport:
     witness_point: Point
     witness_center: Point
     witness_boundary_index: int
-    witness_theta_index: int
     n_boundary: int
-    n_ball: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -703,48 +718,51 @@ class RollReport:
             "witness_point": list(self.witness_point.v),
             "witness_center": list(self.witness_center.v),
             "witness_boundary_index": self.witness_boundary_index,
-            "witness_theta_index": self.witness_theta_index,
             "n_boundary": self.n_boundary,
-            "n_ball": self.n_ball,
         }
 
 
 def rolls_freely(body: Body, lam: float, n: int = 720,
-                 ball_samples: int = 360, tol: float = ROLL_TOL) -> RollReport:
+                 tol: float = ROLL_TOL) -> RollReport:
     """Test whether the curvature-lam ball rolls freely inside body.
 
-    Places the ball tangent from inside at n boundary points and checks
-    every ball boundary sample stays in the body.  The report's margin
-    is the most negative signed distance seen; tangency contributes
-    zero, so a pass means margin >= -tol.
+    The ball has radius rho = arccoth(lam).  Tangent from inside at a
+    boundary point x with inward normal N, it is centered at
+    c = exp_x(rho N), and it lies in the body exactly when
+    dist(c, boundary) >= rho: its open interior then misses the
+    boundary, and the points just inside x along N are in the body.
+    x itself sits at distance rho, so the margin
+    min over centers of dist(c, boundary) - rho is <= 0, and zero
+    exactly when every ball fits.  It is taken over the centers at the
+    `sample_frames(n)` points, one boundary distance each, and read
+    near rho rather than near 0; a pass means margin >= -tol.
     """
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
-    if not body.convex:
-        n = min(n, 144)
-        ball_samples = min(ball_samples, 72)
     rho = math.atanh(1.0 / lam)
-    P, T, N = body.boundary.sample_frames(n)[:3]
-    n_eff = P.shape[0]
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    C = P * ch + N * sh  # ball centers, tangent from inside
-    # orthonormal tangent basis at each center
-    u1 = T + np.einsum("ij,ij->i", T @ _ETA, C)[:, None] * C
-    u1 = u1 / np.sqrt(np.einsum("ij,ij->i", u1 @ _ETA, u1))[:, None]
-    u2 = np.cross(C, u1) @ _ETA
-    thetas = 2.0 * math.pi * np.arange(ball_samples) / ball_samples
-    ct, st = np.cos(thetas), np.sin(thetas)
-    X = (C[:, None, :] * ch
-         + sh * (u1[:, None, :] * ct[None, :, None]
-                 + u2[:, None, :] * st[None, :, None]))
-    flat = X.reshape(-1, 3)
-    margins = signed_boundary_distance(body, flat)
+    P, _, N = body.boundary.sample_frames(n)[:3]
+    C = P * math.cosh(rho) + N * math.sinh(rho)
+    d, arc_idx, s_loc = boundary_proximity(body, C)
+    margins = d - rho
     worst = int(np.argmin(margins))
+    c = C[worst]
+    # the nearest boundary point q is stationary, so c lies on the
+    # normal geodesic q cosh t + nq sinh t, at signed height
+    # t = asinh(<c, nq>), positive inside; stepping rho from c along
+    # it toward decreasing t passes q and leaves the body
+    spline = body.boundary
+    i = int(arc_idx[worst])
+    q, _, nq = arc_frames_batch(spline.frames[i], spline.arcs[i].kappa,
+                                s_loc[worst:worst + 1])
+    t = math.asinh(minkowski(c, nq[0]))
+    u = -(q[0] * math.sinh(t) + nq[0] * math.cosh(t))
+    u = u + minkowski(u, c) * c
+    u = u / math.sqrt(minkowski(u, u))
     wm = float(margins[worst])
-    bi, ti = divmod(worst, ball_samples)
     return RollReport(
         ok=wm >= -tol, lam=lam, rho=rho, worst_margin=wm,
-        witness_point=Point.from_array(flat[worst], validate=False),
-        witness_center=Point.from_array(C[bi], validate=False),
-        witness_boundary_index=int(bi), witness_theta_index=int(ti),
-        n_boundary=n_eff, n_ball=ball_samples)
+        witness_point=Point.from_array(c * math.cosh(rho)
+                                       + u * math.sinh(rho),
+                                       validate=False),
+        witness_center=Point.from_array(c, validate=False),
+        witness_boundary_index=worst, n_boundary=C.shape[0])

@@ -15,6 +15,7 @@ from hypiso.geom import (
     exp_map,
     fermi_point,
     from_disk,
+    random_isometry,
 )
 from hypiso.optimize import random_thick_body
 from hypiso.spline import Arc, ArcSpline, NonSimpleBoundaryError, transport_coeffs
@@ -247,20 +248,24 @@ def test_boundary_proximity_matches_reference_bit_for_bit():
                           _reference_proximity(b, pts))
 
 
-def test_boundary_proximity_matches_reference_on_rolling_queries(monkeypatch):
-    seen = []
-    real = bodies.boundary_proximity
-
-    def record(body, pts):
-        seen.append(np.array(pts))
-        return real(body, pts)
-
+def test_boundary_proximity_matches_reference_on_rolling_queries():
+    # the grid a sampled rolling test sends: 360 circle samples on each
+    # lambda = 2 ball tangent from inside at 720 boundary points
     s = sausage(2.0, 1.0)
-    monkeypatch.setattr(bodies, "boundary_proximity", record)
-    rep = rolls_freely(s, 2.0)
-    (pts,) = seen
-    assert pts.shape == (rep.n_boundary * rep.n_ball, 3)
-    _assert_same_bits(real(s, pts), _reference_proximity(s, pts))
+    P, T, N = s.boundary.sample_frames(720)[:3]
+    ch, sh = math.cosh(BIG_R), math.sinh(BIG_R)
+    C = P * ch + N * sh
+    u1 = T + np.einsum("ij,ij->i", T @ _ETA, C)[:, None] * C
+    u1 = u1 / np.sqrt(np.einsum("ij,ij->i", u1 @ _ETA, u1))[:, None]
+    u2 = np.cross(C, u1) @ _ETA
+    thetas = 2.0 * math.pi * np.arange(360) / 360
+    X = (C[:, None, :] * ch
+         + sh * (u1[:, None, :] * np.cos(thetas)[None, :, None]
+                 + u2[:, None, :] * np.sin(thetas)[None, :, None]))
+    pts = X.reshape(-1, 3)
+    assert pts.shape == (P.shape[0] * 360, 3)
+    _assert_same_bits(boundary_proximity(s, pts),
+                      _reference_proximity(s, pts))
 
 
 def test_boundary_proximity_keeps_the_first_of_equal_minima():
@@ -354,6 +359,20 @@ def test_offset_round_trip():
     assert back.measure.perimeter == pytest.approx(s.measure.perimeter, abs=1e-8)
 
 
+def test_offset_of_an_offset_records_the_total():
+    once = offset(sausage(2.0, 1.0), 0.1)
+    twice = offset(once, 0.2)
+    assert twice.meta["offset_rho"] == pytest.approx(0.3, abs=1e-15)
+    assert twice.meta["offset_from"] == "sausage"
+    assert twice.meta["degenerate_caps"] is False
+    # a cap snapped by the erosion stays recorded after growing back
+    core = offset(sausage(2.0, 1.0), -BIG_R, check_simple=False)
+    assert core.meta["degenerate_caps"] is True
+    grown = offset(core, 0.2)
+    assert grown.meta["degenerate_caps"] is True
+    assert grown.meta["offset_rho"] == pytest.approx(0.2 - BIG_R, abs=1e-15)
+
+
 def test_offset_ball_is_ball():
     grown = offset(ball(1.0), 0.5)
     want = ball_measures(1.5)
@@ -412,6 +431,74 @@ def test_q_counterexample_does_not_roll():
     # the witness: the tangent ball at that center pokes out of the body
     assert dist_to_boundary(body, rep.witness_center) < rep.rho - 1e-4
     assert not contains_point(body, rep.witness_point, tol=1e-6)
+
+
+def test_long_sausages_roll_at_their_lambda():
+    # margins read near 0 carry noise that puts these below -ROLL_TOL
+    for lam, d in ((5.0, 3.0), (4.0, 3.0), (1.5, 2.0)):
+        rep = rolls_freely(sausage(lam, d), lam)
+        assert rep.ok, (lam, d)
+        assert abs(rep.worst_margin) < 1e-9, (lam, d, rep.worst_margin)
+
+
+def test_criterion_05_bodies_roll():
+    for seed in range(1, 51):
+        rep = rolls_freely(random_thick_body(2.0, 12, seed), 2.0)
+        assert rep.ok, (seed, rep.worst_margin)
+
+
+def test_rolling_margin_is_one_boundary_distance_per_center(monkeypatch):
+    seen = []
+    real = bodies.boundary_proximity
+
+    def record(body, pts):
+        seen.append(np.array(pts))
+        return real(body, pts)
+
+    s = sausage(2.0, 1.0)
+    monkeypatch.setattr(bodies, "boundary_proximity", record)
+    rep = rolls_freely(s, 2.0)
+    (centers,) = seen
+    assert centers.shape == (rep.n_boundary, 3)
+    d, _, _ = real(s, centers)
+    assert rep.worst_margin == float(np.min(d - rep.rho))
+    assert np.array_equal(centers[rep.witness_boundary_index],
+                          rep.witness_center.v)
+
+
+def test_q_counterexample_witness():
+    body = q_counterexample(2.0, 0.1)
+    rep = rolls_freely(body, 2.0)
+    assert rep.worst_margin == pytest.approx(-0.088945, abs=1e-6)
+    assert dist(rep.witness_center, rep.witness_point) == pytest.approx(
+        rep.rho, abs=1e-12)
+    assert not contains_point(body, rep.witness_point)
+
+
+def test_witness_of_a_ball_whose_centers_leave_it():
+    # radius 0.2 < arccoth 2: every center lies outside the body, so
+    # the witness steps away from the nearest boundary point
+    b = ball(0.2)
+    rep = rolls_freely(b, 2.0)
+    assert not rep.ok
+    assert rep.worst_margin == pytest.approx(-0.4, abs=1e-9)
+    assert dist(rep.witness_center, rep.witness_point) == pytest.approx(
+        rep.rho, abs=1e-12)
+    assert not contains_point(b, rep.witness_point)
+
+
+def test_rolling_verdict_survives_isometries():
+    s = sausage(2.0, 1.0)
+    at_origin = rolls_freely(s, 2.0)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        g = random_isometry(rng)
+        moved = Body(boundary=ArcSpline(apply_isometry_frame(
+            g, s.boundary.start), s.boundary.arcs), convex=True)
+        rep = rolls_freely(moved, 2.0)
+        assert rep.ok == at_origin.ok
+        assert rep.worst_margin == pytest.approx(at_origin.worst_margin,
+                                                 abs=1e-6)
 
 
 def test_roll_report_json():

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from hypiso.bodies import Body, contains_point, rolls_freely
 from hypiso.cli import main
+from hypiso.geom import dist_disk, from_disk, to_disk
 
 SAUSAGE_P = 8.2464008819854406
 
@@ -265,6 +267,36 @@ def test_render_offset_sausage_draws_its_own_inscribed_ball(capsys, tmp_path):
     m = math.hypot(cx - 1.0, cy - 1.0)
     radius = math.atanh(m + r) - math.atanh(m - r)
     assert radius == pytest.approx(math.atanh(0.5) + 0.3, abs=1e-4)
+
+
+def test_render_rolling_witness_of_qbody(capsys, tmp_path):
+    body, out_svg = tmp_path / "q.json", tmp_path / "q.svg"
+    run(capsys, "construct", "qbody", "--lambda", "2", "--eps", "0.1",
+        "--out", str(body))
+    code, _, _ = run(capsys, "render", str(body), "--rolling-witness",
+                     "--out", str(out_svg))
+    assert code == 0
+    svg = out_svg.read_text()
+    num = r'"([-0-9.]+)"'
+    rings = re.findall(rf'<circle cx={num} cy={num} r={num} fill="none" '
+                       rf'stroke="#c22727"', svg)
+    dots = re.findall(rf'<circle cx={num} cy={num} r="3.5" fill="#c22727"',
+                      svg)
+    assert len(rings) == 1 and len(dots) == 1
+
+    def disk(x, y):
+        # pixels back to the disk: radius 320 around (320, 320), y flipped
+        return complex(float(x) / 320.0 - 1.0, 1.0 - float(y) / 320.0)
+
+    loaded = Body.from_json_dict(json.loads(body.read_text()))
+    rep = rolls_freely(loaded, 2.0)
+    c = to_disk(rep.witness_center)
+    zc, r = disk(*rings[0][:2]), float(rings[0][2]) / 320.0
+    for k in range(8):
+        z = zc + r * complex(math.cos(k * math.pi / 4.0),
+                             math.sin(k * math.pi / 4.0))
+        assert dist_disk(z, c) == pytest.approx(rep.rho, abs=1e-5)
+    assert not contains_point(loaded, from_disk(disk(*dots[0])))
 
 
 def test_render_uhp_model(capsys, tmp_path):
