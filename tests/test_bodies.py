@@ -296,6 +296,16 @@ def test_inradius_of_ball_and_sausage():
     assert inradius(sausage(2.0, 1.0)) == pytest.approx(BIG_R, abs=1e-6)
 
 
+def test_inradius_is_exact_for_known_radii():
+    for r in (0.01, 1.0, 3.0):
+        assert inradius(ball(r)) == pytest.approx(r, abs=1e-12)
+    for d in (0.7, 1.2):
+        assert inradius(two_ball_hull(0.8, d)) == pytest.approx(0.8, abs=1e-12)
+    # not thick, but its deepest balls are still the caps
+    assert inradius(q_counterexample(2.0, 0.1)) == pytest.approx(
+        math.atanh(0.5), abs=1e-12)
+
+
 def test_sausage_inradius_is_the_cap_radius():
     s = sausage(2.0, 1.0)
     assert _sausage_at_origin(s)
@@ -305,13 +315,14 @@ def test_sausage_inradius_is_the_cap_radius():
     assert _sausage_at_origin(Body.from_json_dict(s.to_json_dict()))
     assert not _sausage_at_origin(Body(boundary=s.boundary, convex=True,
                                        meta={"kind": "sausage"}))
-    # Nelder-Mead agrees once meta no longer names the body
+    # the touching-configuration search agrees once meta no longer
+    # names the body: the cap circles' centers are candidates
     bare = Body(boundary=s.boundary, convex=True)
-    assert inradius(bare) == pytest.approx(BIG_R, abs=1e-6)
+    assert inradius(bare) == pytest.approx(BIG_R, abs=1e-12)
     # an offset sausage keeps its meta but not its inradius
     grown = offset(s, 0.3)
     assert not _sausage_at_origin(grown)
-    assert inradius(grown) == pytest.approx(BIG_R + 0.3, abs=1e-5)
+    assert inradius(grown) == pytest.approx(BIG_R + 0.3, abs=1e-12)
     # a moved sausage keeps its inradius but not its core
     g = np.array([[math.cosh(1.0), 0.0, math.sinh(1.0)], [0.0, 1.0, 0.0],
                   [math.sinh(1.0), 0.0, math.cosh(1.0)]])
@@ -320,8 +331,8 @@ def test_sausage_inradius_is_the_cap_radius():
                  convex=True, meta=dict(s.meta))
     assert not _sausage_at_origin(moved)
     depth, center = inscribed_ball(moved)
-    assert depth == pytest.approx(BIG_R, abs=1e-5)
-    assert dist_to_boundary(moved, center) == pytest.approx(BIG_R, abs=1e-5)
+    assert depth == pytest.approx(BIG_R, abs=1e-12)
+    assert dist_to_boundary(moved, center) == pytest.approx(BIG_R, abs=1e-12)
 
 
 def test_inscribed_ball_center_off_origin():
@@ -334,6 +345,51 @@ def test_inscribed_ball_center_off_origin():
                dist(center, fermi_point(1.2, 0.0))) < 1e-2
     mid_depth = dist_to_boundary(hull, ORIGIN)
     assert mid_depth < depth - 1e-3
+
+
+def test_inradius_between_sides_of_one_geodesic():
+    # both sides are equidistant from the x1 axis at height 0.5, and
+    # each cap is a tight arc, a flat one across the axis and a tight
+    # one; the balls between the sides end where they meet the flat
+    # arc, a touch no circle center or antipodal pair describes; the
+    # lengths put each flat arc's midpoint on the axis, closing the chain
+    h = 0.5
+    tight, flat = Arc(4.0, 0.36281103882142135), Arc(0.8, 0.5948103531701934)
+    side = Arc(math.tanh(h), 2.0 * math.cosh(h))
+    spline = ArcSpline(bodies._fermi_frame(1.0, -h),
+                       [tight, flat, tight, side] * 2)
+    body = Body(boundary=spline, convex=True)
+    r, center = inscribed_ball(body)
+    assert r == pytest.approx(h, abs=1e-12)
+    assert abs(center.x2) < 1e-12
+    assert dist_to_boundary(body, center) == pytest.approx(h, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_inscribed_ball_of_random_bodies_is_deepest(lam):
+    rng = np.random.default_rng(int(lam * 10))
+    far = np.array([[math.cosh(8.0), math.sinh(8.0), 0.0],
+                    [math.sinh(8.0), math.cosh(8.0), 0.0], [0.0, 0.0, 1.0]])
+    for seed in range(1, 11):
+        body = random_thick_body(lam, 12, seed=seed)
+        r, center = inscribed_ball(body)
+        # the center attains the radius
+        got = signed_boundary_distance(body, center.v[None, :])[0]
+        assert got == pytest.approx(r, abs=1e-9)
+        # and nothing is deeper: 128 inward normal rays x 32 depths
+        P, _, N = body.boundary.sample_frames(128)[:3]
+        t = np.linspace(0.0, 2.0 * r, 32)[:, None, None]
+        lattice = (P * np.cosh(t) + N * np.sinh(t)).reshape(-1, 3)
+        assert np.max(signed_boundary_distance(body, lattice)) <= r + 1e-9
+        # placement does not move it, not even 8 units out, where the
+        # coordinates reach cosh 8 and chains miss closure by up to 2e-8
+        # (so they are built without the closure check)
+        spline = body.boundary
+        for g in (random_isometry(rng), far @ random_isometry(rng)):
+            moved = ArcSpline.open_chain(apply_isometry_frame(g, spline.start),
+                                         spline.arcs)
+            assert inradius(Body(boundary=moved, convex=True)) == \
+                pytest.approx(r, abs=1e-9)
 
 
 # --- offsets ----------------------------------------------------------------

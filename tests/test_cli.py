@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypiso
 from hypiso.bodies import Body, contains_point, rolls_freely
 from hypiso.cli import main
 from hypiso.geom import dist_disk, from_disk, to_disk
@@ -267,6 +272,27 @@ def test_render_offset_sausage_draws_its_own_inscribed_ball(capsys, tmp_path):
     m = math.hypot(cx - 1.0, cy - 1.0)
     radius = math.atanh(m + r) - math.atanh(m - r)
     assert radius == pytest.approx(math.atanh(0.5) + 0.3, abs=1e-4)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: construct and render, the
+    # inradius and inscribed ball included, import nothing of scipy
+    script = (
+        "import sys\n"
+        "from hypiso.cli import main\n"
+        "assert main(['construct', 'random', '--lambda', '2', '--seed', '7',"
+        " '--out', 'r.json']) == 0\n"
+        "assert main(['render', 'r.json', '--inscribed-balls',"
+        " '--out', 'r.svg']) == 0\n"
+        "print('scipy' in sys.modules)\n")
+    src = str(Path(hypiso.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "r.svg").read_text().startswith("<svg")
 
 
 def test_render_rolling_witness_of_qbody(capsys, tmp_path):
