@@ -9,6 +9,7 @@ seeds; floats are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -395,7 +396,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and then reused.
+
+    Building it costs about as much as a whole `verify`.  Reuse is safe
+    because `parse_args` returns a fresh namespace on every call and no
+    argument has a mutable default.
+    """
     ap = argparse.ArgumentParser(
         prog="hypiso",
         description="constant-curvature bodies in the hyperbolic plane")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -273,9 +273,13 @@ class Arc:
             raise ValueError("arc length must be positive")
 
 
-def _walk(start: Frame, arcs) -> tuple:
+def _chain_transports(arcs) -> np.ndarray:
+    """The stacked arc transports of a chain, shape (n, 3, 3)."""
+    return arc_matrices([a.kappa for a in arcs], [a.length for a in arcs])
+
+
+def _walk(start: Frame, mats) -> tuple:
     """Frames at each arc start along the chain, then the end frame."""
-    mats = arc_matrices([a.kappa for a in arcs], [a.length for a in arcs])
     out = [start]
     m = start.m
     for a in mats:
@@ -300,8 +304,10 @@ def chain_closure_residual(start: Frame, arcs) -> float:
     that misses closure reports the geometric size of the gap.  The
     tangent term is the chord norm of the transported difference, which
     matches the angle for small gaps without the acos precision cliff.
+    Unlike `ArcSpline.closure_residual` it is measured in the placed
+    coordinates of `start`.
     """
-    return _closure_gap(start, _walk(start, arcs)[-1])
+    return _closure_gap(start, _walk(start, _chain_transports(arcs))[-1])
 
 
 @dataclass(frozen=True)
@@ -341,12 +347,26 @@ class ArcSpline:
         return ArcSpline(start, tuple(arcs), closure_tol=math.inf)
 
     @cached_property
+    def _transports(self) -> np.ndarray:
+        return _chain_transports(self.arcs)
+
+    @cached_property
     def frames(self) -> tuple:
         """Frames at each arc start; the last entry is the chain end."""
-        return _walk(self.start, self.arcs)
+        return _walk(self.start, self._transports)
 
     def closure_residual(self) -> float:
-        return _closure_gap(self.start, self.frames[-1])
+        """The closure gap of the arcs alone, wherever the chain sits.
+
+        The chain closes where the product of its arc transports is the
+        identity, since an isometry carries start and end frame alike.
+        So the gap is measured between the origin frame and that
+        product, not between the placed start and end frames: their
+        coordinates grow like cosh(distance) and would bring roundoff of
+        that size into a check against one fixed tolerance.
+        """
+        return _closure_gap(ORIGIN_FRAME,
+                            Frame(reduce(np.matmul, self._transports)))
 
     def perimeter(self) -> float:
         return float(sum(a.length for a in self.arcs))

@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypiso
-from hypiso.bodies import Body, contains_point, rolls_freely
-from hypiso.cli import main
+from hypiso.bodies import Body, ball, contains_point, rolls_freely, sausage
+from hypiso.cli import build_parser, main
 from hypiso.geom import dist_disk, from_disk, to_disk
+from hypiso.serialize import dumps
+from hypiso.steiner import outer_flow
 
 SAUSAGE_P = 8.2464008819854406
 
@@ -68,6 +71,41 @@ def test_construct_random_is_deterministic(capsys, tmp_path):
                          "--n-arcs", "10", "--seed", "5", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_are_byte_identical(capsys, tmp_path):
+    # the parser is shared between calls: nothing of one run may leak
+    # into the next
+    outs, files = [], []
+    for k in range(2):
+        body, report = tmp_path / f"s{k}.json", tmp_path / f"r{k}.json"
+        code, out_c, err_c = run(capsys, "construct", "sausage",
+                                 "--lambda", "2", "--d", "1",
+                                 "--out", str(body))
+        assert code == 0
+        code, out_v, err_v = run(capsys, "verify", str(body),
+                                 "--out", str(report))
+        assert code == 0
+        outs.append((out_c, err_c, out_v, err_v))
+        files.append((body.read_bytes(), report.read_bytes()))
+    assert outs[0] == outs[1]
+    assert files[0] == files[1]
+
+
+def test_table_keeps_its_defaults_after_construct(capsys):
+    code, _, _ = run(capsys, "construct", "ball", "--r", "0.5")
+    assert code == 0
+    args = build_parser().parse_args(["table", "steiner"])
+    assert args.r == 1.0 and args.lam == 2.0
+    code, out, _ = run(capsys, "table", "steiner", "--grid-rho", "0.1")
+    assert code == 0
+    m = outer_flow(ball(1.0).measure, 0.1)
+    row = [float(v) for v in out.strip().splitlines()[1].split(",")]
+    assert row[1:3] == [m.area, m.perimeter]
 
 
 # --- offset -----------------------------------------------------------------
@@ -188,6 +226,57 @@ def test_verify_offset_error_is_reported_not_raised(capsys, tmp_path,
     for c in offs:
         assert c["ok"] is False and c["max_err"] is None
         assert c["error"].startswith("GeometryError: offset by")
+
+
+def test_offset_of_offset_sausage_loads_and_verifies(capsys, tmp_path):
+    # the twice-offset file sits off the origin; its closure is judged
+    # on the arcs alone, as in memory
+    body, once, twice = (tmp_path / f"{n}.json" for n in ("s", "o1", "o2"))
+    code, _, _ = run(capsys, "construct", "sausage", "--lambda", "5",
+                     "--d", "3", "--out", str(body))
+    assert code == 0
+    for src, dst in ((body, once), (once, twice)):
+        code, _, err = run(capsys, "offset", str(src), "--rho", "0.2",
+                           "--out", str(dst))
+        assert code == 0, err
+    for path in (once, twice):
+        code, out, err = run(capsys, "verify", str(path), "--lambda", "5")
+        assert code == 0, out + err
+
+
+def _boost_7_67() -> np.ndarray:
+    """A rotation, then a boost 7.67 units out in another direction."""
+    def rot(a):
+        c, s = math.cos(a), math.sin(a)
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    ch, sh = math.cosh(7.67), math.sinh(7.67)
+    boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    return rot(0.7) @ boost @ rot(-0.7) @ rot(1.1)
+
+
+def test_far_placed_body_verifies_like_its_twin(capsys, tmp_path):
+    twin = sausage(2.0, 1.0)
+    obj = twin.to_json_dict()
+    m = _boost_7_67() @ twin.boundary.start.m
+    obj["boundary"]["start"] = {k: [float(v) for v in m[:, j]]
+                                for j, k in enumerate("ptn")}
+    moved, home = tmp_path / "moved.json", tmp_path / "home.json"
+    moved.write_text(dumps(obj) + "\n")
+    home.write_text(dumps(twin.to_json_dict()) + "\n")
+    reports = []
+    for path in (moved, home):
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "verify", str(path), "--out", str(report))
+        assert code != 3, err
+        reports.append({c["name"]: c for c in
+                        json.loads(report.read_text())["checks"]})
+    far, near = reports
+    for name in ("thickness[lam=2]", "deficit[steiner_consistent]",
+                 "deficit[as_printed]"):
+        assert far[name] == near[name]
+    for rho in ("0.1", "0.25", "0.4"):
+        name = f"steiner_offset[rho={rho}]"
+        assert far[name]["ok"] and near[name]["ok"]
 
 
 # --- optimize ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from hypiso.geom import (
     hypercircle_distance_from_angle,
     isometry_from_frames,
     apply_isometry_point,
+    lorentz_cross,
     minkowski,
     parallel_transport,
     random_isometry,
@@ -47,6 +48,38 @@ def _random_point(rng) -> Point:
 def test_origin_is_on_sheet():
     assert minkowski(ORIGIN.v, ORIGIN.v) == pytest.approx(-1.0, abs=1e-15)
     assert frame_defect(ORIGIN_FRAME) < 1e-15
+
+
+def test_lorentz_cross_matches_np_cross_bit_for_bit():
+    rng = np.random.default_rng(3)
+    scale = 10.0 ** rng.integers(-3, 4, size=(2, 1000, 1))
+    a, b = rng.normal(size=(2, 1000, 3)) * scale
+    want = np.cross(a, b)
+    want[..., 0] = -want[..., 0]
+    assert np.array_equal(lorentz_cross(a, b), want)
+    for x, y, w in zip(a[:50], b[:50], want[:50]):
+        got = lorentz_cross(x, y)
+        assert got.shape == (3,) and np.array_equal(got, w)
+
+
+def test_frame_check_is_relative_to_coordinate_size():
+    # an exact frame 7.67 units out has a Gram defect above 1e-9 from
+    # roundoff alone, and still loads
+    ch, sh = math.cosh(7.67), math.sinh(7.67)
+    c, s = math.cos(0.7), math.sin(0.7)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    g = rot @ boost @ rot.T
+    f = Frame.create(g[:, 0], g[:, 1])
+    assert frame_defect(f) > 1e-9
+    # the bound grows like cosh(d)^2: 1e-9 at the origin, 1.1e-3 here
+    with pytest.raises(ValueError):
+        Frame.create(np.array([1.0, 0.0, 0.0]),
+                     np.array([0.0, 1.0 + 1e-8, 0.0]))
+    with pytest.raises(ValueError):
+        Frame.create(g[:, 0], g[:, 1] * (1.0 + 1e-2))
+    with pytest.raises(ValueError):
+        Frame.create(np.array([math.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
 
 def test_point_validation_rejects_off_sheet():
