@@ -402,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building it costs about as much as a whole `verify`.  Reuse is safe
     because `parse_args` returns a fresh namespace on every call and no
-    argument has a mutable default.
+    argument has a mutable default.  The `cmd_*` handlers are bound into
+    the tree when it is built, so replacing one later (a test's
+    monkeypatch, say) has no effect; patch the helpers they call instead.
     """
     ap = argparse.ArgumentParser(
         prog="hypiso",

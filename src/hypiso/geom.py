@@ -44,13 +44,9 @@ def lorentz_cross(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    # np.cross's products and differences in its order: the same bits,
-    # without its per-call overhead on a single 3-vector
-    return np.stack([-(a1 * b2 - a2 * b1),
-                     a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=-1)
+    c = np.cross(a, b)
+    c[..., 0] = -c[..., 0]
+    return c
 
 
 def _acosh1p(x):

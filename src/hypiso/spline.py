@@ -273,11 +273,6 @@ class Arc:
             raise ValueError("arc length must be positive")
 
 
-def _chain_transports(arcs) -> np.ndarray:
-    """The stacked arc transports of a chain, shape (n, 3, 3)."""
-    return arc_matrices([a.kappa for a in arcs], [a.length for a in arcs])
-
-
 def _walk(start: Frame, mats) -> tuple:
     """Frames at each arc start along the chain, then the end frame."""
     out = [start]
@@ -304,10 +299,10 @@ def chain_closure_residual(start: Frame, arcs) -> float:
     that misses closure reports the geometric size of the gap.  The
     tangent term is the chord norm of the transported difference, which
     matches the angle for small gaps without the acos precision cliff.
-    Unlike `ArcSpline.closure_residual` it is measured in the placed
-    coordinates of `start`.
+    It depends on the arcs alone, not on where `start` sits; see
+    `ArcSpline.closure_residual`.
     """
-    return _closure_gap(start, _walk(start, _chain_transports(arcs))[-1])
+    return ArcSpline.open_chain(start, arcs).closure_residual()
 
 
 @dataclass(frozen=True)
@@ -348,7 +343,9 @@ class ArcSpline:
 
     @cached_property
     def _transports(self) -> np.ndarray:
-        return _chain_transports(self.arcs)
+        """The stacked arc transports, shape (n, 3, 3)."""
+        return arc_matrices([a.kappa for a in self.arcs],
+                            [a.length for a in self.arcs])
 
     @cached_property
     def frames(self) -> tuple:

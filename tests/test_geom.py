@@ -27,7 +27,6 @@ from hypiso.geom import (
     hypercircle_distance_from_angle,
     isometry_from_frames,
     apply_isometry_point,
-    lorentz_cross,
     minkowski,
     parallel_transport,
     random_isometry,
@@ -48,18 +47,6 @@ def _random_point(rng) -> Point:
 def test_origin_is_on_sheet():
     assert minkowski(ORIGIN.v, ORIGIN.v) == pytest.approx(-1.0, abs=1e-15)
     assert frame_defect(ORIGIN_FRAME) < 1e-15
-
-
-def test_lorentz_cross_matches_np_cross_bit_for_bit():
-    rng = np.random.default_rng(3)
-    scale = 10.0 ** rng.integers(-3, 4, size=(2, 1000, 1))
-    a, b = rng.normal(size=(2, 1000, 3)) * scale
-    want = np.cross(a, b)
-    want[..., 0] = -want[..., 0]
-    assert np.array_equal(lorentz_cross(a, b), want)
-    for x, y, w in zip(a[:50], b[:50], want[:50]):
-        got = lorentz_cross(x, y)
-        assert got.shape == (3,) and np.array_equal(got, w)
 
 
 def test_frame_check_is_relative_to_coordinate_size():
