@@ -519,7 +519,7 @@ def _signed_triangle_areas(anchor, b, c):
 # ── disk-view arc geometry ────────────────────────────────────────────────
 # Every constant-curvature arc maps to a Euclidean circular arc or a
 # straight chord in the Poincare disk, so planar predicates (rendering,
-# ray casts, self-intersection) are exact there.
+# self-intersection) are exact there.
 
 @dataclass(frozen=True)
 class DiskArc:

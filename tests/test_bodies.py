@@ -16,11 +16,19 @@ from hypiso.geom import (
     fermi_point,
     from_disk,
     random_isometry,
+    to_disk,
 )
 from hypiso.optimize import random_thick_body
-from hypiso.spline import Arc, ArcSpline, NonSimpleBoundaryError, transport_coeffs
+from hypiso.spline import (
+    Arc,
+    ArcSpline,
+    GeometryError,
+    NonSimpleBoundaryError,
+    transport_coeffs,
+)
 from hypiso import bodies
 from hypiso.bodies import (
+    CONTAIN_TOL,
     Body,
     _critical_params,
     _sausage_at_origin,
@@ -124,18 +132,132 @@ def test_contains_point_basic():
     assert not contains_point(s, fermi_point(0.0, 2.0))
 
 
+# The ray-parity point test, kept as an oracle independent of the
+# normal-sign rule: it casts a ray in the disk view and counts boundary
+# crossings, rotating the direction when a ray grazes an arc or passes
+# through a joint.
+
+# parity test directions, a fixed quasi-uniform rotation so reruns are
+# deterministic; the first clean direction wins
+_RAY_ANGLES = tuple((0.7548776662466927 + 2.399963229728653 * k) % (2.0 * math.pi)
+                    for k in range(32))
+_RAY_T_MIN = 1e-13
+
+
+def _segment_ray_hits(z: complex, ang: float, z0: complex, z1: complex):
+    d = complex(math.cos(ang), math.sin(ang))
+    e = z1 - z0
+    det = -(d.real * e.imag - d.imag * e.real)
+    scale = max(abs(e), 1e-30)
+    if abs(det) < 1e-14 * scale:
+        # parallel ray; either misses or grazes along the chord
+        return None if abs((z0 - z).real * d.imag
+                           - (z0 - z).imag * d.real) < 1e-13 else []
+    rhs = z0 - z
+    t = (rhs.real * (-e.imag) + rhs.imag * e.real) / det
+    u = (d.real * rhs.imag - d.imag * rhs.real) / det
+    if u < -1e-12 or u > 1.0 + 1e-12:
+        return []
+    if u < 1e-10 or u > 1.0 - 1e-10:
+        return None  # too close to a joint, retry with a new direction
+    if t < _RAY_T_MIN:
+        return [] if t < -_RAY_T_MIN else None
+    return [t]
+
+
+def _circle_ray_hits(z: complex, ang: float, darc):
+    d = complex(math.cos(ang), math.sin(ang))
+    f = z - darc.center
+    b = f.real * d.real + f.imag * d.imag
+    c = abs(f) ** 2 - darc.radius ** 2
+    disc = b * b - c
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    if sq < 1e-9 * (1.0 + darc.radius):
+        return None  # grazing, parity ambiguous
+    hits = []
+    full = abs(darc.sweep) >= 2.0 * math.pi - 1e-12
+    for t in (-b - sq, -b + sq):
+        if t < _RAY_T_MIN:
+            if t > -_RAY_T_MIN:
+                return None
+            continue
+        zp = z + t * d
+        phi = math.atan2((zp - darc.center).imag, (zp - darc.center).real)
+        u = ((phi - darc.a0) * math.copysign(1.0, darc.sweep)) % (2.0 * math.pi)
+        if u > 2.0 * math.pi - 1e-11:
+            u = 0.0
+        if full:
+            hits.append(t)
+            continue
+        span = abs(darc.sweep)
+        if u < 1e-11 or abs(u - span) < 1e-11:
+            return None  # joint hit
+        if u < span:
+            hits.append(t)
+    return hits
+
+
+def _reference_contains_point(body, q, tol=CONTAIN_TOL):
+    """Boundary-inclusive within tol, else the parity of a clean ray."""
+    if dist_to_boundary(body, q) <= tol:
+        return True
+    z = to_disk(q)
+    for ang in _RAY_ANGLES:
+        parity = 0
+        clean = True
+        for darc in body.boundary.disk_arcs:
+            if darc.is_segment:
+                hits = _segment_ray_hits(z, ang, darc.z0, darc.z1)
+            else:
+                hits = _circle_ray_hits(z, ang, darc)
+            if hits is None:
+                clean = False
+                break
+            parity += len(hits)
+        if clean:
+            return parity % 2 == 1
+    raise GeometryError("no clean ray direction found for containment test")
+
+
+# eroded hulls: the geodesic sides erode to hypercycles bending away,
+# so each is non-convex, and every depth stays short of the pinch
+_ERODED_HULLS = ((0.9, 0.7, 0.3), (0.9, 0.7, 0.6), (BIG_R, 1.0, 0.2),
+                 (BIG_R, 1.0, 0.35), (0.6, 1.2, 0.3), (0.7, 0.4, 0.5),
+                 (1.1, 0.9, 0.8), (1.3, 1.5, 0.5), (0.5, 0.3, 0.2),
+                 (1.031, 0.761, 0.7))
+
+
 def test_contains_point_matches_signed_distance():
-    rng = np.random.default_rng(31)
-    body = two_ball_hull(0.9, 0.7)  # mixed curvature signs on the boundary
-    dirs = _random_directions(rng, 200)
-    radii = rng.uniform(0.0, 2.5, size=200)
-    pts = np.array([exp_map(ORIGIN, r * u).v for r, u in zip(radii, dirs)])
-    sd = signed_boundary_distance(body, pts)
-    for v, s in zip(pts, sd):
-        if abs(s) < 1e-7:
-            continue  # too close to the boundary to trust either verdict
-        inside = contains_point(body, Point.from_array(v, validate=False))
-        assert inside == (s > 0.0)
+    cases = [two_ball_hull(0.9, 0.7)]  # convex: caps and geodesic sides
+    for r, d, rho in _ERODED_HULLS:
+        eroded = offset(two_ball_hull(r, d), -rho)
+        assert not eroded.convex and eroded.boundary.is_simple()
+        cases.append(eroded)
+    for body in cases:
+        rng = np.random.default_rng(31)
+        dirs = _random_directions(rng, 200)
+        radii = rng.uniform(0.0, 2.5, size=200)
+        pts = np.array([exp_map(ORIGIN, r * u).v
+                        for r, u in zip(radii, dirs)])
+        sd = signed_boundary_distance(body, pts)
+        for v, s in zip(pts, sd):
+            if abs(s) < 1e-7:
+                continue  # too close to the boundary to trust either verdict
+            q = Point.from_array(v, validate=False)
+            assert contains_point(body, q) == (s > 0.0)
+            assert _reference_contains_point(body, q) == (s > 0.0)
+
+
+def test_containment_in_a_non_simple_chain_raises():
+    # eroded past the pinch, the hull's sides cross: no side is defined
+    body = offset(two_ball_hull(1.031, 0.761), -0.865, check_simple=False)
+    assert not body.convex and not body.boundary.is_simple()
+    with pytest.raises(NonSimpleBoundaryError):
+        contains_point(body, ORIGIN)
+    with pytest.raises(NonSimpleBoundaryError):
+        contains_body(body, ball(0.1))
 
 
 def test_contains_body_nested_balls():
