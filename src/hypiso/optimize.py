@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geom import ORIGIN_FRAME
 from .spline import (
     Arc,
+    ArcCoeffs,
     ArcSpline,
     GeometryError,
-    arc_matrices,
-    frenet_matrix,
+    arc_dkappa,
+    arc_transports,
 )
 from .bodies import Body
 
@@ -117,52 +119,85 @@ _RES_IDX = ((1, 2, 2), (0, 0, 1))
 _I3 = np.eye(3)
 
 
-def closure_residual_vec(kappas, lengths) -> np.ndarray:
-    E = _I3
-    for A in arc_matrices(kappas, lengths):
-        E = E @ A
-    return E[_RES_IDX]
+class _Point(NamedTuple):
+    """One evaluation of the constraints at x, kept for its Jacobian.
 
-
-def closure_jacobian(kappas, lengths):
-    """Residuals and their Jacobian wrt (kappas, lengths), shape (3, 2n).
-
-    Prefix and suffix chain products put each partial in one triple
-    product with the per-arc derivative in the middle; all n triple
-    products of a column block are computed as one stacked product.
+    c holds the perimeter constraint and then the three closure
+    residuals; E is the chain product.  The transports, their kernel
+    coefficients and the prefix products are what `_jacobian` reuses,
+    so an accepted line-search trial needs no second chain product.
     """
-    mats, dmats = arc_matrices(kappas, lengths, dkappa=True)
+
+    x: np.ndarray
+    c: np.ndarray
+    E: np.ndarray
+    mats: np.ndarray
+    coeffs: ArcCoeffs
+    prefix: list
+
+
+def _evaluate(x, n, perimeter) -> _Point:
+    kap, lon = x[:n], x[n:]
+    mats, coeffs = arc_transports(kap, lon)
     prefix = [_I3]
     for A in mats:
         prefix.append(prefix[-1] @ A)
+    E = prefix[-1]
+    c = np.concatenate([[lon.sum() - perimeter], E[_RES_IDX]])
+    return _Point(x, c, E, mats, coeffs, prefix)
+
+
+def _jacobian(pt: _Point) -> np.ndarray:
+    """Jacobian of the four constraints wrt (kappas, lengths), (4, 2n).
+
+    Prefix and suffix chain products put each closure partial in one
+    triple product with the per-arc derivative in the middle; all n
+    triple products of a column block are computed as one stacked
+    product.
+    """
+    mats = pt.mats
+    n = len(mats)
+    dmats = arc_dkappa(pt.coeffs)
     suffix = [_I3]
     for A in mats[::-1]:
         suffix.append(A @ suffix[-1])
-    E = prefix[-1]
-    prefix = np.array(prefix)
+    prefix = np.array(pt.prefix)
     suffix = np.array(suffix[::-1])
     dK = prefix[:-1] @ dmats @ suffix[1:]
     # d/dlength of exp(s M) is exp(s M) M, applied inside the chain
-    dL = prefix[1:] @ frenet_matrix(kappas) @ suffix[1:]
+    dL = prefix[1:] @ pt.coeffs.m @ suffix[1:]
     rows, cols = _RES_IDX
-    J = np.concatenate([dK[:, rows, cols].T, dL[:, rows, cols].T], axis=1)
-    return E[_RES_IDX], J, E
-
-
-def _full_constraints(x, n, perimeter):
-    kap, lon = x[:n], x[n:]
-    res, Jc, E = closure_jacobian(kap, lon)
-    c = np.concatenate([[lon.sum() - perimeter], res])
     J = np.zeros((4, 2 * n))
     J[0, n:] = 1.0
-    J[1:, :] = Jc
-    return c, J, E
+    J[1:, :n] = dK[:, rows, cols].T
+    J[1:, n:] = dL[:, rows, cols].T
+    return J
 
 
-def _constraints_only(x, n, perimeter):
-    kap, lon = x[:n], x[n:]
-    res = closure_residual_vec(kap, lon)
-    return np.concatenate([[lon.sum() - perimeter], res])
+def _as_point(kappas, lengths) -> _Point:
+    return _evaluate(np.concatenate([np.asarray(kappas, dtype=float),
+                                     np.asarray(lengths, dtype=float)]),
+                     len(kappas), 0.0)
+
+
+def closure_residual_vec(kappas, lengths) -> np.ndarray:
+    """The three independent closure residuals of the chain product."""
+    return _as_point(kappas, lengths).c[1:]
+
+
+def closure_jacobian(kappas, lengths):
+    """Residuals, their Jacobian wrt (kappas, lengths), shape (3, 2n),
+    and the chain product."""
+    pt = _as_point(kappas, lengths)
+    return pt.c[1:], _jacobian(pt)[1:], pt.E
+
+
+# Below this residual norm the three closure entries pin the chain
+# product near the identity or near the rotation by pi (|E[1, 1]| is
+# then above 0.9999), and the short steps that keep the norm falling
+# do not cross between the two: on 8 800 random_thick_body draws at
+# five (lam, n) the early exit changed no output bit.
+_BRANCH_NORM = 1e-2
 
 
 def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
@@ -170,16 +205,25 @@ def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
 
     Variables pinned at the box have their columns dropped before the
     min-norm solve, otherwise clipping stalls the iteration; each step
-    backtracks on the residual norm.
+    backtracks on the residual norm.  The accepted trial's evaluation
+    is the next step's starting point.  A chain that closes on the
+    reversed branch (end tangent opposite the start, E[1, 1] < 0) is
+    rejected as soon as the residual norm is below 1e-2, instead of
+    after it has converged there: the three residuals then pin the
+    product near the rotation by pi, and the backtracking keeps the
+    norm falling.
     """
-    x = x.copy()
+    pt = _evaluate(x.copy(), n, perimeter)
     for _ in range(max_iter):
-        c, J, E = _full_constraints(x, n, perimeter)
+        x, c, E = pt.x, pt.c, pt.E
         norm = np.max(np.abs(c))
         if norm <= tol:
             return x if E[1, 1] > 0.0 else None
         if not np.isfinite(norm) or norm > 1e8:
             return None
+        if norm < _BRANCH_NORM and E[1, 1] < 0.0:
+            return None
+        J = _jacobian(pt)
         free = np.ones(x.size, dtype=bool)
         delta = None
         for _ in range(4):
@@ -201,10 +245,9 @@ def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
         t = 1.0
         improved = False
         for _ in range(10):
-            xt = np.clip(x + t * delta, lb, ub)
-            ct = _constraints_only(xt, n, perimeter)
-            if np.max(np.abs(ct)) <= norm * (1.0 - 0.2 * t):
-                x = xt
+            trial = _evaluate(np.clip(x + t * delta, lb, ub), n, perimeter)
+            if np.max(np.abs(trial.c)) <= norm * (1.0 - 0.2 * t):
+                pt = trial
                 improved = True
                 break
             t *= 0.5
@@ -299,7 +342,7 @@ def _pg_loop(x, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
     it = 0
     for it in range(1, max_iters + 1):
         g = _grad(x, n)
-        c, J, _ = _full_constraints(x, n, problem.perimeter)
+        J = _jacobian(_evaluate(x, n, problem.perimeter))
         r, kkt = _reduced_gradient(x, g, J, lb, ub)
         if kkt < kkt_tol:
             break
@@ -372,7 +415,7 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
                 x, kkt = xp, kkt_p
             else:
                 break
-        c, _, _ = _full_constraints(x, n, problem.perimeter)
+        c = _evaluate(x, n, problem.perimeter).c
         spline_res = math.inf
         try:
             cand_arcs = [Arc(k, l) for k, l in

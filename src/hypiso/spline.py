@@ -22,10 +22,12 @@ horocycle band.  The regimes join smoothly.  With one kappa and many s
 transcendental runs once per element and only the few small-|x|
 entries are patched with the series.
 
-`arc_matrices` builds the stacked (n, 3, 3) transports of a whole chain
-from one kernel call, and their kappa-derivatives from the same
-coefficients.  Everything else here reads from those two: single-arc
-transport, frames along a chain, sampled points and frames, closure.
+`arc_transports` builds the stacked (n, 3, 3) transports of a whole
+chain from one kernel call and keeps the coefficients, from which
+`arc_dkappa` builds their kappa-derivatives without a second call;
+`arc_matrices` returns either or both.  Everything else here reads
+from these: single-arc transport, frames along a chain, sampled points
+and frames, closure, simplicity.
 
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,10 +185,31 @@ def arc_matrices(kappas, lengths, dkappa: bool = False):
     """Stacked transports exp(l_i M(k_i)), shape (n, 3, 3).
 
     With dkappa=True returns (A, dA) where dA holds the closed-form
-    kappa-derivatives, built from the same coefficients: with
-    alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
-    dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2) / alpha
-    away from alpha s^2 = 0, their Taylor series near it.
+    kappa-derivatives of `arc_dkappa`, built from the same coefficients.
+    """
+    a, coeffs = arc_transports(kappas, lengths)
+    return (a, arc_dkappa(coeffs)) if dkappa else a
+
+
+class ArcCoeffs(NamedTuple):
+    """Per-arc kernel coefficients and Frenet matrices of a chain."""
+
+    k: np.ndarray
+    s: np.ndarray
+    alpha: np.ndarray
+    x: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    m: np.ndarray
+    m2: np.ndarray
+
+
+def arc_transports(kappas, lengths):
+    """Stacked transports and the `ArcCoeffs` they came from.
+
+    The coefficients are what `arc_dkappa` needs, so a caller that may
+    or may not want the kappa-derivatives later pays one kernel call.
     """
     k = np.asarray(kappas, dtype=float)
     s = np.asarray(lengths, dtype=float)
@@ -193,8 +217,17 @@ def arc_matrices(kappas, lengths, dkappa: bool = False):
     m = frenet_matrix(k)
     m2 = m @ m
     a = _I3 + c1[:, None, None] * m + c2[:, None, None] * m2
-    if not dkappa:
-        return a
+    return a, ArcCoeffs(k, s, alpha, x, c0, c1, c2, m, m2)
+
+
+def arc_dkappa(coeffs: ArcCoeffs):
+    """kappa-derivatives of the transports of `arc_transports`.
+
+    With alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
+    dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2) / alpha
+    away from alpha s^2 = 0, their Taylor series near it.
+    """
+    k, s, alpha, x, c0, c1, c2, m, m2 = coeffs
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (s * c0 - c1) / (2.0 * alpha)
         d2 = (s * c1 / 2.0 - c2) / alpha
@@ -205,10 +238,9 @@ def arc_matrices(kappas, lengths, dkappa: bool = False):
         d2[small] = ss ** 4 * (1.0 / 24.0 + xs / 360.0 + xs * xs / 13440.0)
     dc1 = -2.0 * k * d1
     dc2 = -2.0 * k * d2
-    da = (dc1[:, None, None] * m + dc2[:, None, None] * m2
-          + c1[:, None, None] * _M1
-          + c2[:, None, None] * (_M1 @ m + m @ _M1))
-    return a, da
+    return (dc1[:, None, None] * m + dc2[:, None, None] * m2
+            + c1[:, None, None] * _M1
+            + c2[:, None, None] * (_M1 @ m + m @ _M1))
 
 
 def arc_matrix(kappa: float, length: float) -> np.ndarray:
@@ -432,10 +464,22 @@ class ArcSpline:
     def disk_arcs(self) -> tuple:
         return tuple(_disk_arc(self.frames[i], a) for i, a in enumerate(self.arcs))
 
-    def is_simple(self) -> bool:
+    @cached_property
+    def _simple(self) -> bool:
         if any(_winds_past_full_turn(a) for a in self.arcs):
             return False
+        if all(a.kappa >= 0.0 for a in self.arcs):
+            return _klein_rotation_index(self.arcs, self._transports) == 1
         return _chain_is_simple(self.disk_arcs)
+
+    def is_simple(self) -> bool:
+        """Whether the closed chain does not cross itself (cached).
+
+        A chain that never turns right is exactly simple when its
+        Klein-model tangent turns once; any other chain takes the
+        pairwise disk-view sweep.
+        """
+        return self._simple
 
     def to_json_dict(self) -> dict:
         return {
@@ -516,10 +560,61 @@ def _signed_triangle_areas(anchor, b, c):
     return out
 
 
+# ── simplicity of chains that never turn right ───────────────────────────
+# The Klein model sends geodesics to straight chords and keeps the sign
+# of curvature, so a chain whose arcs all have kappa >= 0 is a locally
+# convex Euclidean curve there.  Such a closed curve is simple exactly
+# when its tangent turns once (rotation index 1), which takes O(n).
+
+# Each arc's tangent turning in the Klein view is read as an angle
+# difference wrapped into [-eps, 2 pi - eps).  With kappa >= 0 it lies
+# in [0, 2 pi) once circular arcs are split below, but a geodesic arc
+# reads about -4e-16 where it does not turn, which a plain mod 2 pi
+# would make a full turn; eps absorbs that.  An arc or split piece turns
+# within eps of a full turn only when it reaches near the ideal boundary,
+# far beyond any chain that starts at the origin and closes.
+_KLEIN_TURN_EPS = 1e-9
+
+
+def _klein_rotation_index(arcs, mats) -> int:
+    """Full turns of the Klein-model tangent along a closed chain.
+
+    The frames are the prefix products of the transports, i.e. the
+    chain moved to start at the origin frame: the index does not depend
+    on placement, and far-placed coordinates lose the angles to
+    roundoff.  A single arc can turn by more than pi, so the turning
+    of a circular arc that runs more than half round its centre is
+    read in two halves, split at its midpoint.
+    """
+    frames = [_I3]
+    for a in mats:
+        frames.append(frames[-1] @ a)
+    k = np.array([a.kappa for a in arcs])
+    lengths = np.array([a.length for a in arcs])
+    # turning about the centre: length / sinh(arccoth kappa)
+    around = lengths * np.sqrt(np.maximum(k * k - 1.0, 0.0))
+    split = np.flatnonzero(around > math.pi)
+    if split.size:
+        mids = np.array(frames)[split] @ arc_matrices(k[split],
+                                                      lengths[split] / 2.0)
+        for j in reversed(range(split.size)):
+            frames.insert(split[j] + 1, mids[j])
+    f = np.array(frames)
+    p, t = f[:, :, 0], f[:, :, 1]
+    # velocity of the Klein point (p1, p2) / p0, up to the factor 1/p0^2
+    v = t[:, 1:] * p[:, :1] - p[:, 1:] * t[:, :1]
+    angle = np.arctan2(v[:, 1], v[:, 0])
+    turn = (angle[1:] - angle[:-1] + _KLEIN_TURN_EPS) % (2.0 * math.pi)
+    total = float(turn.sum()) - _KLEIN_TURN_EPS * turn.size
+    return round(total / (2.0 * math.pi))
+
+
 # ── disk-view arc geometry ────────────────────────────────────────────────
 # Every constant-curvature arc maps to a Euclidean circular arc or a
-# straight chord in the Poincare disk, so planar predicates (rendering,
-# self-intersection) are exact there.
+# straight chord in the Poincare disk, so planar predicates are exact
+# there.  Rendering draws these arcs; the pairwise self-intersection
+# sweep serves only chains with a concave arc, since the Klein
+# rotation index above decides the rest.
 
 @dataclass(frozen=True)
 class DiskArc:
@@ -613,20 +708,6 @@ def _circle_circle(c1, r1, c2, r2):
     if h < 1e-15:
         return [base]
     return [base + h * v, base - h * v]
-
-
-def _segment_params(p, q, z, tol=1e-12):
-    """Parameter of z along segment p->q if it lies on it, else None."""
-    d = q - p
-    L = abs(d)
-    if L < 1e-15:
-        return None
-    t = ((z - p).real * d.real + (z - p).imag * d.imag) / (L * L)
-    if -tol <= t <= 1.0 + tol:
-        perp = abs((z - p) - t * d)
-        if perp <= tol * max(1.0, L):
-            return t
-    return None
 
 
 def _circle_segment(c, r, p, q):

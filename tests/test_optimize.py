@@ -148,6 +148,100 @@ def test_restore_returns_perturbed_sausage_to_the_manifold():
     assert E[1, 1] > 0.0
 
 
+def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
+    """The restoration loop with one Jacobian and one trial product per
+    step, kept as the reference: (x, E) on convergence, else None."""
+
+    def full(x):
+        kap, lon = x[:n], x[n:]
+        res, Jc, E = closure_jacobian(kap, lon)
+        c = np.concatenate([[lon.sum() - perimeter], res])
+        J = np.zeros((4, 2 * n))
+        J[0, n:] = 1.0
+        J[1:, :] = Jc
+        return c, J, E
+
+    def only(x):
+        kap, lon = x[:n], x[n:]
+        return np.concatenate([[lon.sum() - perimeter],
+                               closure_residual_vec(kap, lon)])
+
+    x = x.copy()
+    for _ in range(max_iter):
+        c, J, E = full(x)
+        norm = np.max(np.abs(c))
+        if norm <= tol:
+            return x, E
+        if not np.isfinite(norm) or norm > 1e8:
+            return None
+        free = np.ones(x.size, dtype=bool)
+        delta = None
+        for _ in range(4):
+            Jf = J[:, free]
+            gram = Jf @ Jf.T + 1e-13 * np.eye(4)
+            try:
+                y = np.linalg.solve(gram, -c)
+            except np.linalg.LinAlgError:
+                return None
+            delta = np.zeros_like(x)
+            delta[free] = Jf.T @ y
+            stepped = np.clip(x + delta, lb, ub)
+            clipped = stepped != x + delta
+            if not clipped.any():
+                break
+            free &= ~clipped
+            if not free.any():
+                return None
+        t = 1.0
+        improved = False
+        for _ in range(10):
+            xt = np.clip(x + t * delta, lb, ub)
+            ct = only(xt)
+            if np.max(np.abs(ct)) <= norm * (1.0 - 0.2 * t):
+                x = xt
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            return None
+    return None
+
+
+def test_restore_matches_reference_loop_bit_for_bit():
+    # draws as random_thick_body makes them, plus perturbed sausages
+    rng = np.random.default_rng(16)
+    outcomes = {"forward": 0, "reversed": 0, "failed": 0}
+    for i in range(200):
+        lam = (1.5, 2.0, 3.0)[i % 3]
+        n = 12
+        if i % 4 == 3:
+            kap, lon = _sausage_x(2.0, 1.0)
+            lam, n = 2.0, kap.size
+            x0 = np.concatenate([kap, lon]) + 0.1 * rng.standard_normal(2 * n)
+            perim = SAUSAGE_P
+        else:
+            kap = rng.uniform(1.0 / lam, lam, size=n)
+            lon = rng.uniform(0.5, 1.5, size=n)
+            lon *= 2.0 * math.pi * (1.0 + rng.uniform(0.1, 0.8)) / (kap @ lon)
+            perim = float(lon.sum())
+            x0 = np.concatenate([kap, lon])
+        lb = np.concatenate([np.full(n, 1.0 / lam), np.zeros(n)])
+        ub = np.concatenate([np.full(n, lam), np.full(n, perim)])
+        x0 = np.clip(x0, lb, ub)
+        got = _restore(x0, n, perim, lb, ub)
+        ref = _reference_newton(x0, n, perim, lb, ub)
+        if ref is None:
+            outcomes["failed"] += 1
+            assert got is None
+        elif ref[1][1, 1] < 0.0:
+            outcomes["reversed"] += 1
+            assert got is None
+        else:
+            outcomes["forward"] += 1
+            assert got is not None and got.tobytes() == ref[0].tobytes()
+    assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, outcomes
+
+
 def test_solve_small_instance_reaches_sausage():
     # short run: the round start alone lands on the sausage optimum
     problem = ShapeProblem(2.0, SAUSAGE_P, 8)

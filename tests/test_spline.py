@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypiso.geom import ORIGIN_FRAME, Point, dist, frame_defect, minkowski
+from hypiso.geom import (
+    ORIGIN_FRAME,
+    Point,
+    apply_isometry_frame,
+    dist,
+    frame_defect,
+    minkowski,
+)
 from hypiso.spline import (
     Arc,
     ArcSpline,
@@ -18,6 +25,8 @@ from hypiso.spline import (
     chain_closure_residual,
     frenet_matrix,
     _c12,
+    _chain_is_simple,
+    _winds_past_full_turn,
     transport,
     transport_coeffs,
 )
@@ -295,3 +304,94 @@ def test_arc_turning_more_than_once_is_not_simple():
     wound = ArcSpline(ORIGIN_FRAME, (Arc(kappa, 1.5 * one_turn),
                                      Arc(kappa, 0.5 * one_turn)))
     assert not wound.is_simple()
+
+
+def _disk_view_is_simple(s: ArcSpline) -> bool:
+    """The pairwise disk-view sweep, the oracle of the Klein verdict."""
+    if any(_winds_past_full_turn(a) for a in s.arcs):
+        return False
+    return _chain_is_simple(s.disk_arcs)
+
+
+def _moved(s: ArcSpline, distance: float, angle: float) -> ArcSpline:
+    c, sn = math.cos(angle), math.sin(angle)
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -sn], [0.0, sn, c]])
+    ch, sh = math.cosh(distance), math.sinh(distance)
+    boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    return ArcSpline.open_chain(
+        apply_isometry_frame(boost @ rot, s.start), s.arcs)
+
+
+@pytest.fixture(scope="module")
+def convex_chains():
+    """Closed chains with kappa >= 0 everywhere, simple or not."""
+    from hypiso.bodies import q_counterexample, sausage
+    from hypiso.optimize import random_thick_body
+    # every chain random_thick_body judges, the redrawn ones included;
+    # (2, 80) winds one arc twice, (3, 26), (3, 39), (3, 65) turn twice
+    drawn = []
+    judge = ArcSpline.is_simple
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ArcSpline, "is_simple",
+                   lambda self: drawn.append(self) or judge(self))
+        for lam, seeds in ((1.5, range(1, 21)), (2.0, [*range(1, 21), 80]),
+                           (3.0, [*range(1, 21), 26, 39, 65])):
+            for seed in seeds:
+                random_thick_body(lam, 12, seed)
+    chains = list(drawn)
+    chains += [sausage(lam, d).boundary for lam in (1.5, 2.0, 3.0)
+               for d in (0.0, 0.3, 1.0, 2.0)]
+    chains += [q_counterexample(lam, e).boundary
+               for lam, e in ((2.0, 0.1), (2.0, 0.2), (3.0, 0.1))]
+    # a convex chain traversed twice closes and turns twice
+    for s in (sausage(2.0, 1.0).boundary, drawn[0]):
+        chains.append(ArcSpline(ORIGIN_FRAME, s.arcs * 2))
+    # one circle as a single arc, as a 99.9 % arc and a 0.1 % arc, and
+    # run twice as two arcs of one full turn each
+    circle = _circle_spline(0.8)
+    chains += [circle, circle.split(0, 0.999 * circle.arcs[0].length),
+               ArcSpline(ORIGIN_FRAME, circle.arcs * 2)]
+    return chains
+
+
+def test_klein_verdict_matches_disk_view_sweep(convex_chains):
+    from hypiso.bodies import two_ball_hull
+    # two_ball_hull bodies hold geodesic (kappa = 0) arcs and major arcs
+    rng = np.random.default_rng(16)
+    hulls = [two_ball_hull(r, d).boundary for r, d in
+             zip(rng.uniform(0.2, 1.5, 500), rng.uniform(0.05, 2.0, 500))]
+    verdicts = set()
+    for s in convex_chains + hulls:
+        assert min(a.kappa for a in s.arcs) >= 0.0
+        want = _disk_view_is_simple(s)
+        assert s.is_simple() == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_klein_verdict_does_not_depend_on_placement(convex_chains):
+    # sausage(2, 1) moved 12 units turns twice when read from its
+    # placed frames instead of the chain from the origin
+    rng = np.random.default_rng(17)
+    for s in convex_chains:
+        want = _disk_view_is_simple(s)
+        for distance in (0.0, 3.0, 6.0, 12.0):
+            moved = _moved(s, distance, rng.uniform(0.0, 2.0 * math.pi))
+            assert moved.is_simple() == want
+
+
+def test_simplicity_verdict_is_cached(monkeypatch):
+    import hypiso.spline as hs
+    from hypiso.bodies import offset, signed_boundary_distance, two_ball_hull
+    sweeps = []
+    sweep = hs._chain_is_simple
+    monkeypatch.setattr(hs, "_chain_is_simple",
+                        lambda arcs: sweeps.append(arcs) or sweep(arcs))
+    eroded = offset(two_ball_hull(math.atanh(0.5), 1.0), -0.1)
+    assert not eroded.convex
+    assert min(a.kappa for a in eroded.boundary.arcs) < 0.0
+    pts = eroded.boundary.sample_points(8)
+    for _ in range(3):
+        assert eroded.boundary.is_simple()
+        signed_boundary_distance(eroded, pts)
+    assert len(sweeps) == 1
