@@ -25,7 +25,6 @@ from .geom import (
     dist,
     exp_map,
     fermi_point,
-    lorentz_inverse,
     minkowski,
     project_to_sheet,
 )
@@ -37,21 +36,19 @@ from .spline import (
     ThicknessCertificate,
     _arc_normals,
     _c12,
+    _sample_chain,
     arc_frames_batch,
 )
 from .steiner import BodyMeasure
 
 CONTAIN_TOL = 1e-9
-# rolling margins are center distances read near rho = arccoth(lam),
-# so at the origin they reach only -1e-12 (criterion 05's 1000 bodies,
-# the long sausages).  Placed bodies lose more, as their ambient
-# coordinates grow like cosh of the distance: bodies that roll and sit
-# 4-6 units out read down to -1.05e-7, inside the tolerance, but
-# sausage and random bodies 6.33-7.67 units out read -1.1e-6 to
-# -8.7e-5 and fail although their twins at the origin roll.  That
-# lasts until the test runs in placement-free coordinates.  The
-# tolerance stays far below any real violation (the near-sausage
-# counterexample reads -0.089).
+# rolling margins are center distances read near rho = arccoth(lam) on
+# the chain walked from the origin frame, so placement adds nothing.
+# What is left grows with the chain's length (transports of long arcs
+# have entries of size cosh(length)): bodies that roll read about
+# -1e-12 on criterion 05, -9.7e-11 for sausage(5, 3) and -6.5e-9 for
+# sausage(2, 4).  The tolerance stays far below any real violation
+# (the near-sausage counterexample reads -0.089).
 ROLL_TOL = 1e-6
 
 # erosion that lands a cap radius inside this band is snapped to the
@@ -104,15 +101,6 @@ class Body:
         return BodyMeasure(
             area=self.boundary.area_gauss_bonnet(),
             perimeter=self.boundary.perimeter())
-
-    @cached_property
-    def anchor(self) -> Point:
-        # Euclidean mean of hyperboloid points is timelike; pushing it
-        # back to the sheet is a Klein-model convex combination, hence
-        # interior for convex bodies.
-        pts = self.boundary.sample_points(256)
-        return Point.from_array(project_to_sheet(pts.mean(axis=0)),
-                                validate=False)
 
     def thickness_certificate(self, lam: float) -> ThicknessCertificate:
         return self.boundary.check_thickness(lam)
@@ -360,15 +348,19 @@ def boundary_proximity(body: Body, pts: np.ndarray):
     pts has shape (n, 3) in hyperboloid coordinates.  Returns
     (dist, arc_index, s_local) arrays.
     """
+    return _proximity(body.boundary.arcs, body.boundary.frames, pts)
+
+
+def _proximity(arcs, frames, pts):
+    """`boundary_proximity` against arcs starting at the given frames."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nq = pts.shape[0]
     Q = pts @ _ETA  # row i dotted with x gives <pts[i], x>
     best = np.full(nq, np.inf)
     best_arc = np.zeros(nq, dtype=int)
     best_s = np.zeros(nq)
-    spline = body.boundary
-    for i, a in enumerate(spline.arcs):
-        f = spline.frames[i]
+    for i, a in enumerate(arcs):
+        f = frames[i]
         A = -(Q @ f.p)
         B = -(Q @ f.t)
         D = A + a.kappa * (-(Q @ f.n))
@@ -411,15 +403,19 @@ def signed_boundary_distance(body: Body, pts: np.ndarray) -> np.ndarray:
     if not body.convex and not body.boundary.is_simple():
         raise NonSimpleBoundaryError("boundary self-intersects; "
                                      "inside and outside are undefined")
+    return _signed_distance(body.boundary.arcs, body.boundary.frames, pts)
+
+
+def _signed_distance(arcs, frames, pts):
+    """`signed_boundary_distance` on arcs from the given frames."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d, arc_idx, s_loc = boundary_proximity(body, pts)
+    d, arc_idx, s_loc = _proximity(arcs, frames, pts)
     normals = np.empty_like(pts)
-    spline = body.boundary
-    for i, a in enumerate(spline.arcs):
+    for i, a in enumerate(arcs):
         sel = arc_idx == i
         if not np.any(sel):
             continue
-        normals[sel] = _arc_normals(spline.frames[i], a.kappa, s_loc[sel])
+        normals[sel] = _arc_normals(frames[i], a.kappa, s_loc[sel])
     side = np.einsum("ij,ij->i", pts @ _ETA, normals)
     return np.where(side >= 0.0, d, -d)
 
@@ -464,9 +460,10 @@ INRADIUS_TOL = 1e-9
 _TOUCH_FORM = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-def _touch_candidates(body: Body):
+def _touch_candidates(arcs, mats):
     """Centers and radii of every ball touching the boundary arcs in a
     configuration a deepest point can take: (centers (m, 3), radii (m,)).
+    mats[:-1] are the arcs' start frames, as in `ArcSpline.origin_frames`.
 
     Arc i with start frame (p, t, n) and curvature k has the constant
     vector w = k p + n, because n' = -k t along it.  A point at inward
@@ -482,9 +479,8 @@ def _touch_candidates(body: Body):
     Systems of rank below three, roots with r <= 0 and roots off the
     upper sheet are dropped.
     """
-    spline = body.boundary
-    kap = np.array([a.kappa for a in spline.arcs])
-    F = np.stack([f.m for f in spline.frames[:-1]])
+    kap = np.array([a.kappa for a in arcs])
+    F = mats[:-1]
     W = kap[:, None] * F[:, :, 0] + F[:, :, 2]
 
     circ = kap > 1.0
@@ -534,33 +530,17 @@ def _touch_candidates(body: Body):
     return np.concatenate(centers), np.concatenate(radii)
 
 
-def _recentered(body: Body):
-    """The body moved so its anchor sits at the origin, and the Lorentz
-    matrix that moves it back.
-
-    Ambient coordinates grow like cosh of the distance from the origin,
-    and products of them like cosh^2, so a body far out loses digits
-    in every solve and distance.  Its arcs alone fix its shape: the
-    copy walks them again from the moved start frame.
-    """
-    a = body.anchor.v
-    t = np.array([0.0, 1.0, 0.0]) + a[1] * a  # x1 direction, tangent at a
-    g = Frame.create(a, t / math.sqrt(minkowski(t, t)), validate=False).m
-    start = Frame(lorentz_inverse(g) @ body.boundary.start.m).renormalized()
-    spline = ArcSpline.open_chain(start, body.boundary.arcs)
-    return Body(boundary=spline, convex=True), g
-
-
 def _deepest_center(body: Body):
     """Largest inscribed ball of a convex body: (radius, center)."""
     if not body.convex:
         raise ValueError("inradius expects a convex body")
-    if not body.boundary.is_simple():
+    spline = body.boundary
+    if not spline.is_simple():
         raise NonSimpleBoundaryError("boundary is not simple")
-    local, g = _recentered(body)
-    C, R = _touch_candidates(local)
+    C, R = _touch_candidates(spline.arcs, spline.origin_frames)
     C = project_to_sheet(C)
-    depth = signed_boundary_distance(local, C)
+    depth = _signed_distance(spline.arcs,
+                             tuple(map(Frame, spline.origin_frames)), C)
     fits = depth >= R - INRADIUS_TOL * np.maximum(1.0, R)
     if not np.any(fits):
         raise GeometryError("no touching configuration fits inside the body")
@@ -568,7 +548,8 @@ def _deepest_center(body: Body):
     # of radii equal to roundoff the first wins, so a circle arc's
     # closed-form center beats a triple that finds the same ball
     k = int(np.argmax(fits & (R >= best - 1e-12 * max(1.0, best))))
-    return float(R[k]), Point.from_array(g @ C[k], validate=False)
+    return float(R[k]), Point.from_array(spline.start.m @ C[k],
+                                         validate=False)
 
 
 def _sausage_at_origin(body: Body) -> bool:
@@ -604,10 +585,11 @@ def inscribed_ball(body: Body):
     (`_sausage_at_origin`) gets its cap radius and the origin.  Any
     other body gets the deepest of the closed-form touching
     configurations of `_touch_candidates` that fits inside, checked with
-    one `signed_boundary_distance` call over all of them; of radii
+    one signed boundary distance call over all of them; of radii
     equal to roundoff the first in that order wins.  GeometryError if
-    none fits.  The search runs on a copy moved to the origin
-    (`_recentered`), so the radius does not depend on placement.
+    none fits.  The search reads the chain walked from the origin frame
+    (`ArcSpline.origin_frames`), so the radius does not depend on
+    placement.
 
     Completeness: let c be a deepest point, at depth r.  Unless 0 lies
     in the convex hull of the unit directions from c to the boundary
@@ -762,14 +744,18 @@ def rolls_freely(body: Body, lam: float, n: int = 720,
     min over centers of dist(c, boundary) - rho is <= 0, and zero
     exactly when every ball fits.  It is taken over the centers at the
     `sample_frames(n)` points, one boundary distance each, and read
-    near rho rather than near 0; a pass means margin >= -tol.
+    near rho rather than near 0; a pass means margin >= -tol.  It runs
+    on `ArcSpline.origin_frames`; only the witness leaves by the start
+    frame, so the report does not depend on placement.
     """
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
     rho = math.atanh(1.0 / lam)
-    P, _, N = body.boundary.sample_frames(n)[:3]
+    spline = body.boundary
+    frames = tuple(map(Frame, spline.origin_frames))
+    P, _, N = _sample_chain(spline.arcs, frames, n)[:3]
     C = P * math.cosh(rho) + N * math.sinh(rho)
-    d, arc_idx, s_loc = boundary_proximity(body, C)
+    d, arc_idx, s_loc = _proximity(spline.arcs, frames, C)
     margins = d - rho
     worst = int(np.argmin(margins))
     c = C[worst]
@@ -777,19 +763,19 @@ def rolls_freely(body: Body, lam: float, n: int = 720,
     # normal geodesic q cosh t + nq sinh t, at signed height
     # t = asinh(<c, nq>), positive inside; stepping rho from c along
     # it toward decreasing t passes q and leaves the body
-    spline = body.boundary
     i = int(arc_idx[worst])
-    q, _, nq = arc_frames_batch(spline.frames[i], spline.arcs[i].kappa,
+    q, _, nq = arc_frames_batch(frames[i], spline.arcs[i].kappa,
                                 s_loc[worst:worst + 1])
     t = math.asinh(minkowski(c, nq[0]))
     u = -(q[0] * math.sinh(t) + nq[0] * math.cosh(t))
     u = u + minkowski(u, c) * c
     u = u / math.sqrt(minkowski(u, u))
     wm = float(margins[worst])
+    g = spline.start.m
     return RollReport(
         ok=wm >= -tol, lam=lam, rho=rho, worst_margin=wm,
-        witness_point=Point.from_array(c * math.cosh(rho)
-                                       + u * math.sinh(rho),
+        witness_point=Point.from_array(g @ (c * math.cosh(rho)
+                                            + u * math.sinh(rho)),
                                        validate=False),
-        witness_center=Point.from_array(c, validate=False),
+        witness_center=Point.from_array(g @ c, validate=False),
         witness_boundary_index=worst, n_boundary=C.shape[0])

@@ -142,16 +142,6 @@ class Frame:
                 raise ValueError(f"frame not orthonormal, defect {err:.3e}")
         return f
 
-    def renormalized(self) -> "Frame":
-        """Lorentz Gram-Schmidt: exact invariants restored after transport."""
-        p = self.m[:, 0]
-        p = p / math.sqrt(-minkowski(p, p))
-        t = self.m[:, 1]
-        t = t + minkowski(t, p) * p
-        t = t / math.sqrt(minkowski(t, t))
-        n = lorentz_cross(p, t)
-        return Frame(np.column_stack([p, t, n]))
-
 
 ORIGIN_FRAME = Frame(np.eye(3))
 

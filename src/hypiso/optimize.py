@@ -203,10 +203,11 @@ _BRANCH_NORM = 1e-2
 def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
     """Newton least-norm steps back onto the constraint manifold.
 
-    Variables pinned at the box have their columns dropped before the
-    min-norm solve, otherwise clipping stalls the iteration; each step
-    backtracks on the residual norm.  The accepted trial's evaluation
-    is the next step's starting point.  A chain that closes on the
+    Returns the accepted `_Point`, or None.  Variables pinned at the
+    box have their columns dropped before the min-norm solve, otherwise
+    clipping stalls the iteration; each step backtracks on the residual
+    norm.  The accepted trial's evaluation is the next step's starting
+    point, and the caller's next Jacobian.  A chain that closes on the
     reversed branch (end tangent opposite the start, E[1, 1] < 0) is
     rejected as soon as the residual norm is below 1e-2, instead of
     after it has converged there: the three residuals then pin the
@@ -218,7 +219,7 @@ def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
         x, c, E = pt.x, pt.c, pt.E
         norm = np.max(np.abs(c))
         if norm <= tol:
-            return x if E[1, 1] > 0.0 else None
+            return pt if E[1, 1] > 0.0 else None
         if not np.isfinite(norm) or norm > 1e8:
             return None
         if norm < _BRANCH_NORM and E[1, 1] < 0.0:
@@ -335,14 +336,16 @@ def _polish(x, n, problem, lb, ub):
     return _restore(xp, n, problem.perimeter, lb, ub)
 
 
-def _pg_loop(x, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
-    """Projected reduced-gradient descent with restoration per trial."""
+def _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
+    """Projected reduced-gradient descent with restoration per trial,
+    from a restored `_Point`: (last point, kkt residual, iterations)."""
     step = step0
     kkt = math.inf
     it = 0
     for it in range(1, max_iters + 1):
+        x = pt.x
         g = _grad(x, n)
-        J = _jacobian(_evaluate(x, n, problem.perimeter))
+        J = _jacobian(pt)
         r, kkt = _reduced_gradient(x, g, J, lb, ub)
         if kkt < kkt_tol:
             break
@@ -351,18 +354,18 @@ def _pg_loop(x, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
         accepted = False
         t = step
         for _ in range(16):
-            trial = np.clip(x - t * r, lb, ub)
-            trial = _restore(trial, n, problem.perimeter, lb, ub)
+            trial = _restore(np.clip(x - t * r, lb, ub), n,
+                             problem.perimeter, lb, ub)
             if trial is not None and \
-                    _objective(trial, n) <= f0 - 1e-4 * t * rn2:
-                x = trial
+                    _objective(trial.x, n) <= f0 - 1e-4 * t * rn2:
+                pt = trial
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
         step = min(max(t * 2.0, 1e-6), 10.0)
-    return x, kkt, it
+    return pt, kkt, it
 
 
 def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
@@ -386,36 +389,36 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
     for idx in range(n_starts):
         if idx == 0:
             x0 = _ball_start(problem, rng)
-            x = _restore(x0, n, problem.perimeter, lb, ub)
+            pt = _restore(x0, n, problem.perimeter, lb, ub)
         else:
-            x = None
+            pt = None
             for _ in range(5):  # redraw until one restores
                 x0 = _random_start(problem, rng)
-                x = _restore(x0, n, problem.perimeter, lb, ub)
-                if x is not None:
+                pt = _restore(x0, n, problem.perimeter, lb, ub)
+                if pt is not None:
                     break
-        if x is None:
+        if pt is None:
             out.append(Candidate(
                 kappas=tuple(x0[:n]), lengths=tuple(x0[n:]),
                 objective=math.inf, closure_residual=math.inf,
                 kkt_residual=math.inf, converged=False, n_iters=0))
             continue
-        x, kkt, it = _pg_loop(x, n, problem, lb, ub, max_iters, kkt_tol)
+        pt, kkt, it = _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol)
         for _ in range(2):
             if kkt < kkt_tol:
                 break
-            xp = _polish(x, n, problem, lb, ub)
-            if xp is None:
+            pp = _polish(pt.x, n, problem, lb, ub)
+            if pp is None:
                 break
-            xp, kkt_p, it_p = _pg_loop(xp, n, problem, lb, ub, 100, kkt_tol)
+            pp, kkt_p, it_p = _pg_loop(pp, n, problem, lb, ub, 100, kkt_tol)
             it += it_p
-            f_old, f_new = _objective(x, n), _objective(xp, n)
+            f_old, f_new = _objective(pt.x, n), _objective(pp.x, n)
             # a converged vertex is worth a sliver of objective
             if (kkt_p < kkt and f_new <= f_old + 5e-4) or f_new < f_old:
-                x, kkt = xp, kkt_p
+                pt, kkt = pp, kkt_p
             else:
                 break
-        c = _evaluate(x, n, problem.perimeter).c
+        x, c = pt.x, pt.c
         spline_res = math.inf
         try:
             cand_arcs = [Arc(k, l) for k, l in
@@ -462,10 +465,10 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
         lon *= target / (kap @ lon)
         perim = float(lon.sum())
         ub = np.concatenate([np.full(n, hi), np.full(n, perim)])
-        x = _restore(np.concatenate([kap, lon]), n, perim, lb, ub)
-        if x is None:
+        pt = _restore(np.concatenate([kap, lon]), n, perim, lb, ub)
+        if pt is None:
             continue
-        kap, lon = x[:n], x[n:]
+        kap, lon = pt.x[:n], pt.x[n:]
         if np.any(lon <= 1e-6):
             continue
         try:

@@ -29,6 +29,12 @@ chain from one kernel call and keeps the coefficients, from which
 from these: single-arc transport, frames along a chain, sampled points
 and frames, closure, simplicity.
 
+One placement: a spline walks its arcs from the origin frame once
+(`ArcSpline.origin_frames`) and applies its start frame in one spot,
+`ArcSpline.frames`.  Every verdict (closure, simplicity, and rolling
+and inradius in `bodies`) reads the walk from the origin, so none
+depends on where the chain sits; point queries read the placed frames.
+
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
 """
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -305,16 +311,6 @@ class Arc:
             raise ValueError("arc length must be positive")
 
 
-def _walk(start: Frame, mats) -> tuple:
-    """Frames at each arc start along the chain, then the end frame."""
-    out = [start]
-    m = start.m
-    for a in mats:
-        m = m @ a
-        out.append(Frame(m))
-    return tuple(out)
-
-
 def _closure_gap(start: Frame, end: Frame) -> float:
     pgap = end.p - start.p
     d_pos = math.sqrt(max(minkowski(pgap, pgap), 0.0))  # 2 sinh(dist/2)
@@ -335,6 +331,26 @@ def chain_closure_residual(start: Frame, arcs) -> float:
     `ArcSpline.closure_residual`.
     """
     return ArcSpline.open_chain(start, arcs).closure_residual()
+
+
+def _sample_chain(arcs, frames, n: int):
+    """`ArcSpline.sample_frames` of arcs starting at the given frames."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    total = sum(a.length for a in arcs)
+    pts, tans, nors, idxs, locs = [], [], [], [], []
+    for i, a in enumerate(arcs):
+        ni = max(1, math.ceil(n * a.length / total))
+        s = np.arange(ni) * (a.length / ni)
+        p, t, nn = arc_frames_batch(frames[i], a.kappa, s)
+        pts.append(p)
+        tans.append(t)
+        nors.append(nn)
+        idxs.append(np.full(ni, i))
+        locs.append(s)
+    return (np.concatenate(pts), np.concatenate(tans),
+            np.concatenate(nors), np.concatenate(idxs),
+            np.concatenate(locs))
 
 
 @dataclass(frozen=True)
@@ -380,22 +396,31 @@ class ArcSpline:
                             [a.length for a in self.arcs])
 
     @cached_property
+    def origin_frames(self) -> np.ndarray:
+        """Frame matrices at each arc start, then the chain end, of the
+        chain walked from the origin frame: prefix products from I."""
+        out = [_I3]
+        for a in self._transports:
+            out.append(out[-1] @ a)
+        return np.array(out)
+
+    @cached_property
     def frames(self) -> tuple:
-        """Frames at each arc start; the last entry is the chain end."""
-        return _walk(self.start, self._transports)
+        """`origin_frames` moved by the start frame, the one spot where
+        it is applied: frames at each arc start, then the chain end."""
+        return tuple(map(Frame, self.start.m @ self.origin_frames))
 
     def closure_residual(self) -> float:
         """The closure gap of the arcs alone, wherever the chain sits.
 
         The chain closes where the product of its arc transports is the
         identity, since an isometry carries start and end frame alike.
-        So the gap is measured between the origin frame and that
-        product, not between the placed start and end frames: their
-        coordinates grow like cosh(distance) and would bring roundoff of
-        that size into a check against one fixed tolerance.
+        So the gap is measured between the origin frame and the end of
+        `origin_frames`, not between the placed start and end frames:
+        their coordinates grow like cosh(distance) and would bring
+        roundoff of that size into a check against one fixed tolerance.
         """
-        return _closure_gap(ORIGIN_FRAME,
-                            Frame(reduce(np.matmul, self._transports)))
+        return _closure_gap(ORIGIN_FRAME, Frame(self.origin_frames[-1]))
 
     def perimeter(self) -> float:
         return float(sum(a.length for a in self.arcs))
@@ -440,28 +465,14 @@ class ArcSpline:
         s_local[j] from that arc's start.  Arc endpoints are covered by
         the next arc's first sample, so the set wraps cleanly.
         """
-        if n < 1:
-            raise ValueError("need at least one sample")
-        total = self.perimeter()
-        pts, tans, nors, idxs, locs = [], [], [], [], []
-        for i, a in enumerate(self.arcs):
-            ni = max(1, math.ceil(n * a.length / total))
-            s = np.arange(ni) * (a.length / ni)
-            p, t, nn = arc_frames_batch(self.frames[i], a.kappa, s)
-            pts.append(p)
-            tans.append(t)
-            nors.append(nn)
-            idxs.append(np.full(ni, i))
-            locs.append(s)
-        return (np.concatenate(pts), np.concatenate(tans),
-                np.concatenate(nors), np.concatenate(idxs),
-                np.concatenate(locs))
+        return _sample_chain(self.arcs, self.frames, n)
 
     def sample_points(self, n: int) -> np.ndarray:
         return self.sample_frames(n)[0]
 
     @cached_property
     def disk_arcs(self) -> tuple:
+        """Disk-view images of the placed arcs, for rendering."""
         return tuple(_disk_arc(self.frames[i], a) for i, a in enumerate(self.arcs))
 
     @cached_property
@@ -469,8 +480,10 @@ class ArcSpline:
         if any(_winds_past_full_turn(a) for a in self.arcs):
             return False
         if all(a.kappa >= 0.0 for a in self.arcs):
-            return _klein_rotation_index(self.arcs, self._transports) == 1
-        return _chain_is_simple(self.disk_arcs)
+            return _klein_rotation_index(self.arcs, self.origin_frames) == 1
+        return _chain_is_simple(tuple(
+            _disk_arc(Frame(m), a)
+            for m, a in zip(self.origin_frames, self.arcs)))
 
     def is_simple(self) -> bool:
         """Whether the closed chain does not cross itself (cached).
@@ -576,19 +589,17 @@ def _signed_triangle_areas(anchor, b, c):
 _KLEIN_TURN_EPS = 1e-9
 
 
-def _klein_rotation_index(arcs, mats) -> int:
+def _klein_rotation_index(arcs, origin_frames) -> int:
     """Full turns of the Klein-model tangent along a closed chain.
 
-    The frames are the prefix products of the transports, i.e. the
-    chain moved to start at the origin frame: the index does not depend
-    on placement, and far-placed coordinates lose the angles to
-    roundoff.  A single arc can turn by more than pi, so the turning
-    of a circular arc that runs more than half round its centre is
-    read in two halves, split at its midpoint.
+    The frames are those of `ArcSpline.origin_frames`, the chain walked
+    from the origin frame: the index does not depend on placement, and
+    far-placed coordinates lose the angles to roundoff.  A single arc
+    can turn by more than pi, so the turning of a circular arc that
+    runs more than half round its centre is read in two halves, split
+    at its midpoint.
     """
-    frames = [_I3]
-    for a in mats:
-        frames.append(frames[-1] @ a)
+    frames = list(origin_frames)
     k = np.array([a.kappa for a in arcs])
     lengths = np.array([a.length for a in arcs])
     # turning about the centre: length / sinh(arccoth kappa)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypiso.geom import (
     _ETA,
@@ -626,21 +627,26 @@ def test_criterion_05_bodies_roll():
 
 
 def test_rolling_margin_is_one_boundary_distance_per_center(monkeypatch):
+    # rolling reads the chain walked from the origin frame, so the
+    # recorded centers live there and the witness leaves by start.m
     seen = []
-    real = bodies.boundary_proximity
+    real = bodies._proximity
 
-    def record(body, pts):
-        seen.append(np.array(pts))
-        return real(body, pts)
+    def record(arcs, frames, pts):
+        seen.append((frames, np.array(pts)))
+        return real(arcs, frames, pts)
 
     s = sausage(2.0, 1.0)
-    monkeypatch.setattr(bodies, "boundary_proximity", record)
+    monkeypatch.setattr(bodies, "_proximity", record)
     rep = rolls_freely(s, 2.0)
-    (centers,) = seen
+    ((frames, centers),) = seen
     assert centers.shape == (rep.n_boundary, 3)
-    d, _, _ = real(s, centers)
+    assert np.array_equal(np.stack([f.m for f in frames]),
+                          s.boundary.origin_frames)
+    d, _, _ = real(s.boundary.arcs, frames, centers)
     assert rep.worst_margin == float(np.min(d - rep.rho))
-    assert np.array_equal(centers[rep.witness_boundary_index],
+    assert np.array_equal(s.boundary.start.m
+                          @ centers[rep.witness_boundary_index],
                           rep.witness_center.v)
 
 
@@ -675,8 +681,65 @@ def test_rolling_verdict_survives_isometries():
             g, s.boundary.start), s.boundary.arcs), convex=True)
         rep = rolls_freely(moved, 2.0)
         assert rep.ok == at_origin.ok
-        assert rep.worst_margin == pytest.approx(at_origin.worst_margin,
-                                                 abs=1e-6)
+        assert rep.worst_margin == at_origin.worst_margin
+
+
+def _translation(phi: float, d: float, psi: float) -> np.ndarray:
+    """Rotate by psi at the origin, then translate d in direction phi.
+
+    `random_isometry` stops at 2 units; this reaches any distance.
+    """
+    def rot(a):
+        c, s = math.cos(a), math.sin(a)
+        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    ch, sh = math.cosh(d), math.sinh(d)
+    boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    return rot(phi) @ boost @ rot(-phi) @ rot(psi)
+
+
+# one constructor per kind, its two parameters read from a grid on
+# [0, 1]; the grid keeps two_ball_hull off tiny positive d, which it
+# cannot build (its start tangent is a difference of nearly equal feet)
+_KINDS = {
+    "sausage": lambda a, b: sausage(1.5 + 3.5 * a, 3.0 * b),
+    "ball": lambda a, b: ball(0.2 + 1.8 * a),
+    "hull2": lambda a, b: two_ball_hull(0.3 + 1.2 * a, 1.5 * b),
+    "qbody": lambda a, b: q_counterexample(2.0, 0.3 * a, 0.5 + b),
+    "random": lambda a, b: random_thick_body(1.5 + 1.5 * a, 12,
+                                             round(40 * b)),
+}
+_GRID = st.integers(0, 20).map(lambda i: i / 20.0)
+
+
+def _intrinsic(body: Body, lam: float) -> tuple:
+    spline = body.boundary
+    roll = rolls_freely(body, lam)
+    try:
+        rin = inradius(body)
+    except GeometryError as e:
+        rin = type(e)
+    return (spline.closure_residual(), body.measure,
+            spline.check_thickness(lam), spline.is_simple(),
+            roll.worst_margin, roll.ok, rin)
+
+
+@given(kind=st.sampled_from(sorted(_KINDS)),
+       a=_GRID, b=_GRID,
+       phi=st.floats(0.0, 2.0 * math.pi), d=st.floats(0.0, 10.0),
+       psi=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=40, deadline=None)
+def test_intrinsic_verdicts_do_not_depend_on_placement(kind, a, b, phi, d,
+                                                       psi):
+    # both bodies drop the constructor's meta, so a sausage takes the
+    # general inradius search on both sides rather than the closed form
+    # `_sausage_at_origin` keeps for the unmoved one
+    body = _KINDS[kind](a, b)
+    lam = body.thick_for or 2.0
+    home = Body(boundary=body.boundary, convex=body.convex)
+    moved = Body(boundary=ArcSpline(
+        apply_isometry_frame(_translation(phi, d, psi), body.boundary.start),
+        body.boundary.arcs), convex=body.convex)
+    assert _intrinsic(moved, lam) == _intrinsic(home, lam)
 
 
 def test_roll_report_json():

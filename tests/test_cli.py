@@ -254,29 +254,48 @@ def _boost_7_67() -> np.ndarray:
     return rot(0.7) @ boost @ rot(-0.7) @ rot(1.1)
 
 
-def test_far_placed_body_verifies_like_its_twin(capsys, tmp_path):
-    twin = sausage(2.0, 1.0)
+def _write_moved(twin: Body, g: np.ndarray, path: Path,
+                 stretch: float = 1.0) -> None:
+    """Write twin moved by g, its start tangent scaled by stretch."""
     obj = twin.to_json_dict()
-    m = _boost_7_67() @ twin.boundary.start.m
+    m = g @ twin.boundary.start.m
+    m[:, 1] *= stretch
     obj["boundary"]["start"] = {k: [float(v) for v in m[:, j]]
                                 for j, k in enumerate("ptn")}
-    moved, home = tmp_path / "moved.json", tmp_path / "home.json"
-    moved.write_text(dumps(obj) + "\n")
+    path.write_text(dumps(obj) + "\n")
+
+
+def test_far_placed_body_verifies_like_its_twin(capsys, tmp_path):
+    # every verdict reads the arcs walked from the origin frame, so
+    # neither the placement nor a start frame that loads with a defect
+    # (tangent norm off by 1e-6, within the bound 7.67 units out)
+    # reaches the report
+    twin = sausage(2.0, 1.0)
+    home = tmp_path / "home.json"
     home.write_text(dumps(twin.to_json_dict()) + "\n")
-    reports = []
-    for path in (moved, home):
-        report = tmp_path / "report.json"
-        code, _, err = run(capsys, "verify", str(path), "--out", str(report))
-        assert code != 3, err
-        reports.append({c["name"]: c for c in
-                        json.loads(report.read_text())["checks"]})
-    far, near = reports
-    for name in ("thickness[lam=2]", "deficit[steiner_consistent]",
-                 "deficit[as_printed]"):
-        assert far[name] == near[name]
-    for rho in ("0.1", "0.25", "0.4"):
-        name = f"steiner_offset[rho={rho}]"
-        assert far[name]["ok"] and near[name]["ok"]
+    for stretch in (1.0, 1.0 + 1e-6):
+        moved = tmp_path / "moved.json"
+        _write_moved(twin, _boost_7_67(), moved, stretch)
+        reports = []
+        for path in (moved, home):
+            report = tmp_path / f"{path.stem}.report.json"
+            code, _, err = run(capsys, "verify", str(path),
+                               "--out", str(report))
+            assert code == 0, err
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+
+def test_render_inscribed_ball_of_a_moved_long_sausage(capsys, tmp_path):
+    # the inradius search reads the chain walked from the origin frame;
+    # in placed coordinates no touching configuration fitted here
+    ch, sh = math.cosh(3.45), math.sinh(3.45)
+    g = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    body = tmp_path / "moved.json"
+    _write_moved(sausage(5.0, 3.0), g, body)
+    code, _, err = run(capsys, "render", str(body), "--inscribed-balls",
+                       "--out", str(tmp_path / "moved.svg"))
+    assert code == 0, err
 
 
 # --- optimize ---------------------------------------------------------------

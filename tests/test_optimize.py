@@ -138,8 +138,9 @@ def test_restore_returns_perturbed_sausage_to_the_manifold():
     x0 = np.clip(np.concatenate([kap, lon]) + 0.05 * rng.standard_normal(2 * n),
                  lb, ub)
     assert np.max(np.abs(closure_residual_vec(x0[:n], x0[n:]))) > 1e-3
-    x = _restore(x0, n, SAUSAGE_P, lb, ub)
-    assert x is not None
+    pt = _restore(x0, n, SAUSAGE_P, lb, ub)
+    assert pt is not None
+    x = pt.x
     assert np.all((lb <= x) & (x <= ub))
     assert x[n:].sum() == pytest.approx(SAUSAGE_P, abs=RESTORE_TOL)
     res, _, E = closure_jacobian(x[:n], x[n:])
@@ -238,7 +239,7 @@ def test_restore_matches_reference_loop_bit_for_bit():
             assert got is None
         else:
             outcomes["forward"] += 1
-            assert got is not None and got.tobytes() == ref[0].tobytes()
+            assert got is not None and got.x.tobytes() == ref[0].tobytes()
     assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, outcomes
 
 
