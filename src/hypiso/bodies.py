@@ -22,9 +22,9 @@ from .geom import (
     Frame,
     Point,
     apply_isometry_frame,
-    dist,
     exp_map,
     fermi_point,
+    lorentz_cross,
     minkowski,
     project_to_sheet,
 )
@@ -214,20 +214,22 @@ def two_ball_hull(r: float, d: float) -> Body:
     w = math.sqrt(1.0 + (sh / cd) ** 2)
     u = np.array([-sh / cd, 0.0, w])
     centers = [fermi_point(-d, 0.0), fermi_point(d, 0.0)]
-    feet = []
-    for c in centers:
-        f = (c.v - sh * u) / ch  # foot of the perpendicular from c
-        feet.append(Point.from_array(f))
-    seg = dist(feet[0], feet[1])
+    # feet of the perpendiculars from the centers
+    feet = [(c.v - sh * u) / ch for c in centers]
+    # centers and feet span a Saccheri quadrilateral with legs r and
+    # summit 2d, whose base is 2 asinh(sinh d / cosh r): exact for every
+    # d, where the distance between two nearly equal feet is not
+    seg = 2.0 * math.asinh(math.sinh(d) / ch)
     if seg <= 0.0:
         raise DegenerateBodyError("tangent points coincide")
-    sweep = _cap_sweep(centers[1], feet[1].v,
-                       "tangent foot on the wrong side")
+    sweep = _cap_sweep(centers[1], feet[1], "tangent foot on the wrong side")
     cap = Arc(ch / sh, sweep * sh)
     # start at the lower-left foot heading along the tangent geodesic
-    tv = feet[1].v + minkowski(feet[0].v, feet[1].v) * feet[0].v
-    tv = tv / math.sqrt(minkowski(tv, tv))
-    start = Frame.create(feet[0].v, tv)
+    # toward increasing s: its unit tangent there is normal to both the
+    # foot and u, and its x1 component is never zero
+    tv = lorentz_cross(u, feet[0])
+    tv = math.copysign(1.0 / math.sqrt(minkowski(tv, tv)), tv[1]) * tv
+    start = Frame.create(feet[0], tv)
     arcs = [Arc(0.0, seg), cap, Arc(0.0, seg), cap]
     return _make_body(start, arcs, convex=True,
                       meta={"kind": "two_ball_hull", "radius": r, "d": d,
@@ -252,39 +254,17 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
     h = math.atanh(ks)          # side's height below its base geodesic
     rc = math.atanh(1.0 / lam)  # cap radius
 
-    def cap_center(t0: float) -> Point:
-        g = _axis_boost(t0)
-        j = apply_isometry_frame(g, _fermi_frame(d, -h))
-        return exp_map(j.point, rc * j.n)
-
-    # pick the base height t0 so the right cap's center lands on the
-    # symmetry axis; the residual is monotone in t0
-    lo, hi = 0.0, 0.0
-    if cap_center(0.0).v[2] > 0.0:
-        lo = -0.1
-        while cap_center(lo).v[2] > 0.0:
-            lo *= 2.0
-            if lo < -50.0:
-                raise GeometryError("no closing height found")
-    else:
-        hi = 0.1
-        while cap_center(hi).v[2] < 0.0:
-            hi *= 2.0
-            if hi > 50.0:
-                raise GeometryError("no closing height found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cap_center(mid).v[2] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-16 * max(1.0, abs(lo)):
-            break
-    t0 = 0.5 * (lo + hi)
+    # base height t0 in closed form: `_axis_boost(t0)` moves the right
+    # cap's center c0, seen from the unboosted junction frame, onto the
+    # symmetry axis x2 = 0 where sinh(t0) c0[0] + cosh(t0) c0[2] = 0;
+    # |c0[2]| < c0[0] holds for every point of the hyperboloid
+    junction = _fermi_frame(d, -h)
+    c0 = exp_map(junction.point, rc * junction.n).v
+    t0 = -math.atanh(c0[2] / c0[0])
 
     g = _axis_boost(t0)
-    j = apply_isometry_frame(g, _fermi_frame(d, -h))
-    sweep = _cap_sweep(cap_center(t0), j.p,
+    j = apply_isometry_frame(g, junction)
+    sweep = _cap_sweep(exp_map(j.point, rc * j.n), j.p,
                        "junction on the wrong side of the axis")
 
     side = Arc(ks, 2.0 * d * math.cosh(h)) if ks > 0.0 else Arc(0.0, 2.0 * d)

@@ -124,8 +124,12 @@ class _Point(NamedTuple):
 
     c holds the perimeter constraint and then the three closure
     residuals; E is the chain product.  The transports, their kernel
-    coefficients and the prefix products are what `_jacobian` reuses,
-    so an accepted line-search trial needs no second chain product.
+    coefficients and the prefix products (a list of n + 1 matrices from
+    the identity) are what `_jacobian` reuses, so an accepted
+    line-search trial needs no second chain product.  Evaluated at a
+    stack of points, x of shape (m, 2n), every array but the leading
+    identity gains a leading axis of m; `row` takes one point out of
+    the stack.
     """
 
     x: np.ndarray
@@ -135,15 +139,28 @@ class _Point(NamedTuple):
     coeffs: ArcCoeffs
     prefix: list
 
+    def row(self, i: int) -> "_Point":
+        return _Point(self.x[i], self.c[i], self.E[i], self.mats[i],
+                      ArcCoeffs(*(f[i] for f in self.coeffs)),
+                      [_I3] + [p[i] for p in self.prefix[1:]])
+
 
 def _evaluate(x, n, perimeter) -> _Point:
-    kap, lon = x[:n], x[n:]
+    """The constraints at x, shape (2n,), or at a stack x of (m, 2n).
+
+    A stack runs the kernel once and the n prefix products as n
+    stacked 3x3 products; each row equals the evaluation of its point
+    alone byte for byte.
+    """
+    kap, lon = x[..., :n], x[..., n:]
     mats, coeffs = arc_transports(kap, lon)
     prefix = [_I3]
-    for A in mats:
+    for A in mats.swapaxes(0, -3):  # arc by arc, each over the stack
         prefix.append(prefix[-1] @ A)
     E = prefix[-1]
-    c = np.concatenate([[lon.sum() - perimeter], E[_RES_IDX]])
+    rows, cols = _RES_IDX
+    c = np.concatenate([lon.sum(axis=-1, keepdims=True) - perimeter,
+                        E[..., rows, cols]], axis=-1)
     return _Point(x, c, E, mats, coeffs, prefix)
 
 
@@ -200,19 +217,32 @@ def closure_jacobian(kappas, lengths):
 _BRANCH_NORM = 1e-2
 
 
+# the halvings t = 1/2 ... 1/512 of a rejected full Newton step
+_HALVINGS = 0.5 ** np.arange(1, 10)
+
+
+def _accepted(c, norm, t):
+    """The line-search test on the residual norm, per trial for stacks."""
+    return np.max(np.abs(c), axis=-1) <= norm * (1.0 - 0.2 * t)
+
+
 def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
     """Newton least-norm steps back onto the constraint manifold.
 
     Returns the accepted `_Point`, or None.  Variables pinned at the
     box have their columns dropped before the min-norm solve, otherwise
     clipping stalls the iteration; each step backtracks on the residual
-    norm.  The accepted trial's evaluation is the next step's starting
-    point, and the caller's next Jacobian.  A chain that closes on the
-    reversed branch (end tangent opposite the start, E[1, 1] < 0) is
-    rejected as soon as the residual norm is below 1e-2, instead of
-    after it has converged there: the three residuals then pin the
-    product near the rotation by pi, and the backtracking keeps the
-    norm falling.
+    norm.  The full step t = 1 is evaluated alone; when it is rejected,
+    the nine halvings t = 1/2 ... 1/512 are evaluated as one (9, 2n)
+    stack and the first of them, in order, that passes takes the step,
+    as a loop trying them one by one would.  The accepted trial's
+    evaluation, sliced out of the stack with its transports and prefix
+    products, is the next step's starting point and the caller's next
+    Jacobian.  A chain that closes on the reversed branch (end tangent
+    opposite the start, E[1, 1] < 0) is rejected as soon as the
+    residual norm is below 1e-2, instead of after it has converged
+    there: the three residuals then pin the product near the rotation
+    by pi, and the backtracking keeps the norm falling.
     """
     pt = _evaluate(x.copy(), n, perimeter)
     for _ in range(max_iter):
@@ -243,17 +273,15 @@ def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
             free &= ~clipped
             if not free.any():
                 return None
-        t = 1.0
-        improved = False
-        for _ in range(10):
-            trial = _evaluate(np.clip(x + t * delta, lb, ub), n, perimeter)
-            if np.max(np.abs(trial.c)) <= norm * (1.0 - 0.2 * t):
-                pt = trial
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
+        pt = _evaluate(np.clip(x + delta, lb, ub), n, perimeter)
+        if _accepted(pt.c, norm, 1.0):
+            continue
+        trials = _evaluate(np.clip(x + _HALVINGS[:, None] * delta, lb, ub),
+                           n, perimeter)
+        passed = np.flatnonzero(_accepted(trials.c, norm, _HALVINGS))
+        if not passed.size:
             return None
+        pt = trials.row(passed[0])
     return None
 
 

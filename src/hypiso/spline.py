@@ -25,9 +25,13 @@ entries are patched with the series.
 `arc_transports` builds the stacked (n, 3, 3) transports of a whole
 chain from one kernel call and keeps the coefficients, from which
 `arc_dkappa` builds their kappa-derivatives without a second call;
-`arc_matrices` returns either or both.  Everything else here reads
-from these: single-arc transport, frames along a chain, sampled points
-and frames, closure, simplicity.
+`arc_matrices` returns either or both.  `arc_transports` takes one
+chain or a stack of chains, (m, n) curvatures and lengths, whose
+(m, n, 3, 3) transports and coefficients equal m calls on the single
+chains byte for byte: every step is elementwise or one 3x3 product
+per arc.  Everything else here reads from these: single-arc
+transport, frames along a chain, sampled points and frames, closure,
+simplicity.
 
 One placement: a spline walks its arcs from the origin frame once
 (`ArcSpline.origin_frames`) and applies its start frame in one spot,
@@ -216,13 +220,15 @@ def arc_transports(kappas, lengths):
 
     The coefficients are what `arc_dkappa` needs, so a caller that may
     or may not want the kappa-derivatives later pays one kernel call.
+    kappas and lengths hold one chain, shape (n,), or a stack of
+    chains, shape (m, n); the transports are (..., n, 3, 3).
     """
     k = np.asarray(kappas, dtype=float)
     s = np.asarray(lengths, dtype=float)
     alpha, x, c0, c1, c2 = _kernel(k, s)
     m = frenet_matrix(k)
     m2 = m @ m
-    a = _I3 + c1[:, None, None] * m + c2[:, None, None] * m2
+    a = _I3 + c1[..., None, None] * m + c2[..., None, None] * m2
     return a, ArcCoeffs(k, s, alpha, x, c0, c1, c2, m, m2)
 
 

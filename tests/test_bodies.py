@@ -21,6 +21,7 @@ from hypiso.geom import (
 )
 from hypiso.optimize import random_thick_body
 from hypiso.spline import (
+    CLOSURE_TOL,
     Arc,
     ArcSpline,
     GeometryError,
@@ -31,7 +32,9 @@ from hypiso import bodies
 from hypiso.bodies import (
     CONTAIN_TOL,
     Body,
+    _axis_boost,
     _critical_params,
+    _fermi_frame,
     _sausage_at_origin,
     ball,
     boundary_proximity,
@@ -104,10 +107,24 @@ def test_hull_measures_and_tangency():
 
 
 def test_hull_degenerates_to_ball():
-    tiny = two_ball_hull(0.8, 1e-6)
-    want = ball_measures(0.8)
-    assert tiny.measure.area == pytest.approx(want.area, abs=1e-5)
-    assert tiny.measure.perimeter == pytest.approx(want.perimeter, abs=1e-5)
+    # the start foot and its mirror image in the x2 axis end a segment
+    hull = two_ball_hull(1.0, 0.5)
+    foot = hull.boundary.start.p
+    mirror = Point.from_array(foot * np.array([1.0, -1.0, 1.0]))
+    assert hull.meta["segment_length"] == pytest.approx(
+        dist(Point.from_array(foot), mirror), abs=2e-15)
+    # the segment and the start tangent are exact for every d > 0, so
+    # the hull builds and closes all the way down, and its measures
+    # approach the ball's linearly in d
+    for r in (0.8, 1.0):
+        want = ball_measures(r)
+        for d in (1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-12, 1e-20):
+            tiny = two_ball_hull(r, d)
+            assert tiny.boundary.closure_residual() < CLOSURE_TOL
+            assert tiny.measure.area == pytest.approx(
+                want.area, rel=1e-14, abs=10.0 * d)
+            assert tiny.measure.perimeter == pytest.approx(
+                want.perimeter, rel=1e-14, abs=10.0 * d)
 
 
 def test_q_counterexample_measures_and_thickness():
@@ -121,6 +138,39 @@ def test_q_counterexample_measures_and_thickness():
     q0 = q_counterexample(2.0, 0.0)
     want = sausage_measures(2.0, 1.0)
     assert q0.measure.area == pytest.approx(want.area, abs=1e-10)
+
+
+def _bisected_base_height(lam, eps, d):
+    """The base height by bisection on the height of the right cap's
+    center, and that height as a function of the base height."""
+    h = math.atanh(1.0 / lam - eps)
+    rc = math.atanh(1.0 / lam)
+
+    def center_height(t0):
+        j = apply_isometry_frame(_axis_boost(t0), _fermi_frame(d, -h))
+        return exp_map(j.point, rc * j.n).v[2]
+
+    lo, hi = -1.0, 1.0
+    assert center_height(lo) < 0.0 < center_height(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if center_height(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-16 * max(1.0, abs(lo)):
+            break
+    return 0.5 * (lo + hi), center_height
+
+
+def test_q_counterexample_base_height_is_closed_form():
+    for lam, eps, d in ((2.0, 0.1, 1.0), (1.5, 0.3, 1.0), (3.0, 0.05, 0.5),
+                        (2.5, 0.15, 2.0)):
+        t0 = q_counterexample(lam, eps, d).meta["base_height"]
+        want, center_height = _bisected_base_height(lam, eps, d)
+        assert t0 == pytest.approx(want, abs=5e-16)
+        # the right cap's center sits on the symmetry axis
+        assert abs(center_height(t0)) <= 1e-15
 
 
 # --- containment ------------------------------------------------------------
@@ -698,8 +748,7 @@ def _translation(phi: float, d: float, psi: float) -> np.ndarray:
 
 
 # one constructor per kind, its two parameters read from a grid on
-# [0, 1]; the grid keeps two_ball_hull off tiny positive d, which it
-# cannot build (its start tangent is a difference of nearly equal feet)
+# [0, 1]
 _KINDS = {
     "sausage": lambda a, b: sausage(1.5 + 3.5 * a, 3.0 * b),
     "ball": lambda a, b: ball(0.2 + 1.8 * a),

@@ -1,6 +1,7 @@
 """Shape optimizer: constraints, restoration, solve, random bodies."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,10 +209,32 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
     return None
 
 
-def test_restore_matches_reference_loop_bit_for_bit():
-    # draws as random_thick_body makes them, plus perturbed sausages
+def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
+    # draws as random_thick_body makes them, plus perturbed sausages.
+    # The reference's calls are traced, one letter each: a Newton step
+    # (J), or one where restoration may stop early on the reversed
+    # branch (R), each followed by its line-search trials (t).  Searches
+    # that accept at t <= 1/4 or reject all ten trials take the stacked
+    # halvings, so both must occur often on the stretch restoration
+    # shares with the reference, before any R.
+    trace = []
+
+    def traced(f, letter):
+        def wrapped(kappas, lengths):
+            out = f(kappas, lengths)
+            trace.append(letter(out))
+            return out
+        return wrapped
+
+    monkeypatch.setitem(globals(), "closure_jacobian", traced(
+        closure_jacobian,
+        lambda out: "R" if out[2][1, 1] < 0.0
+        and np.max(np.abs(out[0])) < 1e-2 else "J"))
+    monkeypatch.setitem(globals(), "closure_residual_vec", traced(
+        closure_residual_vec, lambda out: "t"))
     rng = np.random.default_rng(16)
     outcomes = {"forward": 0, "reversed": 0, "failed": 0}
+    searches = {"accepted at t <= 1/4": 0, "rejected all ten": 0}
     for i in range(200):
         lam = (1.5, 2.0, 3.0)[i % 3]
         n = 12
@@ -230,7 +253,16 @@ def test_restore_matches_reference_loop_bit_for_bit():
         ub = np.concatenate([np.full(n, lam), np.full(n, perim)])
         x0 = np.clip(x0, lb, ub)
         got = _restore(x0, n, perim, lb, ub)
+        trace.clear()
         ref = _reference_newton(x0, n, perim, lb, ub)
+        steps = re.findall("[JR]t*", "".join(trace))
+        for k, step in enumerate(steps):
+            if step[0] == "R":
+                break
+            if k < len(steps) - 1:
+                searches["accepted at t <= 1/4"] += len(step) >= 4
+            elif ref is None and len(step) == 11 and len(steps) < 60:
+                searches["rejected all ten"] += 1
         if ref is None:
             outcomes["failed"] += 1
             assert got is None
@@ -241,6 +273,7 @@ def test_restore_matches_reference_loop_bit_for_bit():
             outcomes["forward"] += 1
             assert got is not None and got.x.tobytes() == ref[0].tobytes()
     assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, outcomes
+    assert min(searches.values()) >= 10, searches
 
 
 def test_solve_small_instance_reaches_sausage():

@@ -21,6 +21,7 @@ from hypiso.spline import (
     arc_matrices,
     arc_matrix,
     arc_points,
+    arc_transports,
     area_polygonal,
     chain_closure_residual,
     frenet_matrix,
@@ -173,6 +174,26 @@ def test_arc_end_coefficients_match_a_long_row_bit_for_bit():
                 assert got[0].tobytes() == want[1].tobytes()
             for got, want in zip(_c12(k, row), full[1:]):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_arc_transports_of_a_stack_match_row_by_row_calls_bit_for_bit():
+    # restoration evaluates its line-search trials as one (m, n) stack
+    # and takes the Jacobian of the accepted row from its coefficients;
+    # each row must be what its chain gives alone.  Rows mix every
+    # regime in a different order and at lengths halved row by row, so
+    # arcs near kappa = 1 move into the series bands of the kernel and
+    # of the kappa-derivatives; kappa = 1 itself is in every row
+    rng = np.random.default_rng(18)
+    m = 9
+    kap = np.stack([rng.permutation(_MIXED_KAPPAS) for _ in range(m)])
+    lon = _MIXED_LENGTHS * 0.5 ** np.arange(m)[:, None]
+    mats, coeffs = arc_transports(kap, lon)
+    assert mats.shape == (m, len(_MIXED_KAPPAS), 3, 3)
+    for i in range(m):
+        row, row_coeffs = arc_transports(kap[i], lon[i])
+        assert mats[i].tobytes() == row.tobytes()
+        for got, want in zip(coeffs, row_coeffs):
+            assert got[i].tobytes() == want.tobytes()
 
 
 def test_arc_matrices_match_expm():
