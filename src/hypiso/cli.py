@@ -183,6 +183,8 @@ def cmd_verify(args) -> int:
     if lam is None:
         raise UsageError("no --lambda given and none stored in the body")
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise UsageError("thickness parameter must be finite")
     if lam <= 1.0:
         raise UsageError("thickness parameter must exceed 1")
     tol = _tolerance()
@@ -256,13 +258,12 @@ def cmd_optimize(args) -> int:
         raise UsageError("optimize needs --lambda")
     if (args.perimeter is None) == (args.d is None):
         raise UsageError("give exactly one of --perimeter or --d")
-    if args.d is not None:
-        if args.d < 0:
-            raise UsageError("--d must be nonnegative")
-        perimeter = sausage_measures(args.lam, args.d).perimeter
-    else:
-        perimeter = args.perimeter
+    if args.d is not None and args.d < 0:
+        raise UsageError("--d must be nonnegative")
     try:
+        perimeter = args.perimeter
+        if args.d is not None:
+            perimeter = sausage_measures(args.lam, args.d).perimeter
         problem = ShapeProblem(lam=args.lam, perimeter=perimeter,
                                n_arcs=args.n_arcs)
     except ValueError as e:

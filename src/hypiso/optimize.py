@@ -62,6 +62,10 @@ class ShapeProblem:
     n_arcs: int
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError("thickness parameter must be finite")
+        if not math.isfinite(self.perimeter):
+            raise ValueError("perimeter must be finite")
         if self.lam <= 1.0:
             raise ValueError("thickness parameter must exceed 1")
         if self.n_arcs < 4:
@@ -124,12 +128,14 @@ class _Point(NamedTuple):
 
     c holds the perimeter constraint and then the three closure
     residuals; E is the chain product.  The transports, their kernel
-    coefficients and the prefix products (a list of n + 1 matrices from
-    the identity) are what `_jacobian` reuses, so an accepted
-    line-search trial needs no second chain product.  Evaluated at a
-    stack of points, x of shape (m, 2n), every array but the leading
-    identity gains a leading axis of m; `row` takes one point out of
-    the stack.
+    coefficients and the prefix products are what `_jacobian` reuses,
+    so an accepted line-search trial needs no second chain product.
+    prefix is one (n + 1, 3, 3) array, the chain walked from the
+    identity (prefix[-1] is E), and an accepted body hands it and the
+    transports to its spline as the walk from the origin frame.
+    Evaluated at a stack of points, x of shape (m, 2n), every array
+    gains an axis of m, after the arc axis in prefix and before it
+    elsewhere; `row` takes one point out of the stack.
     """
 
     x: np.ndarray
@@ -137,27 +143,30 @@ class _Point(NamedTuple):
     E: np.ndarray
     mats: np.ndarray
     coeffs: ArcCoeffs
-    prefix: list
+    prefix: np.ndarray
 
     def row(self, i: int) -> "_Point":
         return _Point(self.x[i], self.c[i], self.E[i], self.mats[i],
                       ArcCoeffs(*(f[i] for f in self.coeffs)),
-                      [_I3] + [p[i] for p in self.prefix[1:]])
+                      self.prefix[:, i])
 
 
 def _evaluate(x, n, perimeter) -> _Point:
     """The constraints at x, shape (2n,), or at a stack x of (m, 2n).
 
-    A stack runs the kernel once and the n prefix products as n
-    stacked 3x3 products; each row equals the evaluation of its point
-    alone byte for byte.
+    The prefix products are written arc by arc into one preallocated
+    array, each a 3x3 product (stacked over the m points of a stack);
+    each row of a stack equals the evaluation of its point alone byte
+    for byte.
     """
     kap, lon = x[..., :n], x[..., n:]
     mats, coeffs = arc_transports(kap, lon)
-    prefix = [_I3]
-    for A in mats.swapaxes(0, -3):  # arc by arc, each over the stack
-        prefix.append(prefix[-1] @ A)
-    E = prefix[-1]
+    prefix = np.empty((n + 1,) + mats.shape[:-3] + (3, 3))
+    prefix[0] = _I3
+    # arc by arc, each over the stack
+    for before, A, after in zip(prefix, mats.swapaxes(0, -3), prefix[1:]):
+        np.matmul(before, A, out=after)
+    E = prefix[n]
     rows, cols = _RES_IDX
     c = np.concatenate([lon.sum(axis=-1, keepdims=True) - perimeter,
                         E[..., rows, cols]], axis=-1)
@@ -170,16 +179,17 @@ def _jacobian(pt: _Point) -> np.ndarray:
     Prefix and suffix chain products put each closure partial in one
     triple product with the per-arc derivative in the middle; all n
     triple products of a column block are computed as one stacked
-    product.
+    product.  The prefix products are the point's own; the suffix
+    products are written into one preallocated (n + 1, 3, 3) array.
     """
-    mats = pt.mats
+    mats, prefix = pt.mats, pt.prefix
     n = len(mats)
     dmats = arc_dkappa(pt.coeffs)
-    suffix = [_I3]
-    for A in mats[::-1]:
-        suffix.append(A @ suffix[-1])
-    prefix = np.array(pt.prefix)
-    suffix = np.array(suffix[::-1])
+    suffix = np.empty((n + 1, 3, 3))
+    suffix[n] = _I3
+    # suffix[i] = mats[i] @ suffix[i + 1], from the last arc back
+    for A, after, out in zip(mats[::-1], suffix[:0:-1], suffix[-2::-1]):
+        np.matmul(A, after, out=out)
     dK = prefix[:-1] @ dmats @ suffix[1:]
     # d/dlength of exp(s M) is exp(s M) M, applied inside the chain
     dL = prefix[1:] @ pt.coeffs.m @ suffix[1:]
@@ -192,9 +202,13 @@ def _jacobian(pt: _Point) -> np.ndarray:
 
 
 def _as_point(kappas, lengths) -> _Point:
-    return _evaluate(np.concatenate([np.asarray(kappas, dtype=float),
-                                     np.asarray(lengths, dtype=float)]),
-                     len(kappas), 0.0)
+    kap = np.asarray(kappas, dtype=float)
+    lon = np.asarray(lengths, dtype=float)
+    if kap.ndim != 1 or kap.shape != lon.shape:
+        raise ValueError(
+            f"need one length per curvature: {kap.shape} curvatures, "
+            f"{lon.shape} lengths")
+    return _evaluate(np.concatenate([kap, lon]), kap.size, 0.0)
 
 
 def closure_residual_vec(kappas, lengths) -> np.ndarray:
@@ -220,10 +234,13 @@ _BRANCH_NORM = 1e-2
 # the halvings t = 1/2 ... 1/512 of a rejected full Newton step
 _HALVINGS = 0.5 ** np.arange(1, 10)
 
+# ridge of the 4x4 Gram matrix of the min-norm Newton solve
+_RIDGE = 1e-13 * np.eye(4)
+
 
 def _accepted(c, norm, t):
     """The line-search test on the residual norm, per trial for stacks."""
-    return np.max(np.abs(c), axis=-1) <= norm * (1.0 - 0.2 * t)
+    return np.abs(c).max(axis=-1) <= norm * (1.0 - 0.2 * t)
 
 
 def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
@@ -232,52 +249,54 @@ def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
     Returns the accepted `_Point`, or None.  Variables pinned at the
     box have their columns dropped before the min-norm solve, otherwise
     clipping stalls the iteration; each step backtracks on the residual
-    norm.  The full step t = 1 is evaluated alone; when it is rejected,
-    the nine halvings t = 1/2 ... 1/512 are evaluated as one (9, 2n)
-    stack and the first of them, in order, that passes takes the step,
-    as a loop trying them one by one would.  The accepted trial's
-    evaluation, sliced out of the stack with its transports and prefix
-    products, is the next step's starting point and the caller's next
-    Jacobian.  A chain that closes on the reversed branch (end tangent
-    opposite the start, E[1, 1] < 0) is rejected as soon as the
-    residual norm is below 1e-2, instead of after it has converged
-    there: the three residuals then pin the product near the rotation
-    by pi, and the backtracking keeps the norm falling.
+    norm.  The full step t = 1, clipped to the box once, is evaluated
+    alone; when it is rejected, the nine halvings t = 1/2 ... 1/512 are
+    evaluated as one (9, 2n) stack and the first of them, in order,
+    that passes takes the step, as a loop trying them one by one
+    would.  The accepted trial's evaluation, sliced out of the stack
+    with its transports and prefix products, is the next step's
+    starting point and the caller's next Jacobian.  A chain that
+    closes on the reversed branch (end tangent opposite the start,
+    E[1, 1] < 0) is rejected as soon as the residual norm is below
+    1e-2, instead of after it has converged there: the three residuals
+    then pin the product near the rotation by pi, and the backtracking
+    keeps the norm falling.
     """
     pt = _evaluate(x.copy(), n, perimeter)
     for _ in range(max_iter):
         x, c, E = pt.x, pt.c, pt.E
-        norm = np.max(np.abs(c))
+        norm = np.abs(c).max()
         if norm <= tol:
             return pt if E[1, 1] > 0.0 else None
-        if not np.isfinite(norm) or norm > 1e8:
+        if not math.isfinite(norm) or norm > 1e8:
             return None
         if norm < _BRANCH_NORM and E[1, 1] < 0.0:
             return None
         J = _jacobian(pt)
         free = np.ones(x.size, dtype=bool)
-        delta = None
+        delta = stepped = None
         for _ in range(4):
             Jf = J[:, free]
-            gram = Jf @ Jf.T + 1e-13 * np.eye(4)
             try:
-                y = np.linalg.solve(gram, -c)
+                y = np.linalg.solve(Jf @ Jf.T + _RIDGE, -c)
             except np.linalg.LinAlgError:
                 return None
             delta = np.zeros_like(x)
             delta[free] = Jf.T @ y
-            stepped = np.clip(x + delta, lb, ub)
-            clipped = stepped != x + delta
+            step = x + delta
+            stepped = np.minimum(np.maximum(step, lb), ub)
+            clipped = stepped != step
             if not clipped.any():
                 break
             free &= ~clipped
             if not free.any():
                 return None
-        pt = _evaluate(np.clip(x + delta, lb, ub), n, perimeter)
+        pt = _evaluate(stepped, n, perimeter)
         if _accepted(pt.c, norm, 1.0):
             continue
-        trials = _evaluate(np.clip(x + _HALVINGS[:, None] * delta, lb, ub),
-                           n, perimeter)
+        trials = _evaluate(
+            np.minimum(np.maximum(x + _HALVINGS[:, None] * delta, lb), ub),
+            n, perimeter)
         passed = np.flatnonzero(_accepted(trials.c, norm, _HALVINGS))
         if not passed.size:
             return None
@@ -475,8 +494,13 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
     Draws curvatures and lengths, then closes the chain with the
     optimizer's restoration at the drawn perimeter.  Draws it cannot
     close, that close on the reversed branch or that self-intersect
-    are redrawn; deterministic per seed.
+    are redrawn; deterministic per seed.  The spline takes the accepted
+    point's transports and prefix products as its walk from the origin
+    frame, so its closure check and simplicity verdict read the chain
+    that restoration closed, without walking the arcs again.
     """
+    if not math.isfinite(lam):
+        raise ValueError("thickness parameter must be finite")
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
     if n_arcs < 4:
@@ -500,10 +524,9 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
         if np.any(lon <= 1e-6):
             continue
         try:
-            spline = ArcSpline(
-                ORIGIN_FRAME,
+            spline = ArcSpline._from_walk(
                 tuple(Arc(k, l) for k, l in zip(kap, lon)),
-                closure_tol=1e-8)
+                pt.mats, pt.prefix, closure_tol=1e-8)
         except (ValueError, GeometryError):
             continue
         if not spline.is_simple():

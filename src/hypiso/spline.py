@@ -38,6 +38,9 @@ One placement: a spline walks its arcs from the origin frame once
 `ArcSpline.frames`.  Every verdict (closure, simplicity, and rolling
 and inradius in `bodies`) reads the walk from the origin, so none
 depends on where the chain sits; point queries read the placed frames.
+A caller that has already walked the arcs (the random bodies, whose
+closing Newton ends on that walk) hands it over with
+`ArcSpline._from_walk` and the chain is not walked twice.
 
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
@@ -383,6 +386,9 @@ class ArcSpline:
         if len(self.arcs) == 0:
             raise ValueError("spline needs at least one arc")
         object.__setattr__(self, "arcs", tuple(self.arcs))
+        self._check_closure()
+
+    def _check_closure(self):
         if math.isfinite(self.closure_tol):
             res = self.closure_residual()
             if res > self.closure_tol:
@@ -394,6 +400,20 @@ class ArcSpline:
     def open_chain(start: Frame, arcs) -> "ArcSpline":
         """Construct without the closure check, for diagnostics only."""
         return ArcSpline(start, tuple(arcs), closure_tol=math.inf)
+
+    @staticmethod
+    def _from_walk(arcs, transports, origin_frames,
+                   closure_tol: float = CLOSURE_TOL) -> "ArcSpline":
+        """The spline of arcs from the origin frame, given the caller's
+        walk of them: their (n, 3, 3) transports and the (n + 1, 3, 3)
+        prefix products from I, as `_transports` and `origin_frames`
+        would compute them.  The closure check and every verdict then
+        read that walk instead of a second one."""
+        s = ArcSpline(ORIGIN_FRAME, tuple(arcs), closure_tol=math.inf)
+        s.__dict__.update(_transports=transports, origin_frames=origin_frames)
+        object.__setattr__(s, "closure_tol", closure_tol)
+        s._check_closure()
+        return s
 
     @cached_property
     def _transports(self) -> np.ndarray:

@@ -329,6 +329,33 @@ def test_optimize_infeasible_perimeter_exits_2(capsys):
     assert "floor" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "random", "--lambda", "nan", "--seed", "1"),
+    ("construct", "random", "--lambda", "inf", "--seed", "1"),
+    ("optimize", "--lambda", "nan", "--perimeter", "10"),
+    ("optimize", "--lambda", "inf", "--d", "1"),
+    ("optimize", "--lambda", "2", "--perimeter", "nan"),
+    ("optimize", "--lambda", "2", "--perimeter", "inf"),
+])
+def test_non_finite_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_verify_rejects_non_finite_lambda(capsys, tmp_path, lam):
+    body = tmp_path / "s.json"
+    run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",
+        "--out", str(body))
+    code, out, err = run(capsys, "verify", str(body), "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err == "error: thickness parameter must be finite\n"
+
+
 # --- render -----------------------------------------------------------------
 
 def test_render_outputs_stable_svg(capsys, tmp_path):

@@ -17,9 +17,20 @@ from hypiso.optimize import (
     perimeter_to_d,
     random_thick_body,
     solve,
+    _HALVINGS,
+    _evaluate,
+    _jacobian,
     _restore,
 )
-from hypiso.spline import GeometryError, arc_matrices, arc_matrix, frenet_matrix
+from hypiso import optimize
+from hypiso.geom import ORIGIN_FRAME
+from hypiso.spline import (
+    ArcSpline,
+    GeometryError,
+    arc_matrices,
+    arc_matrix,
+    frenet_matrix,
+)
 from hypiso.steiner import sausage_measures
 
 SAUSAGE_P = 8.2464008819854406  # perimeter of sausage(2, 1)
@@ -60,11 +71,25 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         # below the lam-ball circumference no thick body exists
         ShapeProblem(2.0, 3.0, 16)
+    for lam, perimeter in ((math.nan, 10.0), (math.inf, 10.0),
+                           (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            ShapeProblem(lam, perimeter, 16)
 
 
 def test_closure_residual_zero_on_sausage():
     kap, lon = _sausage_x(2.0, 1.0)
     assert np.max(np.abs(closure_residual_vec(kap, lon))) < 1e-12
+
+
+def test_closure_functions_reject_mismatched_sizes():
+    # one length would otherwise broadcast over both arcs
+    for kappas, lengths in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
+                            ([[1.0, 2.0]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="one length per curvature"):
+            closure_residual_vec(kappas, lengths)
+        with pytest.raises(ValueError, match="one length per curvature"):
+            closure_jacobian(kappas, lengths)
 
 
 def test_closure_jacobian_matches_finite_differences():
@@ -276,6 +301,35 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
     assert min(searches.values()) >= 10, searches
 
 
+def test_point_row_matches_single_evaluation_bit_for_bit():
+    # restoration takes an accepted halving out of its (9, 2n) stack
+    # with `row`; every field must be what the point gives alone,
+    # including the prefix stack that the next Jacobian and the body's
+    # spline read
+    rng = np.random.default_rng(19)
+    n, lam = 12, 3.0
+    kap = rng.uniform(1.0 / lam, lam, size=n)
+    lon = rng.uniform(0.5, 1.5, size=n)
+    perim = float(lon.sum())
+    lb = np.concatenate([np.full(n, 1.0 / lam), np.zeros(n)])
+    ub = np.concatenate([np.full(n, lam), np.full(n, perim)])
+    x = np.concatenate([kap, lon])
+    delta = 3.0 * rng.standard_normal(2 * n)
+    stack = np.clip(x + _HALVINGS[:, None] * delta, lb, ub)
+    assert (stack == lb).any() and (stack == ub).any()  # some clipped
+    pts = _evaluate(stack, n, perim)
+    assert pts.prefix.shape == (n + 1, len(_HALVINGS), 3, 3)
+    for i in range(len(_HALVINGS)):
+        got, want = pts.row(i), _evaluate(stack[i], n, perim)
+        assert want.prefix.shape == (n + 1, 3, 3)
+        for name in ("x", "c", "E", "mats", "prefix"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        for field, g, w in zip(want.coeffs._fields, got.coeffs, want.coeffs):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+        assert _jacobian(got).tobytes() == _jacobian(want).tobytes()
+
+
 def test_solve_small_instance_reaches_sausage():
     # short run: the round start alone lands on the sausage optimum
     problem = ShapeProblem(2.0, SAUSAGE_P, 8)
@@ -338,3 +392,41 @@ def test_random_thick_body_rejects_bad_args():
         random_thick_body(1.0, 12, seed=0)
     with pytest.raises(ValueError):
         random_thick_body(2.0, 3, seed=0)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            random_thick_body(lam, 12, seed=0)
+
+
+def test_random_thick_body_spline_is_the_restored_walk():
+    # the body's spline takes the transports and prefix products of the
+    # accepted restoration point instead of walking its arcs again; it
+    # must be the spline the arcs give when built fresh
+    for lam in (1.5, 2.0, 3.0):
+        for seed in range(1, 51):
+            got = random_thick_body(lam, 12, seed).boundary
+            fresh = ArcSpline(ORIGIN_FRAME, got.arcs, closure_tol=1e-8)
+            assert got.origin_frames.shape == fresh.origin_frames.shape
+            assert got.origin_frames.tobytes() == fresh.origin_frames.tobytes()
+            assert got.closure_residual() == fresh.closure_residual()
+            assert got.is_simple() == fresh.is_simple()
+            assert got.closure_tol == fresh.closure_tol == 1e-8
+
+
+def test_random_thick_body_checks_closure_of_the_walk_it_is_given(
+        monkeypatch):
+    # a restored point whose lengths are nudged by 1e-6 after the fact
+    # is evaluated consistently but leaves the chain open: the spline's
+    # 1e-8 closure check reads that walk and rejects every draw
+    restore = optimize._restore
+
+    def nudged(x, n, perimeter, lb, ub):
+        pt = restore(x, n, perimeter, lb, ub)
+        if pt is None:
+            return None
+        xn = pt.x.copy()
+        xn[n:] += 1e-6
+        return _evaluate(xn, n, perimeter)
+
+    monkeypatch.setattr(optimize, "_restore", nudged)
+    with pytest.raises(GeometryError, match="no simple thick body"):
+        random_thick_body(2.0, 12, seed=7)
