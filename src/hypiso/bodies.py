@@ -37,6 +37,7 @@ from .spline import (
     _arc_normals,
     _c12,
     _sample_chain,
+    _support_vectors,
     arc_frames_batch,
 )
 from .steiner import BodyMeasure
@@ -446,7 +447,7 @@ def _touch_candidates(arcs, mats):
     mats[:-1] are the arcs' start frames, as in `ArcSpline.origin_frames`.
 
     Arc i with start frame (p, t, n) and curvature k has the constant
-    vector w = k p + n, because n' = -k t along it.  A point at inward
+    vector w = k p + n of `_support_vectors`.  A point at inward
     distance r from the arc's supporting curve satisfies
     <c, w> = psi(r) = sinh r - k cosh r.  The candidates are, in order:
     the center w / sqrt(k^2 - 1) of each circle arc (k > 1, radius
@@ -460,8 +461,7 @@ def _touch_candidates(arcs, mats):
     upper sheet are dropped.
     """
     kap = np.array([a.kappa for a in arcs])
-    F = mats[:-1]
-    W = kap[:, None] * F[:, :, 0] + F[:, :, 2]
+    W = _support_vectors(kap, mats[:-1])
 
     circ = kap > 1.0
     centers = [W[circ] / np.sqrt(kap[circ] ** 2 - 1.0)[:, None]]

@@ -2,7 +2,9 @@
 
 Both views are conformal, so every constant-curvature arc maps to a
 Euclidean circular arc or segment and can be emitted as a native SVG
-arc command with no flattening.
+arc command with no flattening.  This module owns that view geometry
+(`DiskArc`, `arc_through_points`); every verdict of the library runs
+on the hyperboloid and knows nothing of the views.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .bodies import Body, _sausage_at_origin, inscribed_ball, rolls_freely
 from .geom import (
     CurveKind,
+    Frame,
     Point,
     classify_curvature,
     disk_to_uhp,
@@ -22,7 +25,7 @@ from .geom import (
     to_disk,
     to_uhp,
 )
-from .spline import Arc, DiskArc, arc_points, arc_through_points
+from .spline import Arc, arc_points
 
 _MODELS = ("disk", "uhp")
 
@@ -90,18 +93,76 @@ def ball_view_circle(center_z: complex, r: float) -> tuple[complex, float]:
 # ---------------------------------------------------------------------------
 # view-space geometry
 
-def _uhp_view_arc(f, a: Arc) -> DiskArc:
+@dataclass(frozen=True)
+class DiskArc:
+    """Euclidean image of one arc in a conformal view."""
+
+    z0: complex
+    z1: complex
+    center: complex | None  # None for a straight chord
+    radius: float = 0.0
+    a0: float = 0.0          # angle of z0 seen from center
+    sweep: float = 0.0       # signed; z1 sits at a0 + sweep
+
+    @property
+    def is_segment(self) -> bool:
+        return self.center is None
+
+
+def arc_through_points(z0: complex, za: complex, zb: complex,
+                       z1: complex) -> DiskArc:
+    """Euclidean arc from z0 to z1 through the interior points za, zb.
+
+    Conformal views send constant-curvature arcs to Euclidean circles
+    or segments, so the circumcircle through exact samples is the exact
+    image; za and zb must sit at the interior thirds so a full loop
+    (z1 back at z0) still determines the circle and orientation.
+    """
+    d = 2.0 * (z0.real * (za.imag - zb.imag)
+               + za.real * (zb.imag - z0.imag)
+               + zb.real * (z0.imag - za.imag))
+    spread = max(abs(z0 - za), abs(za - zb), abs(z0 - zb))
+    if abs(d) <= 1e-14 * spread * spread or spread == 0.0:
+        return DiskArc(z0=z0, z1=z1, center=None)
+    s0, sa, sb = abs(z0) ** 2, abs(za) ** 2, abs(zb) ** 2
+    ux = (s0 * (za.imag - zb.imag) + sa * (zb.imag - z0.imag)
+          + sb * (z0.imag - za.imag)) / d
+    uy = (s0 * (zb.real - za.real) + sa * (z0.real - zb.real)
+          + sb * (za.real - z0.real)) / d
+    c = complex(ux, uy)
+    r = abs(z0 - c)
+    if r > 1e8:
+        return DiskArc(z0=z0, z1=z1, center=None)
+    a0 = math.atan2((z0 - c).imag, (z0 - c).real)
+    a1 = math.atan2((z1 - c).imag, (z1 - c).real)
+    if abs(z1 - z0) < 1e-12 * max(1.0, r):
+        # full loop; orientation from the one-third point
+        aq = math.atan2((za - c).imag, (za - c).real)
+        sweep = 2.0 * math.pi if (aq - a0) % (2.0 * math.pi) <= math.pi \
+            else -2.0 * math.pi
+    else:
+        fwd = (a1 - a0) % (2.0 * math.pi)
+        am = math.atan2((za - c).imag, (za - c).real)
+        mid = (am - a0) % (2.0 * math.pi)
+        sweep = fwd if mid <= fwd else fwd - 2.0 * math.pi
+    return DiskArc(z0=z0, z1=z1, center=c, radius=r, a0=a0, sweep=sweep)
+
+
+def _view_arc(f: Frame, a: Arc, to_view) -> DiskArc:
+    """The image of an arc from frame f under to_view (`to_disk` or
+    `to_uhp`), from its ends and interior thirds: distinct even when
+    the arc is a full loop whose end returns to its start."""
     ts = np.array([0.0, 1.0, 2.0, 3.0]) / 3.0 * a.length
-    z0, za, zb, z1 = (to_uhp(Point.from_array(p, validate=False))
+    z0, za, zb, z1 = (to_view(Point.from_array(p, validate=False))
                       for p in arc_points(f, a.kappa, ts))
     return arc_through_points(z0, za, zb, z1)
 
 
 def _view_arcs(body: Body, model: str) -> list[DiskArc]:
-    if model == "disk":
-        return list(body.boundary.disk_arcs)
+    """The images of a body's boundary arcs in the disk or uhp view."""
+    to_view = to_disk if model == "disk" else to_uhp
     sp = body.boundary
-    return [_uhp_view_arc(f, a) for f, a in zip(sp.frames, sp.arcs)]
+    return [_view_arc(f, a, to_view) for f, a in zip(sp.frames, sp.arcs)]
 
 
 def _circle_as_view_arc(center_z: complex, radius: float,
@@ -214,7 +275,8 @@ def _extension_elements(body: Body, arcs: list[DiskArc], view: _View,
     out = []
     style = _style(spec.extension_color, spec.overlay_width, "6,5")
     for a, va in zip(body.boundary.arcs, arcs):
-        if classify_curvature(a.kappa).kind is not CurveKind.HYPERCIRCLE:
+        # a concave hypercircle arc extends along the same equidistant
+        if classify_curvature(abs(a.kappa)).kind is not CurveKind.HYPERCIRCLE:
             continue
         if va.is_segment:
             ext = va.z1 - va.z0

@@ -42,6 +42,12 @@ A caller that has already walked the arcs (the random bodies, whose
 closing Newton ends on that walk) hands it over with
 `ArcSpline._from_walk` and the chain is not walked twice.
 
+Simplicity is decided on the hyperboloid as well: a chain whose arcs
+all have kappa >= 0 by its Klein-model rotation index, any other by
+solving every pair of arcs for their common points in closed form
+(`_chain_crosses`).  No verdict here uses the Poincare disk or the
+half-plane; those views live in `render`.
+
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
 """
@@ -58,13 +64,10 @@ import numpy as np
 from .geom import (
     Frame,
     ORIGIN_FRAME,
-    Point,
-    dist,
     lorentz_cross,
     minkowski,
     parallel_transport,
     project_to_sheet,
-    to_disk,
 )
 
 CLOSURE_TOL = 1e-9
@@ -497,26 +500,21 @@ class ArcSpline:
         return self.sample_frames(n)[0]
 
     @cached_property
-    def disk_arcs(self) -> tuple:
-        """Disk-view images of the placed arcs, for rendering."""
-        return tuple(_disk_arc(self.frames[i], a) for i, a in enumerate(self.arcs))
-
-    @cached_property
     def _simple(self) -> bool:
         if any(_winds_past_full_turn(a) for a in self.arcs):
             return False
         if all(a.kappa >= 0.0 for a in self.arcs):
             return _klein_rotation_index(self.arcs, self.origin_frames) == 1
-        return _chain_is_simple(tuple(
-            _disk_arc(Frame(m), a)
-            for m, a in zip(self.origin_frames, self.arcs)))
+        return not _chain_crosses(self.arcs, self.origin_frames)
 
     def is_simple(self) -> bool:
         """Whether the closed chain does not cross itself (cached).
 
-        A chain that never turns right is exactly simple when its
-        Klein-model tangent turns once; any other chain takes the
-        pairwise disk-view sweep.
+        No arc may run more than once round its circle.  A chain that
+        never turns right is then exactly simple when its Klein-model
+        tangent turns once, in O(n).  A chain with a concave arc is
+        simple when no two arcs meet off their shared joints, which
+        `_chain_crosses` solves in closed form for all pairs at once.
         """
         return self._simple
 
@@ -646,166 +644,6 @@ def _klein_rotation_index(arcs, origin_frames) -> int:
     return round(total / (2.0 * math.pi))
 
 
-# ── disk-view arc geometry ────────────────────────────────────────────────
-# Every constant-curvature arc maps to a Euclidean circular arc or a
-# straight chord in the Poincare disk, so planar predicates are exact
-# there.  Rendering draws these arcs; the pairwise self-intersection
-# sweep serves only chains with a concave arc, since the Klein
-# rotation index above decides the rest.
-
-@dataclass(frozen=True)
-class DiskArc:
-    """Euclidean image of one arc in the disk view."""
-
-    z0: complex
-    z1: complex
-    center: complex | None  # None for a straight chord
-    radius: float = 0.0
-    a0: float = 0.0          # angle of z0 seen from center
-    sweep: float = 0.0       # signed; z1 sits at a0 + sweep
-
-    @property
-    def is_segment(self) -> bool:
-        return self.center is None
-
-
-def _disk_arc(f: Frame, a: Arc) -> DiskArc:
-    # circumcircle through interior thirds: distinct even when the arc
-    # is a full loop whose endpoint returns to the start
-    z0 = to_disk(f.point)
-    za, zb, z1 = (to_disk(Point.from_array(p, validate=False))
-                  for p in arc_points(f, a.kappa,
-                                      np.array([1.0, 2.0, 3.0]) / 3.0
-                                      * a.length))
-    return arc_through_points(z0, za, zb, z1)
-
-
-def arc_through_points(z0: complex, za: complex, zb: complex,
-                       z1: complex) -> DiskArc:
-    """Euclidean arc from z0 to z1 through the interior points za, zb.
-
-    Conformal views send constant-curvature arcs to Euclidean circles
-    or segments, so the circumcircle through exact samples is the exact
-    image; za and zb must sit at the interior thirds so a full loop
-    (z1 back at z0) still determines the circle and orientation.
-    """
-    d = 2.0 * (z0.real * (za.imag - zb.imag)
-               + za.real * (zb.imag - z0.imag)
-               + zb.real * (z0.imag - za.imag))
-    spread = max(abs(z0 - za), abs(za - zb), abs(z0 - zb))
-    if abs(d) <= 1e-14 * spread * spread or spread == 0.0:
-        return DiskArc(z0=z0, z1=z1, center=None)
-    s0, sa, sb = abs(z0) ** 2, abs(za) ** 2, abs(zb) ** 2
-    ux = (s0 * (za.imag - zb.imag) + sa * (zb.imag - z0.imag)
-          + sb * (z0.imag - za.imag)) / d
-    uy = (s0 * (zb.real - za.real) + sa * (z0.real - zb.real)
-          + sb * (za.real - z0.real)) / d
-    c = complex(ux, uy)
-    r = abs(z0 - c)
-    if r > 1e8:
-        return DiskArc(z0=z0, z1=z1, center=None)
-    a0 = math.atan2((z0 - c).imag, (z0 - c).real)
-    a1 = math.atan2((z1 - c).imag, (z1 - c).real)
-    if abs(z1 - z0) < 1e-12 * max(1.0, r):
-        # full loop; orientation from the one-third point
-        aq = math.atan2((za - c).imag, (za - c).real)
-        sweep = 2.0 * math.pi if (aq - a0) % (2.0 * math.pi) <= math.pi \
-            else -2.0 * math.pi
-    else:
-        fwd = (a1 - a0) % (2.0 * math.pi)
-        am = math.atan2((za - c).imag, (za - c).real)
-        mid = (am - a0) % (2.0 * math.pi)
-        sweep = fwd if mid <= fwd else fwd - 2.0 * math.pi
-    return DiskArc(z0=z0, z1=z1, center=c, radius=r, a0=a0, sweep=sweep)
-
-
-def _on_span(arc: DiskArc, angle: float, pad: float = 1e-12) -> bool:
-    u = ((angle - arc.a0) * math.copysign(1.0, arc.sweep)) % (2.0 * math.pi)
-    if u > math.pi * 2.0 - pad:
-        u = 0.0
-    return u <= abs(arc.sweep) + pad
-
-
-def _arc_point_angle(arc: DiskArc, z: complex) -> float:
-    return math.atan2((z - arc.center).imag, (z - arc.center).real)
-
-
-def _circle_circle(c1, r1, c2, r2):
-    d = abs(c2 - c1)
-    if d < 1e-15:
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    if h2 < -1e-20:
-        return []
-    h = math.sqrt(max(h2, 0.0))
-    u = (c2 - c1) / d
-    base = c1 + a * u
-    v = complex(-u.imag, u.real)
-    if h < 1e-15:
-        return [base]
-    return [base + h * v, base - h * v]
-
-
-def _circle_segment(c, r, p, q):
-    d = q - p
-    L2 = abs(d) ** 2
-    if L2 < 1e-30:
-        return []
-    f = p - c
-    b = 2.0 * (f.real * d.real + f.imag * d.imag)
-    cc = abs(f) ** 2 - r * r
-    disc = b * b - 4.0 * L2 * cc
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    out = []
-    for t in ((-b - sq) / (2.0 * L2), (-b + sq) / (2.0 * L2)):
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            out.append(p + t * d)
-    return out
-
-
-def _segment_segment(p1, q1, p2, q2):
-    d1 = q1 - p1
-    d2 = q2 - p2
-    denom = d1.real * d2.imag - d1.imag * d2.real
-    if abs(denom) < 1e-18:
-        return []
-    dp = p2 - p1
-    t = (dp.real * d2.imag - dp.imag * d2.real) / denom
-    u = (dp.real * d1.imag - dp.imag * d1.real) / denom
-    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-        return [p1 + t * d1]
-    return []
-
-
-def _pair_intersections(a: DiskArc, b: DiskArc):
-    """Intersection points of two disk arcs (span-checked)."""
-    if a.is_segment and b.is_segment:
-        return _segment_segment(a.z0, a.z1, b.z0, b.z1)
-    if a.is_segment or b.is_segment:
-        seg, arc = (a, b) if a.is_segment else (b, a)
-        pts = _circle_segment(arc.center, arc.radius, seg.z0, seg.z1)
-        return [z for z in pts if _on_span(arc, _arc_point_angle(arc, z))]
-    if (abs(a.center - b.center) < 1e-12
-            and abs(a.radius - b.radius) < 1e-12):
-        # same supporting circle: overlap beyond a point means non-simple
-        for frac in (0.25, 0.5, 0.75):
-            ang = a.a0 + a.sweep * frac
-            if _on_span(b, ang, pad=1e-9):
-                return [a.center + a.radius * complex(math.cos(ang),
-                                                      math.sin(ang))]
-        return []
-    pts = _circle_circle(a.center, a.radius, b.center, b.radius)
-    out = []
-    for z in pts:
-        if _on_span(a, _arc_point_angle(a, z)) and \
-                _on_span(b, _arc_point_angle(b, z)):
-            out.append(z)
-    return out
-
-
 # relative slack on one full turn, so a ball's single closing arc (one
 # turn up to rounding) stays simple
 _TURN_TOL = 1e-9
@@ -814,8 +652,8 @@ _TURN_TOL = 1e-9
 def _winds_past_full_turn(a: Arc) -> bool:
     """Exact test: a circular arc running more than once round its circle.
 
-    Its disk image folds the sweep mod 2 pi, so the pairwise crossing
-    test below cannot see the overlap with itself.  A circle of
+    The pair solver below reads a circle arc's parameter within one
+    turn, so it cannot see an arc overlap itself.  A circle of
     curvature |kappa| > 1 has radius arccoth |kappa|, and the arc turns
     length / sinh(radius) radians about its center.
     """
@@ -826,20 +664,116 @@ def _winds_past_full_turn(a: Arc) -> bool:
     return turning > 2.0 * math.pi * (1.0 + _TURN_TOL)
 
 
-def _chain_is_simple(disk_arcs, join_tol: float = 1e-9) -> bool:
-    n = len(disk_arcs)
-    if n == 1:
+# ── crossings of chains with a concave arc ────────────────────────────────
+# Every arc lies on the conic <x, x> = -1, <x, w> = -kappa of its
+# constant vector w (`_support_vectors`), so two arcs on distinct curves
+# meet in at most two points, in closed form.
+
+# The one tolerance of the pair solver, relative: a point counts as on
+# an arc when its parameter lies within this fraction of the arc's
+# length of the arc, and two arcs lie on parallel planes, or on one
+# curve, when their w, or their (w, kappa) up to sign, agree to this
+# fraction of their size.  Points that coincide exactly (the ends of a
+# chain traversed twice) read parameters about 1e-15 apart, while on
+# every simple eroded two-ball hull, q body and sausage in the tests the
+# nearest crossing of two curves lies at least 3e-5 of an arc length
+# outside the arcs.
+_PAIR_TOL = 1e-9
+
+
+def _support_vectors(kappas, frames) -> np.ndarray:
+    """w = kappa p + n of each arc, from its start frame (p, t, n).
+
+    w is constant along the arc, because n' = -kappa t, and the arc's
+    whole curve is the conic <x, x> = -1, <x, w> = -kappa.
+    """
+    return kappas[:, None] * frames[:, :, 0] + frames[:, :, 2]
+
+
+def _on_arcs(kappas, lengths, frames, x) -> np.ndarray:
+    """Whether each point x on an arc's curve lies on the arc itself.
+
+    The parameter is read in the arc's own frame F: F^-1 x =
+    (1 + c2, c1, kappa c2), the coefficients of `arc_points`, so
+    c1 = <t, x> and c2 = -<p, x> - 1.  With w = sqrt|1 - kappa^2| the
+    arclength is atan2(w c1, 1 - w^2 c2) / w on a circle, taken modulo
+    one turn, asinh(w c1) / w on a hypercircle or geodesic, and c1 on
+    a horocycle.
+    """
+    c1 = minkowski(frames[:, :, 1], x)
+    c2 = -minkowski(frames[:, :, 0], x) - 1.0
+    alpha = 1.0 - kappas * kappas
+    w = np.sqrt(np.abs(alpha))
+    tol = _PAIR_TOL * lengths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turn = np.arctan2(w * c1, 1.0 + alpha * c2) / w
+        turn = np.where(turn < -tol, turn + 2.0 * math.pi / w, turn)
+        s = np.where(alpha < 0.0, turn,
+                     np.where(w > 0.0, np.arcsinh(w * c1) / w, c1))
+    return (s >= -tol) & (s <= lengths + tol)
+
+
+def _chain_crosses(arcs, origin_frames) -> bool:
+    """Whether two arcs of a closed chain meet off their shared joints.
+
+    All pairs are solved in one batch on `ArcSpline.origin_frames`.
+    Arcs i and j on distinct curves meet at x = a w_i + b w_j + t m,
+    where m is the Lorentz cross of w_i and w_j, G (a, b) =
+    (-kappa_i, -kappa_j) with G the Gram matrix of w_i and w_j, and
+    t^2 comes from <x, x> = -1; a root counts on the upper sheet and
+    on both arcs.  Adjacent arcs on distinct curves are tangent at
+    their joint, so their planes meet in the tangent line there, which
+    touches the hyperboloid at the joint alone: they need no solve.
+    Parallel w on distinct curves (concentric circles, equidistants of
+    one geodesic) never meet.  Arcs of one curve, (w_j, kappa_j) =
+    +-(w_i, kappa_i), meet when an end of one lies on the other, the
+    shared joints left out, or when they lie on one circle and run
+    more than a full turn together.
+    """
+    n = len(arcs)
+    k = np.array([a.kappa for a in arcs])
+    L = np.array([a.length for a in arcs])
+    F = origin_frames[:-1]
+    W = _support_vectors(k, F)
+    i, j = np.triu_indices(n, 1)
+    after = j == i + 1                # the end of i is the start of j
+    before = (i == 0) & (j == n - 1)  # the end of j is the start of i
+    m = lorentz_cross(W[i], W[j])
+    w_size = np.linalg.norm(W, axis=1)
+    parallel = (np.linalg.norm(m, axis=1)
+                <= _PAIR_TOL * w_size[i] * w_size[j])
+    V = np.column_stack([W, k])
+    v_size = np.linalg.norm(V, axis=1)
+    gap = np.minimum(np.linalg.norm(V[i] - V[j], axis=1),
+                     np.linalg.norm(V[i] + V[j], axis=1))
+    same = parallel & (gap <= _PAIR_TOL * np.maximum(v_size[i], v_size[j]))
+
+    # distinct curves, neither parallel nor adjacent: both roots of each
+    # pair, each read on both arcs
+    cut = ~parallel & ~after & ~before
+    a, b, m = i[cut], j[cut], m[cut]
+    wa, wb = W[a], W[b]
+    gab = minkowski(wa, wb)
+    det = -minkowski(m, m)  # the Gram determinant, without cancellation
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = (((gab * k[b] - minkowski(wb, wb) * k[a]) / det)[:, None] * wa
+              + ((gab * k[a] - minkowski(wa, wa) * k[b]) / det)[:, None] * wb)
+        t = np.sqrt((1.0 + minkowski(x0, x0)) / det)[:, None]
+    x = np.concatenate([x0 + t * m, x0 - t * m])
+    arc = np.concatenate([a, a, b, b])
+    on = _on_arcs(k[arc], L[arc], F[arc], np.concatenate([x, x]))
+    if np.any((x[:, 0] > 0.0) & on.reshape(2, -1).all(axis=0)):
         return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = disk_arcs[i], disk_arcs[j]
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            pts = _pair_intersections(a, b)
-            if not adjacent and pts:
-                return False
-            if adjacent:
-                shared = a.z1 if j == i + 1 else a.z0
-                for z in pts:
-                    if abs(z - shared) > join_tol:
-                        return False
-    return True
+
+    # arcs of one curve: a non-shared end of one on the other
+    a, b = i[same], j[same]
+    arc = np.concatenate([a, a, b, b])
+    end = np.concatenate([b, b + 1, a, a + 1])
+    shared = np.concatenate([after[same], before[same],
+                             before[same], after[same]])
+    if np.any(_on_arcs(k[arc], L[arc], F[arc], origin_frames[end, :, 0])
+              & ~shared):
+        return True
+    with np.errstate(divide="ignore"):  # no turn off circles: inf
+        one_turn = 2.0 * math.pi / np.sqrt(np.maximum(k[a] * k[a] - 1.0, 0.0))
+    return bool(np.any(L[a] + L[b] > one_turn * (1.0 + _PAIR_TOL)))

@@ -20,6 +20,7 @@ from hypiso.geom import (
     to_disk,
 )
 from hypiso.optimize import random_thick_body
+from hypiso.render import _view_arcs
 from hypiso.spline import (
     CLOSURE_TOL,
     Arc,
@@ -250,15 +251,16 @@ def _circle_ray_hits(z: complex, ang: float, darc):
     return hits
 
 
-def _reference_contains_point(body, q, tol=CONTAIN_TOL):
-    """Boundary-inclusive within tol, else the parity of a clean ray."""
+def _reference_contains_point(body, disk_arcs, q, tol=CONTAIN_TOL):
+    """Boundary-inclusive within tol, else the parity of a clean ray
+    across the body's disk-view arcs."""
     if dist_to_boundary(body, q) <= tol:
         return True
     z = to_disk(q)
     for ang in _RAY_ANGLES:
         parity = 0
         clean = True
-        for darc in body.boundary.disk_arcs:
+        for darc in disk_arcs:
             if darc.is_segment:
                 hits = _segment_ray_hits(z, ang, darc.z0, darc.z1)
             else:
@@ -293,12 +295,13 @@ def test_contains_point_matches_signed_distance():
         pts = np.array([exp_map(ORIGIN, r * u).v
                         for r, u in zip(radii, dirs)])
         sd = signed_boundary_distance(body, pts)
+        disk_arcs = _view_arcs(body, "disk")
         for v, s in zip(pts, sd):
             if abs(s) < 1e-7:
                 continue  # too close to the boundary to trust either verdict
             q = Point.from_array(v, validate=False)
             assert contains_point(body, q) == (s > 0.0)
-            assert _reference_contains_point(body, q) == (s > 0.0)
+            assert _reference_contains_point(body, disk_arcs, q) == (s > 0.0)
 
 
 def test_containment_in_a_non_simple_chain_raises():

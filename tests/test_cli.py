@@ -471,6 +471,26 @@ def test_render_uhp_model(capsys, tmp_path):
     assert out_svg.read_text().count('class="arc"') == 4
 
 
+def test_render_body_with_concave_arcs(capsys, tmp_path):
+    hull, eroded = tmp_path / "h.json", tmp_path / "e.json"
+    run(capsys, "construct", "hull2", "--r", "0.9", "--d", "0.7",
+        "--out", str(hull))
+    code, _, _ = run(capsys, "offset", str(hull), "--rho", "-0.3",
+                     "--out", str(eroded))
+    assert code == 0
+    arcs = json.loads(eroded.read_text())["boundary"]["arcs"]
+    assert min(a["kappa"] for a in arcs) < 0.0
+    for model in ("disk", "uhp"):
+        out_svg = tmp_path / f"e_{model}.svg"
+        code, _, err = run(capsys, "render", str(eroded), "--model", model,
+                           "--out", str(out_svg))
+        assert code == 0, err
+        svg = out_svg.read_text()
+        assert svg.count('class="arc"') == 4
+        # each concave side extends along its own equidistant circle
+        assert svg.count('stroke-dasharray="6,5"') == 2
+
+
 # --- table ------------------------------------------------------------------
 
 def test_table_deficit_grid(capsys):

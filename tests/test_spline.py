@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from hypiso.geom import (
     ORIGIN_FRAME,
+    Frame,
     Point,
     apply_isometry_frame,
     dist,
     frame_defect,
     minkowski,
+    to_disk,
 )
+from hypiso.render import _view_arc
 from hypiso.spline import (
     Arc,
     ArcSpline,
@@ -26,7 +29,6 @@ from hypiso.spline import (
     chain_closure_residual,
     frenet_matrix,
     _c12,
-    _chain_is_simple,
     _winds_past_full_turn,
     transport,
     transport_coeffs,
@@ -327,11 +329,107 @@ def test_arc_turning_more_than_once_is_not_simple():
     assert not wound.is_simple()
 
 
-def _disk_view_is_simple(s: ArcSpline) -> bool:
-    """The pairwise disk-view sweep, the oracle of the Klein verdict."""
+# ── the disk-view sweep, oracle of the simplicity verdicts ────────────────
+# Every arc maps to a Euclidean circle arc or chord in the Poincare disk,
+# where planar predicates find the points two of them share.
+
+def _on_span(arc, angle: float, pad: float = 1e-12) -> bool:
+    u = ((angle - arc.a0) * math.copysign(1.0, arc.sweep)) % (2.0 * math.pi)
+    if u > math.pi * 2.0 - pad:
+        u = 0.0
+    return u <= abs(arc.sweep) + pad
+
+
+def _arc_point_angle(arc, z: complex) -> float:
+    return math.atan2((z - arc.center).imag, (z - arc.center).real)
+
+
+def _circle_circle(c1, r1, c2, r2):
+    d = abs(c2 - c1)
+    if d < 1e-15:
+        return []
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h2 = r1 * r1 - a * a
+    if h2 < -1e-20:
+        return []
+    h = math.sqrt(max(h2, 0.0))
+    u = (c2 - c1) / d
+    base = c1 + a * u
+    v = complex(-u.imag, u.real)
+    if h < 1e-15:
+        return [base]
+    return [base + h * v, base - h * v]
+
+
+def _circle_segment(c, r, p, q):
+    d = q - p
+    L2 = abs(d) ** 2
+    if L2 < 1e-30:
+        return []
+    f = p - c
+    b = 2.0 * (f.real * d.real + f.imag * d.imag)
+    cc = abs(f) ** 2 - r * r
+    disc = b * b - 4.0 * L2 * cc
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    return [p + t * d for t in ((-b - sq) / (2.0 * L2), (-b + sq) / (2.0 * L2))
+            if -1e-12 <= t <= 1.0 + 1e-12]
+
+
+def _segment_segment(p1, q1, p2, q2):
+    d1 = q1 - p1
+    d2 = q2 - p2
+    denom = d1.real * d2.imag - d1.imag * d2.real
+    if abs(denom) < 1e-18:
+        return []
+    dp = p2 - p1
+    t = (dp.real * d2.imag - dp.imag * d2.real) / denom
+    u = (dp.real * d1.imag - dp.imag * d1.real) / denom
+    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
+        return [p1 + t * d1]
+    return []
+
+
+def _pair_intersections(a, b):
+    """Points two disk arcs share (span-checked)."""
+    if a.is_segment and b.is_segment:
+        return _segment_segment(a.z0, a.z1, b.z0, b.z1)
+    if a.is_segment or b.is_segment:
+        seg, arc = (a, b) if a.is_segment else (b, a)
+        pts = _circle_segment(arc.center, arc.radius, seg.z0, seg.z1)
+        return [z for z in pts if _on_span(arc, _arc_point_angle(arc, z))]
+    if (abs(a.center - b.center) < 1e-12
+            and abs(a.radius - b.radius) < 1e-12):
+        # same supporting circle: overlap beyond a point means non-simple
+        for frac in (0.25, 0.5, 0.75):
+            ang = a.a0 + a.sweep * frac
+            if _on_span(b, ang, pad=1e-9):
+                return [a.center + a.radius * complex(math.cos(ang),
+                                                      math.sin(ang))]
+        return []
+    return [z for z in _circle_circle(a.center, a.radius, b.center, b.radius)
+            if _on_span(a, _arc_point_angle(a, z))
+            and _on_span(b, _arc_point_angle(b, z))]
+
+
+def _disk_view_is_simple(s: ArcSpline, join_tol: float = 1e-9) -> bool:
+    """The pairwise disk-view sweep over the chain walked from the origin."""
     if any(_winds_past_full_turn(a) for a in s.arcs):
         return False
-    return _chain_is_simple(s.disk_arcs)
+    arcs = [_view_arc(Frame(m), a, to_disk)
+            for m, a in zip(s.origin_frames, s.arcs)]
+    n = len(arcs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pts = _pair_intersections(arcs[i], arcs[j])
+            if j == i + 1 or (i == 0 and j == n - 1):
+                shared = arcs[i].z1 if j == i + 1 else arcs[i].z0
+                if any(abs(z - shared) > join_tol for z in pts):
+                    return False
+            elif pts:
+                return False
+    return True
 
 
 def _moved(s: ArcSpline, distance: float, angle: float) -> ArcSpline:
@@ -346,16 +444,19 @@ def _moved(s: ArcSpline, distance: float, angle: float) -> ArcSpline:
 @pytest.fixture(scope="module")
 def convex_chains():
     """Closed chains with kappa >= 0 everywhere, simple or not."""
-    from hypiso.bodies import q_counterexample, sausage
+    from hypiso.bodies import q_counterexample, sausage, two_ball_hull
     from hypiso.optimize import random_thick_body
     # every chain random_thick_body judges, the redrawn ones included;
-    # (2, 80) winds one arc twice, (3, 26), (3, 39), (3, 65) turn twice
+    # (2, 80) winds one arc twice, (3, 26), (3, 39), (3, 65) turn twice,
+    # and (2, 25) run backwards has two curves meet on the lower sheet
+    # at parameters inside both arcs
     drawn = []
     judge = ArcSpline.is_simple
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ArcSpline, "is_simple",
                    lambda self: drawn.append(self) or judge(self))
-        for lam, seeds in ((1.5, range(1, 21)), (2.0, [*range(1, 21), 80]),
+        for lam, seeds in ((1.5, range(1, 21)),
+                           (2.0, [*range(1, 21), 25, 80]),
                            (3.0, [*range(1, 21), 26, 39, 65])):
             for seed in seeds:
                 random_thick_body(lam, 12, seed)
@@ -372,29 +473,83 @@ def convex_chains():
     circle = _circle_spline(0.8)
     chains += [circle, circle.split(0, 0.999 * circle.arcs[0].length),
                ArcSpline(ORIGIN_FRAME, circle.arcs * 2)]
+    # two_ball_hull bodies hold geodesic (kappa = 0) arcs and major arcs
+    rng = np.random.default_rng(16)
+    chains += [two_ball_hull(r, d).boundary for r, d in
+               zip(rng.uniform(0.2, 1.5, 500), rng.uniform(0.05, 2.0, 500))]
+    assert all(min(a.kappa for a in s.arcs) >= 0.0 for s in chains)
     return chains
 
 
-def test_klein_verdict_matches_disk_view_sweep(convex_chains):
-    from hypiso.bodies import two_ball_hull
-    # two_ball_hull bodies hold geodesic (kappa = 0) arcs and major arcs
-    rng = np.random.default_rng(16)
-    hulls = [two_ball_hull(r, d).boundary for r, d in
-             zip(rng.uniform(0.2, 1.5, 500), rng.uniform(0.05, 2.0, 500))]
-    verdicts = set()
-    for s in convex_chains + hulls:
-        assert min(a.kappa for a in s.arcs) >= 0.0
-        want = _disk_view_is_simple(s)
-        assert s.is_simple() == want
-        verdicts.add(want)
-    assert verdicts == {True, False}
+def _reversed(s: ArcSpline) -> ArcSpline:
+    """The chain run backwards: the normal flips, and with it kappa."""
+    return ArcSpline(ORIGIN_FRAME, tuple(Arc(-a.kappa, a.length)
+                                         for a in reversed(s.arcs)),
+                     closure_tol=1e-8)
 
 
-def test_klein_verdict_does_not_depend_on_placement(convex_chains):
+@pytest.fixture(scope="module")
+def concave_chains(convex_chains):
+    """Closed chains with a concave arc (kappa < 0), simple or not."""
+    from test_bodies import _ERODED_HULLS
+    from hypiso.bodies import offset, q_counterexample, two_ball_hull
+    chains = [offset(two_ball_hull(r, d), -rho).boundary
+              for r, d, rho in _ERODED_HULLS]
+    # eroded past its waist the hull pinches
+    chains.append(offset(two_ball_hull(math.atanh(0.5), 1.0), -0.4,
+                         check_simple=False).boundary)
+    # q bodies eroded until their hypercircle arcs turn concave; the
+    # deeper erosions of (2, 0.2), (3, 0.3) and (1.5, 0.1) pinch
+    for lam, eps, depths in ((2.0, 0.1, (0.5,)), (2.0, 0.2, (0.4, 0.5)),
+                             (3.0, 0.1, (0.3,)), (3.0, 0.3, (0.1, 0.25)),
+                             (1.5, 0.1, (0.7, 0.75))):
+        chains += [offset(q_counterexample(lam, eps), -rho,
+                          check_simple=False).boundary for rho in depths]
+    # an eroded hull with one arc split once and twice, traversed twice,
+    # and traversed twice with its caps halved on the second pass, where
+    # no two arcs of one cap run a full turn together
+    hull = chains[0]
+    once = hull.split(1, 0.3 * hull.arcs[1].length)
+    cap = hull.arcs[1].length
+    halved = hull.split(1, 0.5 * cap).split(4, 0.5 * cap)
+    chains += [once, once.split(2, 0.5 * once.arcs[2].length),
+               ArcSpline(ORIGIN_FRAME, hull.arcs * 2),
+               ArcSpline(ORIGIN_FRAME, hull.arcs + halved.arcs)]
+    # one clockwise circle: whole, split in two, split in three, and run
+    # twice as two arcs of one full turn each
+    ccw = _circle_spline(0.8).arcs[0]
+    turn = ccw.length
+    circle = ArcSpline(ORIGIN_FRAME, (Arc(-ccw.kappa, turn),))
+    chains += [circle, circle.split(0, 0.999 * turn),
+               circle.split(0, 0.3 * turn).split(1, 0.3 * turn),
+               ArcSpline(ORIGIN_FRAME, circle.arcs * 2)]
+    # every convex chain run backwards turns right throughout; those of
+    # the random bodies that turn twice cross on circle arcs past their
+    # half turn
+    chains += [_reversed(s) for s in convex_chains]
+    assert all(min(a.kappa for a in s.arcs) < 0.0 for s in chains)
+    return chains
+
+
+def test_simplicity_verdict_matches_disk_view_sweep(convex_chains,
+                                                    concave_chains):
+    # convex chains are judged by their Klein rotation index, concave
+    # ones by the pair solver; both must give the sweep's verdict
+    for chains in (convex_chains, concave_chains):
+        verdicts = set()
+        for s in chains:
+            want = _disk_view_is_simple(s)
+            assert s.is_simple() == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+def test_simplicity_verdict_does_not_depend_on_placement(convex_chains,
+                                                         concave_chains):
     # sausage(2, 1) moved 12 units turns twice when read from its
     # placed frames instead of the chain from the origin
     rng = np.random.default_rng(17)
-    for s in convex_chains:
+    for s in convex_chains + concave_chains:
         want = _disk_view_is_simple(s)
         for distance in (0.0, 3.0, 6.0, 12.0):
             moved = _moved(s, distance, rng.uniform(0.0, 2.0 * math.pi))
@@ -404,10 +559,10 @@ def test_klein_verdict_does_not_depend_on_placement(convex_chains):
 def test_simplicity_verdict_is_cached(monkeypatch):
     import hypiso.spline as hs
     from hypiso.bodies import offset, signed_boundary_distance, two_ball_hull
-    sweeps = []
-    sweep = hs._chain_is_simple
-    monkeypatch.setattr(hs, "_chain_is_simple",
-                        lambda arcs: sweeps.append(arcs) or sweep(arcs))
+    solves = []
+    solve = hs._chain_crosses
+    monkeypatch.setattr(hs, "_chain_crosses",
+                        lambda *args: solves.append(args) or solve(*args))
     eroded = offset(two_ball_hull(math.atanh(0.5), 1.0), -0.1)
     assert not eroded.convex
     assert min(a.kappa for a in eroded.boundary.arcs) < 0.0
@@ -415,4 +570,4 @@ def test_simplicity_verdict_is_cached(monkeypatch):
     for _ in range(3):
         assert eroded.boundary.is_simple()
         signed_boundary_distance(eroded, pts)
-    assert len(sweeps) == 1
+    assert len(solves) == 1
