@@ -4,7 +4,10 @@ Constructors for the standard bodies (balls, two-ball hulls, thick
 sausages, the near-sausage counterexample), exact distance queries
 against arc boundaries, point and body containment, parallel bodies by
 arc-wise offset, inradius, and the free-rolling test for the ball whose
-boundary curvature matches the thickness bound.
+boundary curvature matches the thickness bound.  The ball rolls when
+the body's inner reach, the smaller of the focal distance and half the
+shortest inner double normal, is at least its radius; both are read in
+closed form, with no sampling, and the margin is 2 (reach - radius).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .geom import (
     Frame,
     Point,
     apply_isometry_frame,
+    arccoth,
     exp_map,
     fermi_point,
     lorentz_cross,
@@ -36,21 +40,31 @@ from .spline import (
     ThicknessCertificate,
     _arc_normals,
     _c12,
-    _sample_chain,
+    _on_arcs,
     _support_vectors,
     arc_frames_batch,
 )
 from .steiner import BodyMeasure
 
 CONTAIN_TOL = 1e-9
-# rolling margins are center distances read near rho = arccoth(lam) on
-# the chain walked from the origin frame, so placement adds nothing.
-# What is left grows with the chain's length (transports of long arcs
-# have entries of size cosh(length)): bodies that roll read about
-# -1e-12 on criterion 05, -9.7e-11 for sausage(5, 3) and -6.5e-9 for
-# sausage(2, 4).  The tolerance stays far below any real violation
-# (the near-sausage counterexample reads -0.089).
-ROLL_TOL = 1e-6
+# rolling margins are 2 (reach - rho), both from closed forms on the
+# chain walked from the origin frame.  Bodies that roll read 0 exactly
+# or more: criterion 05's 1000 bodies (four read 0, where restoration
+# left a curvature on the bound lam), sausages (2, 1), (5, 3), (4, 3),
+# (1.5, 2) and (2, 4), and the rolling bodies of the `placed` and `cli`
+# streams, seeds 0-9 (sausages 0, random bodies 1.3e-8 and more);
+# ball(arccoth 2) reads -2.2e-16, as coth(atanh 0.5) rounds one ulp
+# above 2.  The tolerance is the method's resolution, set by
+# _PARALLEL_TOL below, and lies far below any real violation (the
+# near-sausage counterexample reads -0.089).
+ROLL_TOL = 1e-11
+# two arcs whose w agree to this fraction of their size are read as
+# parallel and take their distance in closed form.  Roundoff leaves the
+# sides of every sausage that closes within 1.4e-12 of parallel (2e-15
+# for sausage(2, 1)); read as parallel, a pair that is not moves its
+# length by about 0.8 of its angle (q bodies of eps 1e-12 to 1e-10), so
+# the margin by less than ROLL_TOL.
+_PARALLEL_TOL = 1e-11
 
 # erosion that lands a cap radius inside this band is snapped to the
 # band's top instead of failing, so eroding by exactly the inradius
@@ -180,7 +194,7 @@ def sausage(lam: float, d: float) -> Body:
         raise ValueError("thickness parameter must exceed 1")
     if d < 0.0:
         raise ValueError("half-length must be nonnegative")
-    r = math.atanh(1.0 / lam)  # cap radius, coth(r) = lam
+    r = arccoth(lam)  # cap radius, coth(r) = lam
     cap = Arc(lam, math.pi * math.sinh(r))
     arcs = [cap]
     if d > 0.0:
@@ -253,7 +267,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
         raise ValueError("half-length must be positive")
     ks = 1.0 / lam - eps
     h = math.atanh(ks)          # side's height below its base geodesic
-    rc = math.atanh(1.0 / lam)  # cap radius
+    rc = arccoth(lam)  # cap radius
 
     # base height t0 in closed form: `_axis_boost(t0)` moves the right
     # cap's center c0, seen from the unboosted junction frame, onto the
@@ -465,7 +479,7 @@ def _touch_candidates(arcs, mats):
 
     circ = kap > 1.0
     centers = [W[circ] / np.sqrt(kap[circ] ** 2 - 1.0)[:, None]]
-    radii = [np.arctanh(1.0 / kap[circ])]
+    radii = [np.array([arccoth(k) for k in kap[circ]])]
 
     n = len(kap)
     i, j = np.triu_indices(n, 1)
@@ -511,9 +525,7 @@ def _touch_candidates(arcs, mats):
 
 
 def _deepest_center(body: Body):
-    """Largest inscribed ball of a convex body: (radius, center)."""
-    if not body.convex:
-        raise ValueError("inradius expects a convex body")
+    """Largest inscribed ball of a simple body: (radius, center)."""
     spline = body.boundary
     if not spline.is_simple():
         raise NonSimpleBoundaryError("boundary is not simple")
@@ -551,17 +563,20 @@ def _sausage_at_origin(body: Body) -> bool:
 
 
 def inradius(body: Body) -> float:
-    """Radius of the largest inscribed ball of a convex body.
+    """Radius of the largest inscribed ball of a body.
 
-    Exact for every convex body, to roundoff; `inscribed_ball` says how.
+    Exact for every body with a simple boundary, convex or not, to
+    roundoff; `inscribed_ball` says how.
     """
     return inscribed_ball(body)[0]
 
 
 def inscribed_ball(body: Body):
-    """Largest inscribed ball of a convex body: (radius, center).
+    """Largest inscribed ball of a body: (radius, center).
 
-    Exact for every convex body, to roundoff.  A sausage at the origin
+    Exact for every body with a simple boundary, to roundoff; a
+    boundary that crosses itself raises NonSimpleBoundaryError, since
+    it has no inside.  A sausage at the origin
     (`_sausage_at_origin`) gets its cap radius and the origin.  Any
     other body gets the deepest of the closed-form touching
     configurations of `_touch_candidates` that fits inside, checked with
@@ -587,7 +602,9 @@ def inscribed_ball(body: Body):
     equidistants of one geodesic, like a sausage's sides.  Then the
     deepest points along them form a segment, and each end of it has a
     third touch, on another arc or on the next arc at a joint, whose
-    triple system has full rank.
+    triple system has full rank.  Nothing here uses convexity: a
+    concave arc is one more supporting curve, and the eroded bodies of
+    non-convex two-ball hulls get their exact inradius too.
     """
     if _sausage_at_origin(body):
         return float(body.meta["cap_radius"]), ORIGIN
@@ -614,7 +631,7 @@ def _offset_arc(kappa: float, length: float, rho: float):
         h2 = h + rho
         return math.tanh(h2), length * math.cosh(h2) / math.cosh(h)
     if kappa > 1.0:
-        r = math.atanh(1.0 / kappa)
+        r = arccoth(kappa)
         r2 = r + rho
         if r2 < _CAP_SNAP_LO:
             raise DegenerateBodyError(
@@ -624,7 +641,7 @@ def _offset_arc(kappa: float, length: float, rho: float):
             r2 = _CAP_SNAP_HI
         return 1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
     # kappa < -1: concave circular arc, center on the outward side
-    r = math.atanh(-1.0 / kappa)
+    r = arccoth(-kappa)
     r2 = r - rho
     if r2 < _CAP_SNAP_LO:
         raise DegenerateBodyError(
@@ -648,7 +665,7 @@ def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
     snapped = False
     for a in spline.arcs:
         k2, l2 = _offset_arc(a.kappa, a.length, rho)
-        if a.kappa > 1.0 and math.atanh(1.0 / a.kappa) + rho < _CAP_SNAP_HI:
+        if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
             snapped = True
         new_arcs.append(Arc(k2, l2))
     f = spline.start
@@ -682,21 +699,25 @@ def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
 class RollReport:
     """Outcome of the free-rolling test for the matched ball.
 
-    witness_center is the worst of the n_boundary ball centers and
-    witness_boundary_index its sample index.  witness_point is the
-    point of that ball on the normal geodesic through the center's
-    nearest boundary point, on the outer side of it; it lies outside a
-    convex body whenever the margin is negative.
+    reach is the body's inner reach, worst_margin 2 (reach - rho): zero
+    when the ball of radius rho just rolls, positive when it has room.
+    binding_arcs names what sets the reach: (i, i) for the focal
+    distance of circle arc i, (i, j) for the shortest inner double
+    normal, with its foot on arc i the ball's point of tangency.
+    witness_center is the center of that tangent ball.  witness_point
+    is the point of the ball farthest beyond the boundary's tangent
+    geodesic at the binding second point; it lies outside a convex body
+    whenever the margin is negative.
     """
 
     ok: bool
     lam: float
     rho: float
     worst_margin: float
+    reach: float
+    binding_arcs: tuple
     witness_point: Point
     witness_center: Point
-    witness_boundary_index: int
-    n_boundary: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -704,58 +725,169 @@ class RollReport:
             "lambda": self.lam,
             "rho": self.rho,
             "worst_margin": self.worst_margin,
+            "reach": self.reach,
+            "binding_arcs": list(self.binding_arcs),
             "witness_point": list(self.witness_point.v),
             "witness_center": list(self.witness_center.v),
-            "witness_boundary_index": self.witness_boundary_index,
-            "n_boundary": self.n_boundary,
         }
+
+
+def _double_normals(k, L, F, W):
+    """Every inner double normal of a closed chain, in closed form.
+
+    k, L are the arcs' curvatures and lengths, F the (n + 1) frames of
+    `ArcSpline.origin_frames`, W the arcs' `_support_vectors`.  Returns
+    (length, first, second, x, y): a double normal leaves arc `first`
+    at x along its inner normal and meets arc `second` at y, whose
+    inner normal points back along it.
+
+    A normal geodesic of the curve <x, w> = -kappa lies in a plane
+    through w.  Write the geodesic through o with unit tangent e as
+    g(tau) = (u nu + nubar / u) / 2, nu = o + e, nubar = o - e,
+    u = exp(tau).  Where w lies in its plane, <w, w> = 1 - kappa^2
+    makes <g, w> = -kappa a quadratic in u of discriminant 1, so the
+    curve meets it at u+ = (1 - kappa) / <nu, w>, where the inner
+    normal is +g', and at u- = (-1 - kappa) / <nu, w>, where it is
+    -g'; a root counts when u > 0.  Two arcs face each other along
+    g when the u+ foot of one comes before the u- foot of the other,
+    and the double normal has length log(u- / u+).
+
+    Arcs i and j on non-parallel w share one normal geodesic, in
+    span(w_i, w_j), the plane orthogonal to their Lorentz cross m; it
+    meets the hyperboloid when <m, m> > 0, and o is its point nearest
+    the origin.  For parallel w (within `_PARALLEL_TOL`: equidistants
+    of one geodesic, concentric circles or horocycles) every normal of
+    one curve is normal to the other at one constant distance, the sum
+    of the curves' signed distances from their common geodesic or
+    center.  The planes are then those through the four arc ends, with
+    o the end and e its inner normal: where the two arcs' stretches of
+    normals overlap, one of the ends bounds the overlap.  A foot counts
+    when `_on_arcs` finds its parameter on the arc.
+
+    Adjacent arcs are left out.  They are tangent at their joint, so
+    their only common normal is the joint's, where o is the joint, e
+    its normal, and both curves meet it at u+ = 1, the joint itself;
+    the Vieta partner of that root, u- = (kappa + 1) / (kappa - 1),
+    makes the only double normal of the pair 2 arccoth kappa long,
+    never shorter than twice the focal distance arccoth(max kappa).
+    So no length cut-off is needed.
+    """
+    n = len(k)
+    i, j = np.triu_indices(n, 1)
+    keep = (j > i + 1) & ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    m = lorentz_cross(W[i], W[j])
+    w_size = np.linalg.norm(W, axis=1)
+    parallel = (np.linalg.norm(m, axis=1)
+                <= _PARALLEL_TOL * w_size[i] * w_size[j])
+
+    # one plane per non-parallel pair, through the origin's foot o
+    mm = minkowski(m, m)
+    cut = ~parallel & (mm > 0.0)
+    mh = m[cut] / np.sqrt(mm[cut])[:, None]
+    o = mh * mh[:, :1]
+    o[:, 0] += 1.0
+    o /= np.sqrt(1.0 + mh[:, 0] ** 2)[:, None]
+    e = lorentz_cross(mh, o)
+    # four planes per parallel pair, through each arc end
+    a, b = i[parallel], j[parallel]
+    ends = np.concatenate([a, a + 1, b, b + 1])
+    a, b = np.concatenate([i[cut], np.tile(a, 4)]), \
+        np.concatenate([j[cut], np.tile(b, 4)])
+    o = np.concatenate([o, F[ends, :, 0]])
+    e = np.concatenate([e, F[ends, :, 2]])
+
+    # both ways round: first at its u+ foot, second at its u- foot
+    first, second = np.concatenate([a, b]), np.concatenate([b, a])
+    nu, nubar = np.tile(o + e, (2, 1)), np.tile(o - e, (2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = (1.0 - k[first]) / minkowski(nu, W[first])
+        u2 = (-1.0 - k[second]) / minkowski(nu, W[second])
+        length = np.log(u2 / u1)
+    # a parallel pair's constant distance in closed form, unless a
+    # horocycle takes part: the signed distances atanh kappa from the
+    # common geodesic, or arccoth kappa from the common center, add up
+    if a.size > cut.sum():
+        h = np.array([math.atanh(v) if abs(v) < 1.0 else
+                      arccoth(v) if abs(v) > 1.0 else math.nan for v in k])
+        closed = np.tile(np.arange(a.size) >= cut.sum(), 2)
+        closed &= np.isfinite(h[first] + h[second])
+        length[closed] = (h[first] + h[second])[closed]
+    ok = (u1 > 0.0) & (u2 > 0.0) & (length > 0.0)
+    first, second, length = first[ok], second[ok], length[ok]
+    nu, nubar, u1, u2 = nu[ok], nubar[ok], u1[ok, None], u2[ok, None]
+    x = 0.5 * (u1 * nu + nubar / u1)
+    y = 0.5 * (u2 * nu + nubar / u2)
+    on = (_on_arcs(k[first], L[first], F[first], x)
+          & _on_arcs(k[second], L[second], F[second], y))
+    return length[on], first[on], second[on], x[on], y[on]
 
 
 def rolls_freely(body: Body, lam: float, n: int = 720,
                  tol: float = ROLL_TOL) -> RollReport:
     """Test whether the curvature-lam ball rolls freely inside body.
 
-    The ball has radius rho = arccoth(lam).  Tangent from inside at a
-    boundary point x with inward normal N, it is centered at
-    c = exp_x(rho N), and it lies in the body exactly when
-    dist(c, boundary) >= rho: its open interior then misses the
-    boundary, and the points just inside x along N are in the body.
-    x itself sits at distance rho, so the margin
-    min over centers of dist(c, boundary) - rho is <= 0, and zero
-    exactly when every ball fits.  It is taken over the centers at the
-    `sample_frames(n)` points, one boundary distance each, and read
-    near rho rather than near 0; a pass means margin >= -tol.  It runs
-    on `ArcSpline.origin_frames`; only the witness leaves by the start
-    frame, so the report does not depend on placement.
+    The ball has radius rho = arccoth(lam).  It rolls freely, tangent
+    from inside at every boundary point and inside the body, exactly
+    when the body's inner reach is at least rho, and the inner reach
+    of a C1 chain of arcs is the smaller of the focal distance
+    arccoth(max kappa) and half its shortest inner double normal
+    (Federer, "Curvature measures", 1959; Aamari et al., "Estimating
+    the reach of a manifold", 2019).  Both are closed forms: the focal
+    distance of the most curved circle arc, and the double normals of
+    `_double_normals`, one batch over all pairs of arcs.  The margin is
+    2 (reach - rho), and a pass means margin >= -tol.  Where
+    rho / 2 <= reach <= rho it equals the least of dist(c, boundary) -
+    rho over the tangent balls' centers c; below rho / 2 the centers
+    leave the body and the two part, and above rho the margin tells how
+    much room the ball has.  It runs on `ArcSpline.origin_frames`; only
+    the witness leaves by the start frame, so the report does not
+    depend on placement.  n is accepted for callers that pass a
+    sample count and is unused: nothing is sampled.
     """
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
-    rho = math.atanh(1.0 / lam)
+    rho = arccoth(lam)
     spline = body.boundary
-    frames = tuple(map(Frame, spline.origin_frames))
-    P, _, N = _sample_chain(spline.arcs, frames, n)[:3]
-    C = P * math.cosh(rho) + N * math.sinh(rho)
-    d, arc_idx, s_loc = _proximity(spline.arcs, frames, C)
-    margins = d - rho
-    worst = int(np.argmin(margins))
-    c = C[worst]
-    # the nearest boundary point q is stationary, so c lies on the
-    # normal geodesic q cosh t + nq sinh t, at signed height
-    # t = asinh(<c, nq>), positive inside; stepping rho from c along
-    # it toward decreasing t passes q and leaves the body
-    i = int(arc_idx[worst])
-    q, _, nq = arc_frames_batch(frames[i], spline.arcs[i].kappa,
-                                s_loc[worst:worst + 1])
-    t = math.asinh(minkowski(c, nq[0]))
-    u = -(q[0] * math.sinh(t) + nq[0] * math.cosh(t))
-    u = u + minkowski(u, c) * c
-    u = u / math.sqrt(minkowski(u, u))
-    wm = float(margins[worst])
+    arcs = spline.arcs
+    F = spline.origin_frames
+    k = np.array([a.kappa for a in arcs])
+    L = np.array([a.length for a in arcs])
+    W = _support_vectors(k, F[:-1])
+    top = int(np.argmax(k))
+    reach = arccoth(k[top]) if k[top] > 1.0 else math.inf
+    length, first, second, x, y = _double_normals(k, L, F, W)
+    if length.size and length.min() / 2.0 < reach:
+        b = int(np.argmin(length))
+        reach = float(length[b]) / 2.0
+        pair = (int(first[b]), int(second[b]))
+        x, y = x[b], y[b]
+        nx, ny = W[pair[0]] - k[pair[0]] * x, W[pair[1]] - k[pair[1]] * y
+    else:
+        # the most curved arc, of radius r = reach: if rho > r, the ball
+        # tangent at x crosses the arc's tangent at y, an angle
+        # `apart` further round its center, the deeper the larger that
+        # angle, and by 2 (rho - r) at half a turn; x and y sit
+        # symmetrically on the arc
+        pair = (top, top)
+        sh = math.sinh(reach)
+        turn = L[top] / sh
+        apart = min(turn, math.pi)
+        pts, _, nrm = arc_frames_batch(
+            Frame(F[top]), k[top],
+            np.array([turn - apart, turn + apart]) * (sh / 2.0))
+        x, y, nx, ny = pts[0], pts[1], nrm[0], nrm[1]
+    c = x * math.cosh(rho) + nx * math.sinh(rho)
+    # the point of the ball farthest beyond the tangent geodesic
+    # <z, ny> = 0 at y: from c along the perpendicular to it, rho away;
+    # the tangent supports a convex body, so a ball crossing it pokes out
+    t = minkowski(c, ny)
+    v = (ny + t * c) / math.sqrt(1.0 + t * t)
+    wm = 2.0 * (reach - rho)
     g = spline.start.m
     return RollReport(
-        ok=wm >= -tol, lam=lam, rho=rho, worst_margin=wm,
-        witness_point=Point.from_array(g @ (c * math.cosh(rho)
-                                            + u * math.sinh(rho)),
-                                       validate=False),
-        witness_center=Point.from_array(g @ c, validate=False),
-        witness_boundary_index=worst, n_boundary=C.shape[0])
+        ok=wm >= -tol, lam=lam, rho=rho, worst_margin=wm, reach=reach,
+        binding_arcs=pair,
+        witness_point=Point.from_array(
+            g @ (c * math.cosh(rho) - v * math.sinh(rho)), validate=False),
+        witness_center=Point.from_array(g @ c, validate=False))

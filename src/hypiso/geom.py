@@ -246,7 +246,7 @@ def classify_curvature(kappa: float) -> CurveClass:
         return CurveClass(CurveKind.HOROCYCLE)
     if kappa < 1.0:
         return CurveClass(CurveKind.HYPERCIRCLE, math.atanh(kappa))
-    return CurveClass(CurveKind.CIRCLE, math.atanh(1.0 / kappa))
+    return CurveClass(CurveKind.CIRCLE, arccoth(kappa))
 
 
 # ── hypercircle conversion lemmas ─────────────────────────────────────────
@@ -281,6 +281,19 @@ def hypercircle_distance_from_angle(beta: float) -> float:
     return r
 
 
+def arccoth(x: float) -> float:
+    """arccoth x = atanh(1/x), for |x| > 1: the radius of the circle of
+    curvature x.
+
+    The one spot where a radius is read from a curvature.  Rolling,
+    inradius and the constructors all call it, so a radius found by
+    one of them has the same bits as the same radius found by another;
+    numpy's arctanh differs from math.atanh in the last bit on about
+    a fifth of its arguments.
+    """
+    return math.atanh(1.0 / x)
+
+
 def sausage_side_curvature(lam: float) -> float:
     """Side curvature of the thick sausage with cap curvature lam.
 
@@ -289,7 +302,7 @@ def sausage_side_curvature(lam: float) -> float:
     """
     if lam <= 1.0:
         raise ValueError("cap curvature must exceed 1")
-    return math.tanh(math.atanh(1.0 / lam))
+    return math.tanh(arccoth(lam))
 
 
 def curvature_scaled(c: float, big_r: float) -> float:

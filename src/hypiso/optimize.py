@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import ORIGIN_FRAME
+from .geom import ORIGIN_FRAME, arccoth
 from .spline import (
     Arc,
     ArcCoeffs,
@@ -34,7 +34,7 @@ def lam_ball_circumference(lam: float) -> float:
     """Perimeter of the ball whose boundary curvature equals lam."""
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")
-    return 2.0 * math.pi * math.sinh(math.atanh(1.0 / lam))
+    return 2.0 * math.pi * math.sinh(arccoth(lam))
 
 
 def perimeter_to_d(lam: float, perimeter: float) -> float:
@@ -49,7 +49,7 @@ def perimeter_to_d(lam: float, perimeter: float) -> float:
         raise ValueError(
             f"perimeter {perimeter:.6g} is below the thick feasibility "
             f"floor {floor:.6g}")
-    r = math.atanh(1.0 / lam)
+    r = arccoth(lam)
     return max(0.0, (perimeter - floor) / (4.0 * math.cosh(r)))
 
 

@@ -64,6 +64,7 @@ import numpy as np
 from .geom import (
     Frame,
     ORIGIN_FRAME,
+    arccoth,
     lorentz_cross,
     minkowski,
     parallel_transport,
@@ -330,19 +331,6 @@ def _closure_gap(start: Frame, end: Frame) -> float:
     tgap = t_moved - start.t
     d_ang = math.sqrt(max(minkowski(tgap, tgap), 0.0))
     return max(d_pos, d_ang)
-
-
-def chain_closure_residual(start: Frame, arcs) -> float:
-    """Max of end-to-start position distance and tangent mismatch.
-
-    Zero (to roundoff) for a closed tangent-continuous chain; a chain
-    that misses closure reports the geometric size of the gap.  The
-    tangent term is the chord norm of the transported difference, which
-    matches the angle for small gaps without the acos precision cliff.
-    It depends on the arcs alone, not on where `start` sits; see
-    `ArcSpline.closure_residual`.
-    """
-    return ArcSpline.open_chain(start, arcs).closure_residual()
 
 
 def _sample_chain(arcs, frames, n: int):
@@ -660,7 +648,7 @@ def _winds_past_full_turn(a: Arc) -> bool:
     k = abs(a.kappa)
     if k <= 1.0:
         return False
-    turning = a.length / math.sinh(math.atanh(1.0 / k))
+    turning = a.length / math.sinh(arccoth(k))
     return turning > 2.0 * math.pi * (1.0 + _TURN_TOL)
 
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import arccoth
+
 SIGN_STEINER_CONSISTENT = "steiner_consistent"
 SIGN_AS_PRINTED = "as_printed"
 
@@ -100,7 +102,7 @@ def sausage_measures(lam: float, d: float) -> BodyMeasure:
         raise ValueError("cap curvature must exceed 1")
     if d < 0.0:
         raise ValueError("core half-length must be >= 0")
-    r = math.atanh(1.0 / lam)
+    r = arccoth(lam)
     sh, ch = math.sinh(r), math.cosh(r)
     return BodyMeasure(
         2.0 * math.pi * (ch - 1.0) + 4.0 * d * sh,

@@ -1,5 +1,6 @@
 """Convex bodies: constructors, containment, inradius, offsets, rolling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,18 +24,23 @@ from hypiso.optimize import random_thick_body
 from hypiso.render import _view_arcs
 from hypiso.spline import (
     CLOSURE_TOL,
+    _support_vectors,
     Arc,
     ArcSpline,
     GeometryError,
     NonSimpleBoundaryError,
+    _sample_chain,
+    arc_transports,
     transport_coeffs,
 )
 from hypiso import bodies
 from hypiso.bodies import (
     CONTAIN_TOL,
+    ROLL_TOL,
     Body,
     _axis_boost,
     _critical_params,
+    _double_normals,
     _fermi_frame,
     _sausage_at_origin,
     ball,
@@ -568,6 +574,25 @@ def test_inscribed_ball_of_random_bodies_is_deepest(lam):
                 pytest.approx(r, abs=1e-9)
 
 
+@pytest.mark.parametrize("r, d, rho, want", [(0.9, 0.7, 0.3, 0.6),
+                                             (0.6, 1.0, 0.2, 0.4)])
+def test_inscribed_ball_of_eroded_hulls(r, d, rho, want):
+    # eroded, a hull's geodesic sides turn concave; the body stays
+    # simple and its deepest balls are the eroded caps, of radius r - rho
+    body = offset(two_ball_hull(r, d), -rho)
+    assert not body.convex and body.boundary.is_simple()
+    depth, center = inscribed_ball(body)
+    assert depth == pytest.approx(want, abs=1e-12)
+    # the ball fits: its center lies depth inside the boundary
+    assert signed_boundary_distance(body, center.v[None, :])[0] == \
+        pytest.approx(depth, abs=1e-9)
+    # and nothing on a grid of inner normal rays is deeper
+    P, _, N = body.boundary.sample_frames(256)[:3]
+    t = np.linspace(0.0, 2.0 * depth, 64)[:, None, None]
+    grid = (P * np.cosh(t) + N * np.sinh(t)).reshape(-1, 3)
+    assert np.max(signed_boundary_distance(body, grid)) <= depth + 1e-9
+
+
 # --- offsets ----------------------------------------------------------------
 
 def test_offset_matches_scalar_flow():
@@ -665,12 +690,52 @@ def test_q_counterexample_does_not_roll():
     assert not contains_point(body, rep.witness_point, tol=1e-6)
 
 
+# the sausages the rolling tests use, (lam, d)
+_SAUSAGES = ((2.0, 1.0), (5.0, 3.0), (4.0, 3.0), (1.5, 2.0), (2.0, 4.0))
+
+
+def _sampled_rolling(body: Body, lam: float, n: int = 720) -> float:
+    """The sampled rolling margin the exact test replaced, as its oracle.
+
+    The lam-ball tangent from inside at a boundary point x with inward
+    normal N is centered at c = x cosh rho + N sinh rho; the margin is
+    the least of dist(c, boundary) - rho over the centers at the
+    `sample_frames(n)` points, one boundary distance each, on the chain
+    walked from the origin frame.  It is <= 0, as x itself lies at rho,
+    and equals 2 (reach - rho) where rho / 2 <= reach <= rho.
+    """
+    rho = math.atanh(1.0 / lam)
+    spline = body.boundary
+    frames = tuple(map(Frame, spline.origin_frames))
+    P, _, N = _sample_chain(spline.arcs, frames, n)[:3]
+    centers = P * math.cosh(rho) + N * math.sinh(rho)
+    d, _, _ = bodies._proximity(spline.arcs, frames, centers)
+    return float(np.min(d - rho))
+
+
+def _assert_matches_oracle(body: Body, lam: float):
+    """Verdict, margin and witness of `rolls_freely` against the oracle."""
+    rep = rolls_freely(body, lam)
+    sampled = _sampled_rolling(body, lam)
+    # the oracle judged with the tolerance it had, 1e-6
+    assert rep.ok == (sampled >= -1e-6), (rep.worst_margin, sampled)
+    if 2.0 * rep.reach >= rep.rho:
+        assert abs(sampled - min(rep.worst_margin, 0.0)) <= 1e-4, \
+            (rep.worst_margin, sampled)
+    assert dist(rep.witness_center, rep.witness_point) == pytest.approx(
+        rep.rho, abs=1e-12)
+    if not rep.ok:
+        assert not contains_point(body, rep.witness_point)
+    return rep, sampled
+
+
 def test_long_sausages_roll_at_their_lambda():
-    # margins read near 0 carry noise that puts these below -ROLL_TOL
+    # the sides' double normal is 2 arccoth lam in closed form and the
+    # caps' focal distance arccoth lam, so the margin is 0 however long
     for lam, d in ((5.0, 3.0), (4.0, 3.0), (1.5, 2.0)):
         rep = rolls_freely(sausage(lam, d), lam)
         assert rep.ok, (lam, d)
-        assert abs(rep.worst_margin) < 1e-9, (lam, d, rep.worst_margin)
+        assert abs(rep.worst_margin) < 1e-12, (lam, d, rep.worst_margin)
 
 
 def test_criterion_05_bodies_roll():
@@ -680,48 +745,258 @@ def test_criterion_05_bodies_roll():
 
 
 def test_rolling_margin_is_one_boundary_distance_per_center(monkeypatch):
-    # rolling reads the chain walked from the origin frame, so the
-    # recorded centers live there and the witness leaves by start.m
-    seen = []
+    # the exact test measures no boundary distance at all, yet where
+    # rho / 2 <= reach <= rho its margin is the oracle's: the least
+    # boundary distance of the sampled centers, less rho
+    calls = []
     real = bodies._proximity
 
-    def record(arcs, frames, pts):
-        seen.append((frames, np.array(pts)))
-        return real(arcs, frames, pts)
+    def record(*args):
+        calls.append(args)
+        return real(*args)
 
-    s = sausage(2.0, 1.0)
     monkeypatch.setattr(bodies, "_proximity", record)
-    rep = rolls_freely(s, 2.0)
-    ((frames, centers),) = seen
-    assert centers.shape == (rep.n_boundary, 3)
-    assert np.array_equal(np.stack([f.m for f in frames]),
-                          s.boundary.origin_frames)
-    d, _, _ = real(s.boundary.arcs, frames, centers)
-    assert rep.worst_margin == float(np.min(d - rep.rho))
-    assert np.array_equal(s.boundary.start.m
-                          @ centers[rep.witness_boundary_index],
-                          rep.witness_center.v)
+    for body in (q_counterexample(2.0, 0.1), q_counterexample(2.0, 0.05),
+                 two_ball_hull(0.6, 1.0), ball(0.5)):
+        rep = rolls_freely(body, 2.0)
+        assert not calls
+        assert rep.rho / 2.0 <= rep.reach <= rep.rho
+        sampled = _sampled_rolling(body, 2.0)
+        calls.clear()
+        # sampling can miss the worst center, never find a worse one
+        assert rep.worst_margin - 1e-12 <= sampled <= rep.worst_margin + 1e-4
+    # q(2, 0.1) binds at the double normal across its middle, which
+    # the samples hit
+    assert rolls_freely(q_counterexample(2.0, 0.1), 2.0).worst_margin \
+        == pytest.approx(-0.088945, abs=1e-6)
 
 
 def test_q_counterexample_witness():
     body = q_counterexample(2.0, 0.1)
     rep = rolls_freely(body, 2.0)
     assert rep.worst_margin == pytest.approx(-0.088945, abs=1e-6)
+    # the sides face each other across the body's middle
+    assert rep.binding_arcs == (0, 2)
+    assert rep.reach == pytest.approx(rep.rho - 0.088945 / 2.0, abs=1e-6)
     assert dist(rep.witness_center, rep.witness_point) == pytest.approx(
         rep.rho, abs=1e-12)
     assert not contains_point(body, rep.witness_point)
 
 
 def test_witness_of_a_ball_whose_centers_leave_it():
-    # radius 0.2 < arccoth 2: every center lies outside the body, so
-    # the witness steps away from the nearest boundary point
+    # radius 0.2 < arccoth(2) / 2: the reach is the focal distance 0.2
+    # and the margin 2 (0.2 - rho); the oracle's centers lie outside the
+    # body, where their boundary distance is rho - 0.4, so it reads -0.4
     b = ball(0.2)
     rep = rolls_freely(b, 2.0)
     assert not rep.ok
-    assert rep.worst_margin == pytest.approx(-0.4, abs=1e-9)
+    assert rep.reach == pytest.approx(0.2, abs=1e-15)
+    assert rep.binding_arcs == (0, 0)
+    assert rep.worst_margin == pytest.approx(2.0 * (0.2 - BIG_R), abs=1e-12)
+    assert rep.worst_margin == pytest.approx(-0.6986123, abs=1e-7)
+    assert _sampled_rolling(b, 2.0) == pytest.approx(-0.4, abs=1e-9)
     assert dist(rep.witness_center, rep.witness_point) == pytest.approx(
         rep.rho, abs=1e-12)
     assert not contains_point(b, rep.witness_point)
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_rolling_matches_sampled_oracle_on_random_bodies(lam):
+    for seed in range(1, 201):
+        rep, _ = _assert_matches_oracle(random_thick_body(lam, 12, seed),
+                                        lam)
+        assert rep.ok and rep.worst_margin >= 0.0, (seed, rep.worst_margin)
+
+
+def test_rolling_matches_sampled_oracle_on_constructed_bodies():
+    cases = [(sausage(lam, d), lam) for lam, d in _SAUSAGES]
+    cases += [(ball(r), 2.0) for r in (0.2, 0.5, BIG_R, 1.0)]
+    cases += [(two_ball_hull(r, d), 2.0)
+              for r in (0.3, 0.6, 0.9) for d in (0.5, 1.0, 2.0)]
+    cases += [(q_counterexample(2.0, eps), 2.0) for eps in (0.05, 0.1, 0.2)]
+    # non-convex and simple, and it keeps lam, so render rolls it
+    eroded = offset(q_counterexample(2.0, 0.1), -0.45)
+    assert not eroded.convex and eroded.boundary.is_simple()
+    cases.append((eroded, 2.0))
+    verdicts = [_assert_matches_oracle(b, lam)[0].ok for b, lam in cases]
+    assert verdicts == [True] * 5 + [False, False, True, True] \
+        + [False] * 6 + [True, True, False] + [False] * 4
+    # its caps have radius 0.1: the ball at a cap, of radius rho, runs
+    # far into the body along the normal, and its witness is found
+    # beyond the cap's tangent instead
+    rep, sampled = _assert_matches_oracle(eroded, 2.0)
+    assert sampled == pytest.approx(-0.5408, abs=1e-4)
+    assert rep.reach < rep.rho / 2.0
+    # the caps of this hull are below rho as well
+    hull = two_ball_hull(0.3, 1.0)
+    rep, _ = _assert_matches_oracle(hull, 2.0)
+    assert not rep.ok and not contains_point(hull, rep.witness_point)
+
+
+def _restarted(body: Body, s: int) -> Body:
+    """The same body with its chain started at the start of arc s."""
+    spline = body.boundary
+    arcs = spline.arcs[s:] + spline.arcs[:s]
+    return Body(boundary=ArcSpline.open_chain(spline.frames[s], arcs),
+                convex=body.convex)
+
+
+def _mirrored(body: Body) -> Body:
+    """The body's mirror image in the plane x2 = 0, still traversed
+    counterclockwise: the arcs run in reverse order from the mirrored
+    start point, with the tangent turned round."""
+    f = body.boundary.start
+    R = np.diag([1.0, 1.0, -1.0])
+    start = Frame(np.column_stack([R @ f.p, -(R @ f.t), R @ f.n]))
+    return Body(boundary=ArcSpline.open_chain(
+        start, tuple(reversed(body.boundary.arcs))), convex=body.convex)
+
+
+def _shortest_double_normal(body: Body) -> float:
+    spline = body.boundary
+    k = np.array([a.kappa for a in spline.arcs])
+    L = np.array([a.length for a in spline.arcs])
+    F = spline.origin_frames
+    length = _double_normals(k, L, F, _support_vectors(k, F[:-1]))[0]
+    return float(length.min())
+
+
+def _double_normal_bodies():
+    """Bodies whose reach is set by a double normal, convex or not."""
+    yield q_counterexample(2.0, 0.1)
+    yield q_counterexample(3.0, 0.2, 0.6)
+    yield offset(q_counterexample(2.0, 0.05), 0.2)
+    for r, d in ((0.3, 1.0), (0.6, 0.5), (0.6, 1.0), (0.9, 2.0)):
+        yield two_ball_hull(r, d)
+    yield offset(two_ball_hull(0.9, 0.7), -0.3)
+    yield offset(two_ball_hull(0.6, 1.0), -0.2)
+    yield offset(q_counterexample(2.0, 0.1), -0.3)
+
+
+def test_reach_matches_sampled_oracle_wherever_the_chain_starts():
+    # for rho / 2 <= reach <= rho the least center distance, less rho,
+    # is 2 (reach - rho) exactly, realized by the binding double normal:
+    # so the oracle, asked at rho = 1.25 reach, finds the reach again.
+    # Restarting the chain at each joint renumbers the arcs, and the
+    # mirror image turns every double normal round; none may be lost or
+    # invented
+    for body in _double_normal_bodies():
+        want = None
+        for s, mirror in itertools.product(range(len(body.boundary.arcs)),
+                                           (False, True)):
+            moved = _restarted(_mirrored(body) if mirror else body, s)
+            rep = rolls_freely(moved, 2.0)
+            i, j = rep.binding_arcs
+            assert i != j
+            if want is None:
+                want = rep.reach
+            assert rep.reach == pytest.approx(want, abs=1e-12)
+            lam = 1.0 / math.tanh(1.25 * rep.reach)
+            rep = rolls_freely(moved, lam)
+            assert rep.worst_margin == pytest.approx(
+                _sampled_rolling(moved, lam), abs=1e-4)
+            assert not contains_point(moved, rep.witness_point)
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_shortest_double_normal_of_random_bodies_ignores_handedness(lam):
+    # random bodies roll by their focal distance, so their double
+    # normals never decide a verdict; they must still all be found
+    for seed in range(1, 21):
+        body = random_thick_body(lam, 12, seed)
+        want = _shortest_double_normal(body)
+        for moved in (_mirrored(body), _restarted(body, 5),
+                      _restarted(_mirrored(body), 7)):
+            assert _shortest_double_normal(moved) == pytest.approx(
+                want, abs=1e-9), seed
+
+
+def test_double_normals_need_facing_normals():
+    # arcs of two unit circles centered 5 apart on the x1 axis: on the
+    # sides that face each other the inner normals point apart and no
+    # double normal joins them; on the far sides they face, 7 apart
+    k, ell = 1.0 / math.tanh(1.0), 0.4
+
+    def arc_start(s, inward):
+        # the arc through the axis point at x1-distance s, centered there
+        p = np.array([math.cosh(s), math.sinh(s), 0.0])
+        n = inward * np.array([math.sinh(s), math.cosh(s), 0.0])
+        t = np.array([0.0, 0.0, -inward])  # so that n = p x t
+        at_axis = np.column_stack([p, t, n])
+        return at_axis @ arc_transports([k], [-ell / 2.0])[0][0]
+
+    for (a, da), (b, db), want in (((1.0, -1.0), (4.0, 1.0), []),
+                                   ((-1.0, 1.0), (6.0, -1.0), [7.0, 7.0])):
+        fa, fb = arc_start(a, da), arc_start(b, db)
+        # arcs 1 and 3 repeat arcs 0 and 2: the only non-adjacent pairs
+        # of four arcs are (0, 2) and (1, 3)
+        F = np.array([fa, fa, fb, fb, fa])
+        kk, L = np.full(4, k), np.full(4, ell)
+        length = _double_normals(kk, L, F, _support_vectors(kk, F[:-1]))[0]
+        assert length.tolist() == pytest.approx(want, abs=1e-9)
+
+
+def test_double_normals_of_split_sausage_sides():
+    # each side cut in three: pieces of one side lie on one equidistant,
+    # whose normals run the same way, so no double normal joins them;
+    # a piece of one side faces the pieces of the other that overlap
+    # it, at 2 arccoth(lam) in closed form, and the caps face each
+    # other along the axis
+    s = sausage(2.0, 1.0)
+    spline = s.boundary
+    for index in (3, 1):
+        a = spline.arcs[index]
+        spline = spline.split(index, a.length / 3.0)
+        spline = spline.split(index + 1, a.length / 3.0)
+    arcs = spline.arcs
+    assert len(arcs) == 8  # cap, 3 bottom pieces, cap, 3 top pieces
+    k = np.array([a.kappa for a in arcs])
+    L = np.array([a.length for a in arcs])
+    F = spline.origin_frames
+    length, first, second, _, _ = _double_normals(k, L, F,
+                                                  _support_vectors(k, F[:-1]))
+    bottom, top = {1, 2, 3}, {5, 6, 7}
+    pairs = set(zip(first.tolist(), second.tolist()))
+    assert all({i, j} & bottom and {i, j} & top
+               for i, j in pairs - {(0, 4), (4, 0)}), pairs
+    # the pieces overlap like this, ends included
+    for i, j in ((1, 7), (2, 6), (3, 5), (1, 6), (2, 7), (2, 5), (3, 6)):
+        assert (i, j) in pairs or (j, i) in pairs, (i, j)
+    sides = np.isin(first, list(bottom | top))
+    assert np.all(length[sides] == 2.0 * s.meta["cap_radius"])
+    rep = rolls_freely(Body(boundary=spline, convex=True), 2.0)
+    assert rep.worst_margin == 0.0
+
+
+def test_sausages_read_zero_margin_and_moved_copies_keep_inradius_bits():
+    # rho, the focal distance and the cap radii come from one arccoth, so
+    # a sausage at the origin (closed-form inradius) and a moved copy
+    # (the general search) agree to the bit
+    # (sausage(2, 4) is left out: its walk from the origin frame is
+    # long enough that a pair of touches reads a radius 2.2e-11 deeper)
+    g = _translation(0.7, 3.0, 1.1)
+    for lam, d in _SAUSAGES + ((1.7, 0.5), (2.9, 1.3), (7.0, 0.4)):
+        s = sausage(lam, d)
+        assert abs(rolls_freely(s, lam).worst_margin) <= 1e-12, (lam, d)
+        if (lam, d) == (2.0, 4.0):
+            continue
+        moved = Body(boundary=ArcSpline(
+            apply_isometry_frame(g, s.boundary.start), s.boundary.arcs),
+            convex=True, meta=dict(s.meta))
+        assert not _sausage_at_origin(moved)
+        assert inradius(moved) == inradius(s) == s.meta["cap_radius"]
+
+
+def test_near_sausage_between_old_and_new_tolerance_is_rejected():
+    # sides 1e-8 below 1/lam: the ball misses by about 9.4e-9, which the
+    # old tolerance 1e-6 let pass and ROLL_TOL does not
+    body = q_counterexample(2.0, 1e-8)
+    rep = rolls_freely(body, 2.0)
+    assert -1e-6 < rep.worst_margin < -ROLL_TOL
+    assert rep.worst_margin == pytest.approx(-9.385e-9, abs=1e-11)
+    assert not rep.ok and rep.binding_arcs == (0, 2)
+    assert _sampled_rolling(body, 2.0) == pytest.approx(rep.worst_margin,
+                                                        abs=1e-11)
 
 
 def test_rolling_verdict_survives_isometries():

@@ -489,6 +489,13 @@ def test_render_body_with_concave_arcs(capsys, tmp_path):
         assert svg.count('class="arc"') == 4
         # each concave side extends along its own equidistant circle
         assert svg.count('stroke-dasharray="6,5"') == 2
+    # its inscribed ball, of the eroded caps' radius 0.6, is drawn too
+    balls = _inscribed_circles(capsys, eroded, tmp_path / "e_balls.svg")
+    assert len(balls) == 1
+    cx, cy, r = (float(v) / 320.0 for v in balls[0])
+    m = math.hypot(cx - 1.0, cy - 1.0)
+    assert math.atanh(m + r) - math.atanh(m - r) == pytest.approx(0.6,
+                                                                  abs=1e-4)
 
 
 # --- table ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from hypiso.spline import (
     arc_points,
     arc_transports,
     area_polygonal,
-    chain_closure_residual,
     frenet_matrix,
     _c12,
     _winds_past_full_turn,
@@ -65,7 +64,8 @@ def test_transport_circle_returns_home():
     kappa = 2.0
     circ = 2.0 * math.pi * math.sinh(math.atanh(1.0 / kappa))
     f = transport(ORIGIN_FRAME, kappa, circ)
-    assert chain_closure_residual(ORIGIN_FRAME, [Arc(kappa, circ)]) < 1e-12
+    assert ArcSpline.open_chain(ORIGIN_FRAME,
+                                [Arc(kappa, circ)]).closure_residual() < 1e-12
     assert np.max(np.abs(f.m - ORIGIN_FRAME.m)) < 1e-12
 
 
