@@ -40,9 +40,7 @@ from .spline import (
     GeometryError,
     NonSimpleBoundaryError,
     ThicknessCertificate,
-    arc_matrix,
     arc_points,
-    transport,
 )
 from .steiner import (
     SIGN_AS_PRINTED,
@@ -72,6 +70,7 @@ from .bodies import (
     inradius,
     inscribed_ball,
     offset,
+    offsets,
     q_counterexample,
     rolls_freely,
     sausage,
@@ -99,7 +98,7 @@ __all__ = [
     "parallel_transport", "random_isometry", "sausage_side_curvature",
     "to_disk", "to_uhp",
     "Arc", "ArcSpline", "GeometryError", "NonSimpleBoundaryError",
-    "ThicknessCertificate", "arc_matrix", "arc_points", "transport",
+    "ThicknessCertificate", "arc_points",
     "SIGN_AS_PRINTED", "SIGN_STEINER_CONSISTENT", "BodyMeasure",
     "DeficitReport", "area_lower_bound", "ball_measures", "bound_scaled",
     "deficit", "deficit_both", "flow_invariant", "inner_flow",
@@ -107,7 +106,7 @@ __all__ = [
     "Body", "DegenerateBodyError", "RollReport", "ball",
     "boundary_proximity", "contains_body", "contains_point",
     "dist_to_boundary", "inradius", "inscribed_ball", "offset",
-    "q_counterexample", "rolls_freely", "sausage",
+    "offsets", "q_counterexample", "rolls_freely", "sausage",
     "signed_boundary_distance", "two_ball_hull",
     "Candidate", "ShapeProblem", "lam_ball_circumference",
     "perimeter_to_d", "random_thick_body", "solve",

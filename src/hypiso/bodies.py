@@ -40,9 +40,13 @@ from .spline import (
     ThicknessCertificate,
     _arc_normals,
     _c12,
+    _closure_gaps,
     _on_arcs,
+    _simple_chains,
     _support_vectors,
+    _walk,
     arc_frames_batch,
+    arc_transports,
 )
 from .steiner import BodyMeasure
 
@@ -160,9 +164,8 @@ def _cap_sweep(center: Point, foot: np.ndarray, what: str) -> float:
 
 
 def _make_body(start: Frame, arcs, convex: bool, thick_for=None,
-               meta=None, closure_tol=None) -> Body:
-    kw = {} if closure_tol is None else {"closure_tol": closure_tol}
-    spline = ArcSpline(start, tuple(arcs), **kw)
+               meta=None) -> Body:
+    spline = ArcSpline(start, tuple(arcs))
     return Body(boundary=spline, convex=convex, thick_for=thick_for,
                 meta=meta or {})
 
@@ -537,9 +540,11 @@ def _deepest_center(body: Body):
     if not np.any(fits):
         raise GeometryError("no touching configuration fits inside the body")
     best = np.max(np.where(fits, R, -np.inf))
-    # of radii equal to roundoff the first wins, so a circle arc's
-    # closed-form center beats a triple that finds the same ball
-    k = int(np.argmax(fits & (R >= best - 1e-12 * max(1.0, best))))
+    # of radii the fit test cannot tell apart the first wins, so a
+    # circle arc's closed-form center beats a pair or triple that finds
+    # the same ball (on the long walk of a moved sausage(2, 4) a pair
+    # reads its cap radius 2.2e-11 too deep)
+    k = int(np.argmax(fits & (R >= best - INRADIUS_TOL * max(1.0, best))))
     return float(R[k]), Point.from_array(spline.start.m @ C[k],
                                          validate=False)
 
@@ -651,45 +656,97 @@ def _offset_arc(kappa: float, length: float, rho: float):
     return -1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
 
 
+def offsets(body: Body, rhos, check_simple: bool = True) -> list:
+    """Parallel bodies at each signed distance of rhos, built together.
+
+    Entry i is `offset(body, rhos[i], check_simple)` or the exception
+    that call would raise, bit for bit: the arcs come from the same
+    scalar `_offset_arc`, and every check stays per distance (the
+    closure of each chain within 1e-8, then, unless a cap snapped or
+    check_simple is false, its simplicity).  What is shared is the
+    work on the chains: one `arc_transports` call and one `_walk` over
+    the (m, n) stack of offset arcs, one `_closure_gaps` call on the
+    end frames, and one `_simple_chains` call, whose chains with
+    kappa >= 0 share one Klein rotation index.  Each body's spline is
+    seeded with its slice of the walk through `ArcSpline._from_walk`.
+    """
+    spline = body.boundary
+    f = spline.start
+    meta = body.meta
+    out = [body] * len(rhos)  # rho = 0 leaves the body as it is
+    todo = []  # (entry, rho, arcs, start, snapped)
+    for i, rho in enumerate(rhos):
+        if rho == 0.0:
+            continue
+        try:
+            new_arcs = []
+            snapped = False
+            for a in spline.arcs:
+                k2, l2 = _offset_arc(a.kappa, a.length, rho)
+                if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
+                    snapped = True
+                new_arcs.append(Arc(k2, l2))
+            ch, sh = math.cosh(rho), math.sinh(rho)
+            # slide the start frame along its normal; the tangent is
+            # parallel along that perpendicular geodesic, the normal
+            # stays in the plane
+            start = Frame(np.column_stack([f.p * ch - f.n * sh, f.t,
+                                           f.n * ch - f.p * sh]))
+        except (ValueError, ArithmeticError) as e:
+            out[i] = e
+            continue
+        todo.append((i, rho, tuple(new_arcs), start, snapped))
+    if not todo:
+        return out
+    chains = [arcs for _, _, arcs, _, _ in todo]
+    mats, _ = arc_transports([[a.kappa for a in arcs] for arcs in chains],
+                             [[a.length for a in arcs] for arcs in chains])
+    walk = _walk(mats)
+    gaps = _closure_gaps(walk[-1])
+    judged = [j for j, (*_, snapped) in enumerate(todo)
+              if check_simple and not snapped]
+    simple = dict(zip(judged, _simple_chains(
+        [chains[j] for j in judged], walk[:, judged]))) if judged else {}
+    for j, (i, rho, arcs, start, snapped) in enumerate(todo):
+        try:
+            boundary = ArcSpline._from_walk(
+                arcs, mats[j], walk[:, j], start=start, closure_tol=1e-8,
+                residual=float(gaps[j]), simple=simple.get(j))
+        except GeometryError as e:
+            out[i] = e
+            continue
+        if j in simple and not simple[j]:
+            out[i] = NonSimpleBoundaryError(
+                f"offset by {rho:.6g} pinches the boundary")
+            continue
+        # offsets compose: an offset of an offset records the total
+        # distance, the first body's kind and any cap snapped on the way
+        out[i] = Body(
+            boundary=boundary,
+            convex=min(a.kappa for a in arcs) >= -1e-12,
+            meta={**meta,
+                  "offset_from": meta.get("offset_from",
+                                          meta.get("kind", "body")),
+                  "offset_rho": meta.get("offset_rho", 0.0) + rho,
+                  "degenerate_caps": bool(meta.get("degenerate_caps"))
+                  or snapped})
+    return out
+
+
 def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
     """Parallel body at signed distance rho (outward positive).
 
     Each arc maps to the constant-curvature arc at distance |rho| on
     the appropriate side; the start frame slides along its normal.  The
-    offset chain of a closed C1 chain closes again, which is verified.
+    offset chain of a closed C1 chain closes again, which is verified
+    (within 1e-8), and unless a cap snapped or check_simple is false it
+    must be simple, or NonSimpleBoundaryError is raised.  This is
+    `offsets(body, [rho], check_simple)[0]`, whose exception is raised.
     """
-    if rho == 0.0:
-        return body
-    spline = body.boundary
-    new_arcs = []
-    snapped = False
-    for a in spline.arcs:
-        k2, l2 = _offset_arc(a.kappa, a.length, rho)
-        if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
-            snapped = True
-        new_arcs.append(Arc(k2, l2))
-    f = spline.start
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    # slide the start frame along its normal; the tangent is parallel
-    # along that perpendicular geodesic, the normal stays in the plane
-    start = Frame(np.column_stack([f.p * ch - f.n * sh, f.t,
-                                   f.n * ch - f.p * sh]))
-    # offsets compose: an offset of an offset records the total
-    # distance, the first body's kind and any cap snapped on the way
-    meta = body.meta
-    new_body = _make_body(start, new_arcs,
-                          convex=min(a.kappa for a in new_arcs) >= -1e-12,
-                          closure_tol=1e-8,
-                          meta={**meta,
-                                "offset_from": meta.get(
-                                    "offset_from", meta.get("kind", "body")),
-                                "offset_rho": meta.get("offset_rho", 0.0) + rho,
-                                "degenerate_caps": bool(
-                                    meta.get("degenerate_caps")) or snapped})
-    if check_simple and not snapped and not new_body.boundary.is_simple():
-        raise NonSimpleBoundaryError(
-            f"offset by {rho:.6g} pinches the boundary")
-    return new_body
+    got = offsets(body, [rho], check_simple)[0]
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .spline import (
     ArcCoeffs,
     ArcSpline,
     GeometryError,
+    _walk,
     arc_dkappa,
     arc_transports,
 )
@@ -154,18 +155,13 @@ class _Point(NamedTuple):
 def _evaluate(x, n, perimeter) -> _Point:
     """The constraints at x, shape (2n,), or at a stack x of (m, 2n).
 
-    The prefix products are written arc by arc into one preallocated
-    array, each a 3x3 product (stacked over the m points of a stack);
-    each row of a stack equals the evaluation of its point alone byte
-    for byte.
+    The prefix products are the spline's own walk, `_walk`, over the
+    m points of a stack at once; each row of a stack equals the
+    evaluation of its point alone byte for byte.
     """
     kap, lon = x[..., :n], x[..., n:]
     mats, coeffs = arc_transports(kap, lon)
-    prefix = np.empty((n + 1,) + mats.shape[:-3] + (3, 3))
-    prefix[0] = _I3
-    # arc by arc, each over the stack
-    for before, A, after in zip(prefix, mats.swapaxes(0, -3), prefix[1:]):
-        np.matmul(before, A, out=after)
+    prefix = _walk(mats)
     E = prefix[n]
     rows, cols = _RES_IDX
     c = np.concatenate([lon.sum(axis=-1, keepdims=True) - perimeter,

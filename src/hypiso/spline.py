@@ -29,24 +29,27 @@ chain from one kernel call and keeps the coefficients, from which
 chain or a stack of chains, (m, n) curvatures and lengths, whose
 (m, n, 3, 3) transports and coefficients equal m calls on the single
 chains byte for byte: every step is elementwise or one 3x3 product
-per arc.  Everything else here reads from these: single-arc
-transport, frames along a chain, sampled points and frames, closure,
-simplicity.
+per arc.  Everything else here reads from these: frames along a chain,
+sampled points and frames, closure, simplicity.
 
 One placement: a spline walks its arcs from the origin frame once
 (`ArcSpline.origin_frames`) and applies its start frame in one spot,
 `ArcSpline.frames`.  Every verdict (closure, simplicity, and rolling
 and inradius in `bodies`) reads the walk from the origin, so none
 depends on where the chain sits; point queries read the placed frames.
-A caller that has already walked the arcs (the random bodies, whose
-closing Newton ends on that walk) hands it over with
-`ArcSpline._from_walk` and the chain is not walked twice.
+The walk is one helper, `_walk`, the prefix products of one chain's
+transports or of a stack of chains' at once.  A caller that has
+already walked the arcs (the random bodies, whose closing Newton ends
+on that walk, and the parallel bodies of `bodies.offsets`, walked as
+one stack) hands the walk over with `ArcSpline._from_walk` and the
+chain is not walked twice.
 
 Simplicity is decided on the hyperboloid as well: a chain whose arcs
 all have kappa >= 0 by its Klein-model rotation index, any other by
 solving every pair of arcs for their common points in closed form
-(`_chain_crosses`).  No verdict here uses the Poincare disk or the
-half-plane; those views live in `render`.
+(`_chain_crosses`).  `_simple_chains` judges a stack of chains, with
+one rotation index call for all the convex ones.  No verdict here uses
+the Poincare disk or the half-plane; those views live in `render`.
 
 Orientation convention: the body sits on the side of the normal, so a
 counterclockwise boundary has kappa >= 0 and the normal points inward.
@@ -67,7 +70,6 @@ from .geom import (
     arccoth,
     lorentz_cross,
     minkowski,
-    parallel_transport,
     project_to_sheet,
 )
 
@@ -262,22 +264,23 @@ def arc_dkappa(coeffs: ArcCoeffs):
             + c2[:, None, None] * (_M1 @ m + m @ _M1))
 
 
-def arc_matrix(kappa: float, length: float) -> np.ndarray:
-    """exp(length * M(kappa)): the frame transport along one arc."""
-    return arc_matrices([kappa], [length])[0]
+def _walk(mats) -> np.ndarray:
+    """Prefix products I, A_0, A_0 A_1, ... of transports: the chains
+    walked from the origin frame, the arc axis first.
 
-
-def transport(f: Frame, kappa: float, length: float) -> Frame:
-    """Transport a frame along a constant-curvature arc of given length.
-
-    No per-step renormalization: the raw Lorentz product drifts less
-    than projecting back to the constraint set does, because measuring
-    the Minkowski defect far from the origin cancels large coordinates
-    and the radial correction then scales the error back up by |p|.
+    One chain's transports (n, 3, 3) give its frames (n + 1, 3, 3); a
+    stack of m chains' (m, n, 3, 3) gives (n + 1, m, 3, 3), chain i at
+    [:, i].  No per-step renormalization: the raw Lorentz product
+    drifts less than projecting back to the constraint set does.  The
+    products are written arc by arc into one preallocated array, each
+    step one 3x3 product (stacked over the chains), so every chain of a
+    stack equals its walk alone byte for byte.
     """
-    if length < 0.0:
-        raise ValueError("arc length must be >= 0")
-    return Frame(f.m @ arc_matrix(kappa, length))
+    walk = np.empty((mats.shape[-3] + 1,) + mats.shape[:-3] + (3, 3))
+    walk[0] = _I3
+    for before, A, after in zip(walk, mats.swapaxes(0, -3), walk[1:]):
+        np.matmul(before, A, out=after)
+    return walk
 
 
 def arc_points(f: Frame, kappa: float, s):
@@ -324,13 +327,23 @@ class Arc:
             raise ValueError("arc length must be positive")
 
 
-def _closure_gap(start: Frame, end: Frame) -> float:
-    pgap = end.p - start.p
-    d_pos = math.sqrt(max(minkowski(pgap, pgap), 0.0))  # 2 sinh(dist/2)
-    t_moved = parallel_transport(end.t, end.point, start.point)
-    tgap = t_moved - start.t
-    d_ang = math.sqrt(max(minkowski(tgap, tgap), 0.0))
-    return max(d_pos, d_ang)
+def _closure_gaps(ends) -> np.ndarray:
+    """Closure gaps of chains walked from the origin frame, from their
+    end frames (..., 3, 3): the larger of the end point's distance
+    2 sinh(dist / 2) from the origin and the gap between the end
+    tangent, carried back to the origin, and the origin's tangent.
+    Elementwise over the stack, so each gap equals its chain's alone.
+    """
+    o, o_t = ORIGIN_FRAME.p, ORIGIN_FRAME.t
+    p, t = ends[..., :, 0], ends[..., :, 1]
+    pgap = p - o
+    d_pos = np.sqrt(np.maximum(minkowski(pgap, pgap), 0.0))
+    # `geom.parallel_transport` of t along the geodesic from p to o
+    scale = minkowski(t, o) / (1.0 - minkowski(p, o))
+    t_moved = t + scale[..., None] * (p + o)
+    tgap = t_moved - o_t
+    d_ang = np.sqrt(np.maximum(minkowski(tgap, tgap), 0.0))
+    return np.maximum(d_pos, d_ang)
 
 
 def _sample_chain(arcs, frames, n: int):
@@ -394,14 +407,25 @@ class ArcSpline:
 
     @staticmethod
     def _from_walk(arcs, transports, origin_frames,
-                   closure_tol: float = CLOSURE_TOL) -> "ArcSpline":
-        """The spline of arcs from the origin frame, given the caller's
-        walk of them: their (n, 3, 3) transports and the (n + 1, 3, 3)
-        prefix products from I, as `_transports` and `origin_frames`
-        would compute them.  The closure check and every verdict then
-        read that walk instead of a second one."""
-        s = ArcSpline(ORIGIN_FRAME, tuple(arcs), closure_tol=math.inf)
+                   start: Frame = ORIGIN_FRAME,
+                   closure_tol: float = CLOSURE_TOL,
+                   residual: float | None = None,
+                   simple: bool | None = None) -> "ArcSpline":
+        """The spline of arcs from start, given the caller's walk of
+        them from the origin frame: their (n, 3, 3) transports and the
+        (n + 1, 3, 3) prefix products from I, as `_transports` and
+        `origin_frames` would compute them (a chain's slice of a
+        stacked walk will do).  A caller that has also read the walk's
+        closure gap (`_closure_gaps`) or simplicity verdict
+        (`_simple_chains`) passes them as residual and simple.  The
+        closure check and every verdict then read that walk instead of
+        a second one."""
+        s = ArcSpline(start, tuple(arcs), closure_tol=math.inf)
         s.__dict__.update(_transports=transports, origin_frames=origin_frames)
+        if residual is not None:
+            s.__dict__["_residual"] = residual
+        if simple is not None:
+            s.__dict__["_simple"] = simple
         object.__setattr__(s, "closure_tol", closure_tol)
         s._check_closure()
         return s
@@ -415,11 +439,9 @@ class ArcSpline:
     @cached_property
     def origin_frames(self) -> np.ndarray:
         """Frame matrices at each arc start, then the chain end, of the
-        chain walked from the origin frame: prefix products from I."""
-        out = [_I3]
-        for a in self._transports:
-            out.append(out[-1] @ a)
-        return np.array(out)
+        chain walked from the origin frame: `_walk`, the prefix
+        products from I."""
+        return _walk(self._transports)
 
     @cached_property
     def frames(self) -> tuple:
@@ -437,7 +459,11 @@ class ArcSpline:
         their coordinates grow like cosh(distance) and would bring
         roundoff of that size into a check against one fixed tolerance.
         """
-        return _closure_gap(ORIGIN_FRAME, Frame(self.origin_frames[-1]))
+        return self._residual
+
+    @cached_property
+    def _residual(self) -> float:
+        return float(_closure_gaps(self.origin_frames[-1]))
 
     def perimeter(self) -> float:
         return float(sum(a.length for a in self.arcs))
@@ -489,11 +515,7 @@ class ArcSpline:
 
     @cached_property
     def _simple(self) -> bool:
-        if any(_winds_past_full_turn(a) for a in self.arcs):
-            return False
-        if all(a.kappa >= 0.0 for a in self.arcs):
-            return _klein_rotation_index(self.arcs, self.origin_frames) == 1
-        return not _chain_crosses(self.arcs, self.origin_frames)
+        return _simple_chains([self.arcs], self.origin_frames[:, None])[0]
 
     def is_simple(self) -> bool:
         """Whether the closed chain does not cross itself (cached).
@@ -601,35 +623,41 @@ def _signed_triangle_areas(anchor, b, c):
 _KLEIN_TURN_EPS = 1e-9
 
 
-def _klein_rotation_index(arcs, origin_frames) -> int:
-    """Full turns of the Klein-model tangent along a closed chain.
-
-    The frames are those of `ArcSpline.origin_frames`, the chain walked
-    from the origin frame: the index does not depend on placement, and
-    far-placed coordinates lose the angles to roundoff.  A single arc
-    can turn by more than pi, so the turning of a circular arc that
-    runs more than half round its centre is read in two halves, split
-    at its midpoint.
-    """
-    frames = list(origin_frames)
-    k = np.array([a.kappa for a in arcs])
-    lengths = np.array([a.length for a in arcs])
-    # turning about the centre: length / sinh(arccoth kappa)
-    around = lengths * np.sqrt(np.maximum(k * k - 1.0, 0.0))
-    split = np.flatnonzero(around > math.pi)
-    if split.size:
-        mids = np.array(frames)[split] @ arc_matrices(k[split],
-                                                      lengths[split] / 2.0)
-        for j in reversed(range(split.size)):
-            frames.insert(split[j] + 1, mids[j])
-    f = np.array(frames)
-    p, t = f[:, :, 0], f[:, :, 1]
+def _klein_angle(f) -> np.ndarray:
+    """Direction of the Klein-model velocity at frames f (..., 3, 3)."""
+    p, t = f[..., :, 0], f[..., :, 1]
     # velocity of the Klein point (p1, p2) / p0, up to the factor 1/p0^2
-    v = t[:, 1:] * p[:, :1] - p[:, 1:] * t[:, :1]
-    angle = np.arctan2(v[:, 1], v[:, 0])
-    turn = (angle[1:] - angle[:-1] + _KLEIN_TURN_EPS) % (2.0 * math.pi)
-    total = float(turn.sum()) - _KLEIN_TURN_EPS * turn.size
-    return round(total / (2.0 * math.pi))
+    v = t[..., 1:] * p[..., :1] - p[..., 1:] * t[..., :1]
+    return np.arctan2(v[..., 1], v[..., 0])
+
+
+def _klein_turn(d) -> np.ndarray:
+    """Angle differences wrapped into [-eps, 2 pi - eps)."""
+    return (d + _KLEIN_TURN_EPS) % (2.0 * math.pi) - _KLEIN_TURN_EPS
+
+
+def _klein_rotation_index(k, L, walk) -> np.ndarray:
+    """Full turns of the Klein-model tangent along closed chains.
+
+    k and L are the (m, n) curvatures and lengths of a stack of m
+    chains, walk their (n + 1, m, 3, 3) frames from `_walk`, the chains
+    walked from the origin frame: the index does not depend on
+    placement, and far-placed coordinates lose the angles to roundoff.
+    A single arc can turn by more than pi, so the turning of a circular
+    arc that runs more than half round its centre is read in two
+    halves, split at its midpoint.  Returns the (m,) indices.
+    """
+    angle = _klein_angle(walk)
+    turn = _klein_turn(angle[1:] - angle[:-1])
+    # turning about the centre: length / sinh(arccoth kappa), arcs first
+    around = (L * np.sqrt(np.maximum(k * k - 1.0, 0.0))).T
+    split = around > math.pi
+    if split.any():
+        mid = _klein_angle(walk[:-1][split] @ arc_transports(
+            k.T[split], L.T[split] / 2.0)[0])
+        turn[split] = (_klein_turn(mid - angle[:-1][split])
+                       + _klein_turn(angle[1:][split] - mid))
+    return np.rint(turn.sum(axis=0) / (2.0 * math.pi)).astype(int)
 
 
 # relative slack on one full turn, so a ball's single closing arc (one
@@ -699,6 +727,33 @@ def _on_arcs(kappas, lengths, frames, x) -> np.ndarray:
         s = np.where(alpha < 0.0, turn,
                      np.where(w > 0.0, np.arcsinh(w * c1) / w, c1))
     return (s >= -tol) & (s <= lengths + tol)
+
+
+def _simple_chains(chains, walk) -> list:
+    """Simplicity verdicts of a stack of closed chains, one bool each.
+
+    chains holds m tuples of n arcs, walk their (n + 1, m, 3, 3) frames
+    from `_walk`.  No arc may run more than once round its circle.  The
+    chains whose arcs all have kappa >= 0 then share one
+    `_klein_rotation_index` call; each chain with a concave arc is
+    solved by `_chain_crosses` on its slice of the walk.
+    """
+    simple = [False] * len(chains)
+    convex = []
+    for i, arcs in enumerate(chains):
+        if any(_winds_past_full_turn(a) for a in arcs):
+            continue
+        if all(a.kappa >= 0.0 for a in arcs):
+            convex.append(i)
+        else:
+            simple[i] = not _chain_crosses(arcs, walk[:, i])
+    if convex:
+        k = np.array([[a.kappa for a in chains[i]] for i in convex])
+        L = np.array([[a.length for a in chains[i]] for i in convex])
+        frames = walk if len(convex) == len(chains) else walk[:, convex]
+        for i, index in zip(convex, _klein_rotation_index(k, L, frames)):
+            simple[i] = bool(index == 1)
+    return simple
 
 
 def _chain_crosses(arcs, origin_frames) -> bool:

@@ -667,6 +667,83 @@ def test_erosion_past_pinch_raises():
         offset(hull, -0.4)
 
 
+def _offset_or_error(body, rho, check_simple):
+    try:
+        return offset(body, rho, check_simple)
+    except (ValueError, ArithmeticError) as e:
+        return e
+
+
+def _arc_bits(arcs) -> bytes:
+    return np.array([(a.kappa, a.length) for a in arcs]).tobytes()
+
+
+def _same_spline(got: ArcSpline, want: ArcSpline):
+    assert _arc_bits(got.arcs) == _arc_bits(want.arcs)
+    assert got.start.m.tobytes() == want.start.m.tobytes()
+    assert got.origin_frames.shape == want.origin_frames.shape
+    assert got.origin_frames.tobytes() == want.origin_frames.tobytes()
+    assert got.closure_residual() == want.closure_residual()
+    assert got.is_simple() == want.is_simple()
+    assert got.closure_tol == want.closure_tol
+
+
+def test_offsets_match_offset_alone_bit_for_bit():
+    # all distances share one stacked walk; each entry must be the body
+    # offset builds alone, or the error it raises, to the bit.  The
+    # stacks mix convex and concave chains, a ball's one arc (split for
+    # its rotation index), snapped caps, pinches and collapsed caps
+    snapped = offset(sausage(2.0, 1.0), -BIG_R, check_simple=False)
+    assert snapped.meta["degenerate_caps"] is True
+    cases = [sausage(2.0, 1.0), ball(0.7), two_ball_hull(0.9, 0.7),
+             q_counterexample(2.0, 0.1), random_thick_body(2.0, 12, 7),
+             offset(two_ball_hull(0.9, 0.7), -0.3),
+             offset(two_ball_hull(0.6, 1.0), -0.2), snapped]
+    rhos = [0.1, -0.1, 0.25, -0.3, 0.4, -0.45, 0.0, -0.8]
+    errors = set()
+    for body in cases:
+        for check_simple in (True, False):
+            got = bodies.offsets(body, rhos, check_simple)
+            assert len(got) == len(rhos)
+            for rho, g in zip(rhos, got):
+                want = _offset_or_error(body, rho, check_simple)
+                if rho == 0.0:
+                    assert g is body and want is body
+                elif isinstance(want, Exception):
+                    assert type(g) is type(want) and str(g) == str(want)
+                    errors.add(type(want).__name__)
+                else:
+                    assert g.meta == want.meta and g.convex == want.convex
+                    _same_spline(g.boundary, want.boundary)
+                    # and the chain walked on its own, without a stack
+                    fresh = ArcSpline(want.boundary.start, want.boundary.arcs,
+                                      closure_tol=1e-8)
+                    _same_spline(g.boundary, fresh)
+    assert errors == {"DegenerateBodyError", "NonSimpleBoundaryError"}
+
+
+def test_offsets_keep_each_distance_its_own_error(monkeypatch):
+    # an arc that cannot be offset at one distance fails that entry
+    # alone, and the other entries are the bodies built without it
+    body = two_ball_hull(0.9, 0.7)
+    rhos = [0.1, 0.25, -0.3]
+    want = bodies.offsets(body, rhos)
+    offset_arc = bodies._offset_arc
+
+    def broken(kappa, length, rho):
+        if rho == 0.25:
+            raise bodies.DegenerateBodyError("refused")
+        return offset_arc(kappa, length, rho)
+
+    monkeypatch.setattr(bodies, "_offset_arc", broken)
+    got = bodies.offsets(body, rhos)
+    assert isinstance(got[1], bodies.DegenerateBodyError)
+    with pytest.raises(bodies.DegenerateBodyError, match="refused"):
+        offset(body, 0.25)
+    for g, w in ((got[0], want[0]), (got[2], want[2])):
+        _same_spline(g.boundary, w.boundary)
+
+
 # --- rolling ----------------------------------------------------------------
 
 def test_sausage_rolls_freely():
@@ -972,19 +1049,30 @@ def test_sausages_read_zero_margin_and_moved_copies_keep_inradius_bits():
     # rho, the focal distance and the cap radii come from one arccoth, so
     # a sausage at the origin (closed-form inradius) and a moved copy
     # (the general search) agree to the bit
-    # (sausage(2, 4) is left out: its walk from the origin frame is
-    # long enough that a pair of touches reads a radius 2.2e-11 deeper)
     g = _translation(0.7, 3.0, 1.1)
     for lam, d in _SAUSAGES + ((1.7, 0.5), (2.9, 1.3), (7.0, 0.4)):
         s = sausage(lam, d)
         assert abs(rolls_freely(s, lam).worst_margin) <= 1e-12, (lam, d)
-        if (lam, d) == (2.0, 4.0):
-            continue
         moved = Body(boundary=ArcSpline(
             apply_isometry_frame(g, s.boundary.start), s.boundary.arcs),
             convex=True, meta=dict(s.meta))
         assert not _sausage_at_origin(moved)
         assert inradius(moved) == inradius(s) == s.meta["cap_radius"]
+
+
+def test_moved_long_sausage_keeps_its_cap_radius_bits():
+    # the walk of sausage(2, 4) from the origin frame is long enough that
+    # a pair of touches reads a radius 2.2e-11 deeper than the cap's;
+    # the fit test cannot tell the two apart, so the cap's closed form,
+    # first in order, wins wherever the copy sits
+    s = sausage(2.0, 4.0)
+    for phi, d, psi in ((0.0, 0.0, 0.3), (0.7, 3.0, 1.1), (2.5, 8.0, 4.0)):
+        moved = Body(boundary=ArcSpline(
+            apply_isometry_frame(_translation(phi, d, psi), s.boundary.start),
+            s.boundary.arcs), convex=True, meta=dict(s.meta))
+        assert not _sausage_at_origin(moved)
+        r, _ = inscribed_ball(moved)
+        assert r == inradius(s) == s.meta["cap_radius"]
 
 
 def test_near_sausage_between_old_and_new_tolerance_is_rejected():

@@ -208,8 +208,8 @@ def test_verify_offset_error_is_reported_not_raised(capsys, tmp_path,
     import hypiso.cli as cli
     from hypiso.spline import GeometryError
 
-    def broken(body, rho):
-        raise GeometryError(f"offset by {rho:g} failed")
+    def broken(body, rhos):
+        return [GeometryError(f"offset by {rho:g} failed") for rho in rhos]
 
     body = tmp_path / "s.json"
     run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",
@@ -226,6 +226,47 @@ def test_verify_offset_error_is_reported_not_raised(capsys, tmp_path,
     for c in offs:
         assert c["ok"] is False and c["max_err"] is None
         assert c["error"].startswith("GeometryError: offset by")
+
+
+def test_verify_reports_one_failed_offset_and_keeps_the_others(
+        capsys, tmp_path, monkeypatch):
+    # the three offset bodies are built together; an arc that cannot be
+    # offset at rho = 0.25 alone fails that check and leaves the other
+    # two byte for byte as they are
+    import hypiso.bodies as hb
+    body = tmp_path / "s.json"
+    run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",
+        "--out", str(body))
+    clean = tmp_path / "clean.json"
+    code, clean_out, _ = run(capsys, "verify", str(body), "--out", str(clean))
+    assert code == 0
+    offset_arc = hb._offset_arc
+
+    def broken(kappa, length, rho):
+        if rho == 0.25:
+            raise hb.DegenerateBodyError("refused at 0.25")
+        return offset_arc(kappa, length, rho)
+
+    monkeypatch.setattr(hb, "_offset_arc", broken)
+    patched = tmp_path / "patched.json"
+    code, out, _ = run(capsys, "verify", str(body), "--out", str(patched))
+    assert code == 1
+    want = json.loads(clean.read_text())["checks"]
+    got = json.loads(patched.read_text())["checks"]
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    for g, w in zip(got, want):
+        if g["name"] == "steiner_offset[rho=0.25]":
+            assert g == {"name": g["name"], "gate": True, "ok": False,
+                         "max_err": None,
+                         "error": "DegenerateBodyError: refused at 0.25"}
+        else:
+            assert dumps(g) == dumps(w)
+    lines, clean_lines = out.splitlines(), clean_out.splitlines()
+    assert len(lines) == len(clean_lines)
+    changed = [(a, b) for a, b in zip(lines, clean_lines) if a != b]
+    assert [a.split()[:2] for a, _ in changed] == [
+        ["steiner_offset[rho=0.25]", "FAIL"], ["overall", "FAIL"]]
+    assert "error=DegenerateBodyError: refused at 0.25" in changed[0][0]
 
 
 def test_offset_of_offset_sausage_loads_and_verifies(capsys, tmp_path):

@@ -28,7 +28,7 @@ from hypiso.spline import (
     ArcSpline,
     GeometryError,
     arc_matrices,
-    arc_matrix,
+    arc_transports,
     frenet_matrix,
 )
 from hypiso.steiner import sausage_measures
@@ -112,7 +112,7 @@ def test_closure_jacobian_matches_finite_differences():
 def _reference_jacobian(kappas, lengths):
     """Per-arc prefix/suffix loop, one triple product per partial."""
     n = len(kappas)
-    mats = [arc_matrix(k, l) for k, l in zip(kappas, lengths)]
+    mats = [arc_transports([k], [l])[0][0] for k, l in zip(kappas, lengths)]
     dmats = [arc_matrices([k], [l], dkappa=True)[1][0]
              for k, l in zip(kappas, lengths)]
     prefix = [np.eye(3)]

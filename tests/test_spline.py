@@ -22,25 +22,35 @@ from hypiso.spline import (
     ArcSpline,
     GeometryError,
     arc_matrices,
-    arc_matrix,
     arc_points,
     arc_transports,
     area_polygonal,
     frenet_matrix,
     _c12,
+    _closure_gaps,
+    _walk,
     _winds_past_full_turn,
-    transport,
     transport_coeffs,
 )
 
 ETA = np.diag([-1.0, 1.0, 1.0])
 
 
+def _arc_matrix(kappa, length):
+    """exp(length M(kappa)), one arc's transport from the stacked builder."""
+    return arc_transports([kappa], [length])[0][0]
+
+
+def _transport(f, kappa, length):
+    """Frame f carried along one arc."""
+    return Frame(f.m @ _arc_matrix(kappa, length))
+
+
 @given(st.floats(min_value=-3.0, max_value=3.0),
        st.floats(min_value=1e-6, max_value=4.0))
 @settings(max_examples=120, deadline=None)
 def test_arc_matrix_is_lorentz(kappa, length):
-    g = arc_matrix(kappa, length)
+    g = _arc_matrix(kappa, length)
     assert np.max(np.abs(g.T @ ETA @ g - ETA)) < 1e-11
 
 
@@ -50,11 +60,11 @@ def test_arc_matrix_series_branch_matches_expm():
     for kappa in (1.0, 1.0 + 5e-9, 0.999999, 1.000001):
         for s in (1e-5, 1e-3, 0.5):
             direct = expm(s * frenet_matrix(kappa))
-            assert np.max(np.abs(arc_matrix(kappa, s) - direct)) < 1e-12
+            assert np.max(np.abs(_arc_matrix(kappa, s) - direct)) < 1e-12
 
 
 def test_transport_zero_curvature_is_geodesic():
-    f = transport(ORIGIN_FRAME, 0.0, 1.7)
+    f = _transport(ORIGIN_FRAME, 0.0, 1.7)
     assert dist(ORIGIN_FRAME.point, f.point) == pytest.approx(1.7, abs=1e-12)
     assert frame_defect(f) < 1e-12
 
@@ -63,7 +73,7 @@ def test_transport_circle_returns_home():
     # kappa > 1 traces a circle of radius atanh(1/kappa)
     kappa = 2.0
     circ = 2.0 * math.pi * math.sinh(math.atanh(1.0 / kappa))
-    f = transport(ORIGIN_FRAME, kappa, circ)
+    f = _transport(ORIGIN_FRAME, kappa, circ)
     assert ArcSpline.open_chain(ORIGIN_FRAME,
                                 [Arc(kappa, circ)]).closure_residual() < 1e-12
     assert np.max(np.abs(f.m - ORIGIN_FRAME.m)) < 1e-12
@@ -77,7 +87,7 @@ def test_transport_hypercircle_endpoint():
     u = np.array([math.sinh(h), 0.0, math.cosh(h)])  # core geodesic normal
     feet = []
     for s in (0.0, ell / 3.0, ell):
-        p = transport(ORIGIN_FRAME, math.tanh(h), s).point
+        p = _transport(ORIGIN_FRAME, math.tanh(h), s).point
         assert minkowski(p.v, u) == pytest.approx(-math.sinh(h), abs=1e-12)
         feet.append(Point.from_array(
             (p.v + math.sinh(h) * u) / math.cosh(h), validate=False))
@@ -89,8 +99,8 @@ def test_transport_composes():
     for _ in range(20):
         kappa = rng.uniform(-2, 2)
         s1, s2 = rng.uniform(0.1, 2.0, size=2)
-        two_step = transport(transport(ORIGIN_FRAME, kappa, s1), kappa, s2)
-        one_step = transport(ORIGIN_FRAME, kappa, s1 + s2)
+        two_step = _transport(_transport(ORIGIN_FRAME, kappa, s1), kappa, s2)
+        one_step = _transport(ORIGIN_FRAME, kappa, s1 + s2)
         assert np.max(np.abs(two_step.m - one_step.m)) < 1e-12
 
 
@@ -198,6 +208,49 @@ def test_arc_transports_of_a_stack_match_row_by_row_calls_bit_for_bit():
             assert got[i].tobytes() == want.tobytes()
 
 
+def test_closure_gap_reads_position_and_tangent():
+    # a rotation about the origin keeps the point and turns the tangent
+    # by th, a gap of 2 sin(th / 2); a boost along the tangent moves the
+    # point d, a gap of 2 sinh(d / 2), and carries the tangent parallel
+    th = np.array([0.0, 1e-6, 0.3, 2.0])
+    c, s = np.cos(th), np.sin(th)
+    rot = np.zeros((th.size, 3, 3))
+    rot[:, 0, 0] = 1.0
+    rot[:, 1, 1], rot[:, 1, 2], rot[:, 2, 1], rot[:, 2, 2] = c, -s, s, c
+    d = np.array([1e-6, 0.5, 3.0])
+    ch, sh = np.cosh(d), np.sinh(d)
+    boost = np.zeros((d.size, 3, 3))
+    boost[:, 0, 0], boost[:, 0, 1], boost[:, 1, 0], boost[:, 1, 1] = \
+        ch, sh, sh, ch
+    boost[:, 2, 2] = 1.0
+    ends = np.concatenate([rot, boost])
+    gaps = _closure_gaps(ends)
+    want = np.concatenate([2.0 * np.sin(th / 2.0), 2.0 * np.sinh(d / 2.0)])
+    assert np.allclose(gaps, want, rtol=1e-9, atol=1e-15)
+    # elementwise over the stack: each gap is its end frame's alone
+    for end, gap in zip(ends, gaps):
+        assert _closure_gaps(end) == gap
+
+
+def test_walk_of_a_stack_is_each_chain_walked_alone():
+    rng = np.random.default_rng(8)
+    kap = rng.uniform(-3.0, 3.0, size=(4, 7))
+    lon = rng.uniform(0.01, 2.0, size=(4, 7))
+    walk = _walk(arc_transports(kap, lon)[0])
+    assert walk.shape == (8, 4, 3, 3)
+    for i in range(4):
+        alone = _walk(arc_transports(kap[i], lon[i])[0])
+        assert walk[:, i].tobytes() == alone.tobytes()
+        arcs = [Arc(k, l) for k, l in zip(kap[i], lon[i])]
+        spline = ArcSpline.open_chain(ORIGIN_FRAME, arcs)
+        assert spline.origin_frames.tobytes() == alone.tobytes()
+        # the plain product, one arc at a time
+        m = np.eye(3)
+        for k, l in zip(kap[i], lon[i]):
+            m = m @ _arc_matrix(k, l)
+        assert np.allclose(alone[-1], m, rtol=1e-12, atol=1e-12)
+
+
 def test_arc_matrices_match_expm():
     from scipy.linalg import expm
     A = arc_matrices(_MIXED_KAPPAS, _MIXED_LENGTHS)
@@ -207,7 +260,7 @@ def test_arc_matrices_match_expm():
         assert np.max(np.abs(A[i] - direct)
                       / np.maximum(1.0, np.abs(direct))) < 1e-12
         # the single-arc view is the same stacked builder
-        assert np.array_equal(arc_matrix(k, s), A[i])
+        assert np.array_equal(_arc_matrix(k, s), A[i])
 
 
 def test_arc_matrices_dkappa_matches_central_differences():
