@@ -86,10 +86,15 @@ def _load_body(path: str) -> Body:
         raise InputError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}")
+    return _body_from(obj, path)
+
+
+def _body_from(obj, what: str) -> Body:
+    """The body of a parsed body file; what names the file in errors."""
     try:
         return Body.from_json_dict(obj)
     except (KeyError, TypeError, ValueError, GeometryError) as e:
-        raise InputError(f"{path} is not a valid body file: {e}")
+        raise InputError(f"{what} is not a valid body file: {e}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -160,7 +165,15 @@ def cmd_offset(args) -> int:
     except (ValueError, GeometryError) as e:
         raise UsageError(str(e))
     if args.out:
-        _write_text(args.out, dumps(shifted.to_json_dict()) + "\n")
+        text = dumps(shifted.to_json_dict()) + "\n"
+        # offset accepts a chain closing within 1e-8, the loader within
+        # CLOSURE_TOL: a long chain can pass the one and fail the other
+        try:
+            _body_from(json.loads(text), "the offset body")
+        except InputError as e:
+            print(f"offset failed: {e}", file=sys.stderr)
+            return EXIT_CHECK
+        _write_text(args.out, text)
     m = shifted.measure
     print(csv_line([m.area, m.perimeter]))
     return EXIT_OK

@@ -21,8 +21,8 @@ from .spline import (
     ArcCoeffs,
     ArcSpline,
     GeometryError,
+    _arc_generators,
     _walk,
-    arc_dkappa,
     arc_transports,
 )
 from .bodies import Body
@@ -121,22 +121,30 @@ class Candidate:
 
 # rows and columns of the three independent closure entries
 _RES_IDX = ((1, 2, 2), (0, 0, 1))
-_I3 = np.eye(3)
+
+# G(E), the 3x3 map from v to the three closure entries of X(v) E
+# (`_jacobian`).  X(v) x = lorentz_cross(v, x), whose components 1 and
+# 2 are the plain cross product's, so the entries are
+# v2 E00 - v0 E20, v0 E10 - v1 E00 and v0 E11 - v1 E01: the rows of G
+# take E's flat entries _G_AT times _G_SIGN
+_G_AT = np.array([[6, 0, 0], [3, 0, 0], [4, 1, 0]])
+_G_SIGN = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
 
 
 class _Point(NamedTuple):
     """One evaluation of the constraints at x, kept for its Jacobian.
 
     c holds the perimeter constraint and then the three closure
-    residuals; E is the chain product.  The transports, their kernel
-    coefficients and the prefix products are what `_jacobian` reuses,
-    so an accepted line-search trial needs no second chain product.
-    prefix is one (n + 1, 3, 3) array, the chain walked from the
-    identity (prefix[-1] is E), and an accepted body hands it and the
-    transports to its spline as the walk from the origin frame.
-    Evaluated at a stack of points, x of shape (m, 2n), every array
-    gains an axis of m, after the arc axis in prefix and before it
-    elsewhere; `row` takes one point out of the stack.
+    residuals; E is the chain product.  The kernel coefficients and the
+    prefix products are what `_jacobian` reuses, and the transports
+    with the prefix products are what an accepted line-search trial
+    keeps, so it needs no second chain product.  prefix is one
+    (n + 1, 3, 3) array, the chain walked from the identity (prefix[-1]
+    is E), and an accepted body hands it and the transports to its
+    spline as the walk from the origin frame.  Evaluated at a stack of
+    points, x of shape (m, 2n), every array gains an axis of m, after
+    the arc axis in prefix and before it elsewhere; `row` takes one
+    point out of the stack.
     """
 
     x: np.ndarray
@@ -172,28 +180,22 @@ def _evaluate(x, n, perimeter) -> _Point:
 def _jacobian(pt: _Point) -> np.ndarray:
     """Jacobian of the four constraints wrt (kappas, lengths), (4, 2n).
 
-    Prefix and suffix chain products put each closure partial in one
-    triple product with the per-arc derivative in the middle; all n
-    triple products of a column block are computed as one stacked
-    product.  The prefix products are the point's own; the suffix
-    products are written into one preallocated (n + 1, 3, 3) array.
+    With P_i the prefix product before arc i and E the chain product,
+    the derivative of E in arc i's length or curvature is
+    P_i X(g) P_i^-1 E for its generator g of `_arc_generators`, and
+    P X(g) P^-1 = X(P g) for a Lorentz P.  So column j is G(E) P_i g:
+    one stacked product carries every generator to the origin frame
+    (P_i v_i is the arc's support vector kappa p + n), and one 3x3
+    map G(E) reads the three closure entries off X(.) E.  No suffix
+    products are needed.
     """
-    mats, prefix = pt.mats, pt.prefix
-    n = len(mats)
-    dmats = arc_dkappa(pt.coeffs)
-    suffix = np.empty((n + 1, 3, 3))
-    suffix[n] = _I3
-    # suffix[i] = mats[i] @ suffix[i + 1], from the last arc back
-    for A, after, out in zip(mats[::-1], suffix[:0:-1], suffix[-2::-1]):
-        np.matmul(A, after, out=out)
-    dK = prefix[:-1] @ dmats @ suffix[1:]
-    # d/dlength of exp(s M) is exp(s M) M, applied inside the chain
-    dL = prefix[1:] @ pt.coeffs.m @ suffix[1:]
-    rows, cols = _RES_IDX
-    J = np.zeros((4, 2 * n))
+    n = pt.x.size // 2
+    g = pt.prefix[:-1] @ _arc_generators(pt.coeffs)
+    J = np.empty((4, 2 * n))
+    J[0, :n] = 0.0
     J[0, n:] = 1.0
-    J[1:, :n] = dK[:, rows, cols].T
-    J[1:, n:] = dL[:, rows, cols].T
+    np.matmul(pt.E.take(_G_AT) * _G_SIGN,
+              g.transpose(1, 2, 0).reshape(3, 2 * n), out=J[1:])
     return J
 
 

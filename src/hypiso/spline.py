@@ -24,8 +24,14 @@ entries are patched with the series.
 
 `arc_transports` builds the stacked (n, 3, 3) transports of a whole
 chain from one kernel call and keeps the coefficients, from which
-`arc_dkappa` builds their kappa-derivatives without a second call;
-`arc_matrices` returns either or both.  `arc_transports` takes one
+`_arc_generators` builds the Lie-algebra generators of their two
+derivatives without a second call; `arc_matrices` returns the
+transports alone.  Every element of so(2, 1) is X(v): x ->
+lorentz_cross(v, x) (`geom.lorentz_cross`).  So an arc's derivative in
+length is X(v) exp(s M) with v = (kappa, 0, 1), since M = X(v), and
+in kappa it is X(u) exp(s M), with u the integral of the arc's point
+over its length; a chain's closure Jacobian then needs the prefix
+products alone (`optimize._jacobian`).  `arc_transports` takes one
 chain or a stack of chains, (m, n) curvatures and lengths, whose
 (m, n, 3, 3) transports and coefficients equal m calls on the single
 chains byte for byte: every step is elementwise or one 3x3 product
@@ -70,7 +76,6 @@ from .geom import (
     arccoth,
     lorentz_cross,
     minkowski,
-    project_to_sheet,
 )
 
 CLOSURE_TOL = 1e-9
@@ -95,18 +100,18 @@ def frenet_matrix(kappa) -> np.ndarray:
     return m
 
 
-# dM/dkappa
-_M1 = np.array([
-    [0.0, 0.0, 0.0],
-    [0.0, 0.0, -1.0],
-    [0.0, 1.0, 0.0],
-])
 _I3 = np.eye(3)
 
-# |alpha s^2| below which the coefficients use their Taylor series; the
-# alpha-derivatives cancel harder in closed form and switch earlier
+# |alpha s^2| below which the coefficients use their Taylor series
 _SERIES_X = 1e-8
-_SERIES_DX = 1e-6
+
+# |alpha s^2| below which c3 of `_arc_generators` uses its series:
+# the closed form (c1 - s) / alpha cancels to a relative error of
+# about 6 eps / |x|, and at |x| = 0.1 the first term past these seven,
+# x^7 / 17!, is below 2e-21 of the sum
+_C3_SERIES_X = 0.1
+_C3_POWERS = np.arange(7.0)
+_C3_TERMS = 1.0 / np.array([math.factorial(2 * j + 3) for j in range(7)])
 
 
 def _kernel(kappa, s):
@@ -200,35 +205,28 @@ def transport_coeffs(kappa, s):
     return _kernel(kappa, s)[2:]
 
 
-def arc_matrices(kappas, lengths, dkappa: bool = False):
-    """Stacked transports exp(l_i M(k_i)), shape (n, 3, 3).
-
-    With dkappa=True returns (A, dA) where dA holds the closed-form
-    kappa-derivatives of `arc_dkappa`, built from the same coefficients.
-    """
-    a, coeffs = arc_transports(kappas, lengths)
-    return (a, arc_dkappa(coeffs)) if dkappa else a
+def arc_matrices(kappas, lengths):
+    """Stacked transports exp(l_i M(k_i)), shape (n, 3, 3)."""
+    return arc_transports(kappas, lengths)[0]
 
 
 class ArcCoeffs(NamedTuple):
-    """Per-arc kernel coefficients and Frenet matrices of a chain."""
+    """Per-arc kernel coefficients of a chain, as `_arc_generators`
+    reads them."""
 
     k: np.ndarray
     s: np.ndarray
     alpha: np.ndarray
     x: np.ndarray
-    c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    m: np.ndarray
-    m2: np.ndarray
 
 
 def arc_transports(kappas, lengths):
     """Stacked transports and the `ArcCoeffs` they came from.
 
-    The coefficients are what `arc_dkappa` needs, so a caller that may
-    or may not want the kappa-derivatives later pays one kernel call.
+    The coefficients are what `_arc_generators` needs, so a caller that
+    may or may not want the derivatives later pays one kernel call.
     kappas and lengths hold one chain, shape (n,), or a stack of
     chains, shape (m, n); the transports are (..., n, 3, 3).
     """
@@ -238,30 +236,44 @@ def arc_transports(kappas, lengths):
     m = frenet_matrix(k)
     m2 = m @ m
     a = _I3 + c1[..., None, None] * m + c2[..., None, None] * m2
-    return a, ArcCoeffs(k, s, alpha, x, c0, c1, c2, m, m2)
+    return a, ArcCoeffs(k, s, alpha, x, c1, c2)
 
 
-def arc_dkappa(coeffs: ArcCoeffs):
-    """kappa-derivatives of the transports of `arc_transports`.
+def _c3(s, alpha, x, c1):
+    """c3 = the integral of c2 over [0, s], elementwise.
 
-    With alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
-    dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2) / alpha
-    away from alpha s^2 = 0, their Taylor series near it.
+    It is (c1 - s) / alpha in closed form and s^3 times the sum of
+    x^j / (2j + 3)! as a series, taken below |x| = `_C3_SERIES_X`.
     """
-    k, s, alpha, x, c0, c1, c2, m, m2 = coeffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (s * c0 - c1) / (2.0 * alpha)
-        d2 = (s * c1 / 2.0 - c2) / alpha
-    small = np.abs(x) < _SERIES_DX
-    if np.count_nonzero(small):
-        ss, xs = s[small], x[small]
-        d1[small] = ss ** 3 * (1.0 / 6.0 + xs / 60.0 + xs * xs / 1680.0)
-        d2[small] = ss ** 4 * (1.0 / 24.0 + xs / 360.0 + xs * xs / 13440.0)
-    dc1 = -2.0 * k * d1
-    dc2 = -2.0 * k * d2
-    return (dc1[:, None, None] * m + dc2[:, None, None] * m2
-            + c1[:, None, None] * _M1
-            + c2[:, None, None] * (_M1 @ m + m @ _M1))
+    small = np.abs(x) < _C3_SERIES_X
+    # alpha + 1 where the series takes over keeps alpha = 0 finite
+    c3 = (c1 - s) / (alpha + small)
+    if small.any():
+        xs, ss = x[small], s[small]
+        c3[small] = ss ** 3 * (xs[:, None] ** _C3_POWERS @ _C3_TERMS)
+    return c3
+
+
+def _arc_generators(coeffs: ArcCoeffs) -> np.ndarray:
+    """The generators (u, v) of each arc's derivatives, (n, 3, 2).
+
+    In the arc's start frame, d exp(s M) / ds = X(v) exp(s M) with
+    v = (kappa, 0, 1), and d exp(s M) / dkappa = X(u) exp(s M) with
+    u = (s + c3, c2, kappa c3): dM/dkappa = X((1, 0, 0)), conjugating
+    it by exp(t M) gives X of the arc's point (1 + c2, c1, kappa c2) at
+    t, and u is that point integrated over [0, s].  u is column 0 and
+    v column 1.  One chain's coefficients only.
+    """
+    k, s, alpha, x, c1, c2 = coeffs
+    c3 = _c3(s, alpha, x, c1)
+    uv = np.empty((k.size, 3, 2))
+    uv[:, 0, 0] = s + c3
+    uv[:, 1, 0] = c2
+    uv[:, 2, 0] = k * c3
+    uv[:, 0, 1] = k
+    uv[:, 1, 1] = 0.0
+    uv[:, 2, 1] = 1.0
+    return uv
 
 
 def _walk(mats) -> np.ndarray:
@@ -552,59 +564,6 @@ class ArcSpline:
         arcs = tuple(Arc(float(a["kappa"]), float(a["length"]))
                      for a in obj["arcs"])
         return ArcSpline(start, arcs)
-
-
-def area_polygonal(s: ArcSpline, n_samples: int) -> float:
-    """Independent area oracle: geodesic fan over boundary samples.
-
-    Samples the boundary at >= n_samples points, anchors a fan at the
-    normalized Euclidean mean of the samples, and sums signed
-    angle-defect areas of the geodesic triangles.  Signed triangles make
-    the fan valid for non-convex simple boundaries as well.  Converges
-    at second order in the sample spacing.
-    """
-    if n_samples < 3:
-        raise ValueError("polygonal area needs at least a 3-sample fan")
-    if not s.is_simple():
-        raise NonSimpleBoundaryError("boundary self-intersects")
-    pts = s.sample_points(n_samples)
-    anchor = project_to_sheet(pts.mean(axis=0))
-    nxt = np.roll(pts, -1, axis=0)
-    return float(np.sum(_signed_triangle_areas(anchor, pts, nxt)))
-
-
-def _log_dir(at, to):
-    """Unnormalized tangential direction of `to` seen from point(s) `at`."""
-    ip = minkowski(at, to)
-    return to + ip[..., None] * at if np.ndim(ip) else to + ip * at
-
-
-def _signed_triangle_areas(anchor, b, c):
-    """Signed angle-defect areas of triangles (anchor, b_i, c_i)."""
-    a = np.broadcast_to(anchor, b.shape)
-
-    def angle(v, w, base):
-        nv = np.sqrt(np.maximum(minkowski(v, v), 0.0))
-        nw = np.sqrt(np.maximum(minkowski(w, w), 0.0))
-        co = minkowski(v, w)
-        si = minkowski(w, lorentz_cross(base, v))
-        return np.arctan2(si, co), nv * nw
-
-    ab = _log_dir(a, b)
-    ac = _log_dir(a, c)
-    ba = _log_dir(b, a)
-    bc = _log_dir(b, c)
-    ca = _log_dir(c, a)
-    cb = _log_dir(c, b)
-    alpha, scale_a = angle(ab, ac, a)
-    beta, scale_b = angle(bc, ba, b)
-    gamma, scale_c = angle(ca, cb, c)
-    defect = math.pi - np.abs(alpha) - np.abs(beta) - np.abs(gamma)
-    out = np.sign(alpha) * defect
-    # degenerate slivers: zero-length sides carry no area
-    degenerate = (scale_a < 1e-28) | (scale_b < 1e-28) | (scale_c < 1e-28)
-    out[degenerate] = 0.0
-    return out
 
 
 # ── simplicity of chains that never turn right ───────────────────────────

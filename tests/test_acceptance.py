@@ -24,7 +24,6 @@ from hypiso.bodies import (
 )
 from hypiso.geom import ORIGIN, curvature_scaled, disk_curvature_at_origin
 from hypiso.optimize import ShapeProblem, random_thick_body, solve
-from hypiso.spline import area_polygonal
 from hypiso.steiner import (
     SIGN_AS_PRINTED,
     SIGN_STEINER_CONSISTENT,
@@ -37,6 +36,8 @@ from hypiso.steiner import (
     outer_flow,
     sausage_measures,
 )
+
+from polygonal_area import area_polygonal
 
 BIG_R = math.atanh(0.5)  # arccoth 2
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"

@@ -142,6 +142,32 @@ def test_offset_pinch_is_a_check_failure(capsys, tmp_path):
     assert "offset failed" in err
 
 
+def test_offset_that_would_not_load_is_a_check_failure(capsys, tmp_path):
+    # the offset chain of sausage(2, 4) closes at 1.85e-9: within the 1e-8
+    # that offset accepts, past the loader's 1e-9, so no file is written
+    # (verify used to refuse the written one with exit 3)
+    body, out = tmp_path / "s.json", tmp_path / "o.json"
+    code, _, _ = run(capsys, "construct", "sausage", "--lambda", "2",
+                     "--d", "4", "--out", str(body))
+    assert code == 0
+    code, stdout, err = run(capsys, "offset", str(body), "--rho", "0.2",
+                            "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("offset failed: the offset body is not a valid "
+                          "body file: chain does not close: residual ")
+    assert "exceeds 1.0e-09" in err
+    assert not out.exists()
+    # with no file to write, offset prints the measures as before
+    code, stdout, err = run(capsys, "offset", str(body), "--rho", "0.2")
+    assert code == 0 and err == "" and len(stdout.split(",")) == 2
+    # the erosion of the same body loads, so it is written and verifies
+    code, _, err = run(capsys, "offset", str(body), "--rho", "-0.2",
+                       "--out", str(out))
+    assert code == 0, err
+    code, report, err = run(capsys, "verify", str(out))
+    assert code in (0, 1) and "overall" in report, err
+
+
 def test_offset_missing_file_exits_3(capsys):
     code, _, err = run(capsys, "offset", "/nonexistent/x.json", "--rho", "0.1")
     assert code == 3

@@ -27,9 +27,9 @@ from hypiso.geom import ORIGIN_FRAME
 from hypiso.spline import (
     ArcSpline,
     GeometryError,
-    arc_matrices,
     arc_transports,
     frenet_matrix,
+    transport_coeffs,
 )
 from hypiso.steiner import sausage_measures
 
@@ -109,12 +109,41 @@ def test_closure_jacobian_matches_finite_differences():
         assert np.max(np.abs(fd - J[:, j])) < 1e-5
 
 
+# dM/dkappa
+_M1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+
+def _dkappa_transport(kappa, s):
+    """d/dkappa exp(s M(kappa)), from exp(s M) = I + c1 M + c2 M^2.
+
+    With alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
+    dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2)
+    / alpha.  Those cancel as alpha s^2 = x goes to 0, so below |x| = 1
+    their Taylor series in x take over, to 20 terms:
+    s^3 sum (j + 1) x^j / (2j + 3)! and s^4 sum (j + 1) x^j / (2j + 4)!.
+    """
+    c0, c1, c2 = transport_coeffs(kappa, s)
+    alpha = 1.0 - kappa * kappa
+    x = alpha * s * s
+    if abs(x) < 1.0:
+        d1 = s ** 3 * sum((j + 1) * x ** j / math.factorial(2 * j + 3)
+                          for j in range(20))
+        d2 = s ** 4 * sum((j + 1) * x ** j / math.factorial(2 * j + 4)
+                          for j in range(20))
+    else:
+        d1 = (s * c0 - c1) / (2.0 * alpha)
+        d2 = (s * c1 / 2.0 - c2) / alpha
+    m = frenet_matrix(kappa)
+    return (-2.0 * kappa * (d1 * m + d2 * (m @ m))
+            + c1 * _M1 + c2 * (_M1 @ m + m @ _M1))
+
+
 def _reference_jacobian(kappas, lengths):
-    """Per-arc prefix/suffix loop, one triple product per partial."""
+    """Per-arc prefix/suffix loop, one triple product per partial, with
+    the product rule's closed-form transport derivatives."""
     n = len(kappas)
     mats = [arc_transports([k], [l])[0][0] for k, l in zip(kappas, lengths)]
-    dmats = [arc_matrices([k], [l], dkappa=True)[1][0]
-             for k, l in zip(kappas, lengths)]
+    dmats = [_dkappa_transport(k, l) for k, l in zip(kappas, lengths)]
     prefix = [np.eye(3)]
     for A in mats:
         prefix.append(prefix[-1] @ A)
@@ -129,6 +158,18 @@ def _reference_jacobian(kappas, lengths):
         J[:, i] = (dK[1, 0], dK[2, 0], dK[2, 1])
         J[:, n + i] = (dL[1, 0], dL[2, 0], dL[2, 1])
     return np.array([E[1, 0], E[2, 0], E[2, 1]]), J
+
+
+def test_dkappa_transport_matches_expm_frechet():
+    # the oracle's closed form and series, against scipy's Frechet
+    # derivative of expm in the direction s dM/dkappa
+    from scipy.linalg import expm_frechet
+    for k, s in ((2.0, 1.1), (1.3, 4.0), (0.5, 0.8), (0.0, 1.6), (-1.7, 0.4),
+                 (1.0, 0.9), (-1.0, 1.4), (1.0 + 1e-9, 1.3), (0.99999, 2.0),
+                 (1.0 + 2e-5, 0.5), (0.9, 1.0), (1.2, 1.5)):
+        want = expm_frechet(s * frenet_matrix(k), s * _M1, compute_expm=False)
+        got = _dkappa_transport(k, s)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), k
 
 
 def test_closure_jacobian_matches_per_arc_reference_at_n64():
@@ -153,6 +194,30 @@ def test_closure_jacobian_matches_per_arc_reference_at_n64():
         down = closure_residual_vec(dk, dl)
         fd = (up - down) / (2.0 * h)
         assert np.max(np.abs(fd - J[:, j])) < 1e-7 * max(1.0, np.max(np.abs(J)))
+
+
+def test_closure_jacobian_matches_product_rule_on_mixed_chains():
+    # geodesics, horocycles (kappa = +-1), concave arcs, circles past a
+    # half turn, and arcs near kappa = 1 whose |alpha s^2| spans the
+    # band [1e-8, 1e-1] where c3 switches between series and closed form
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for _ in range(40):
+        n = 24
+        kap = rng.uniform(-2.5, 3.0, size=n)
+        lon = rng.uniform(0.05, 0.6, size=n)
+        kap[:3] = (0.0, 1.0, -1.0)
+        kap[3], lon[3] = 2.0, 2.5  # 1.38 half turns round its circle
+        band = rng.permutation(np.arange(4, n))[:10]
+        lon[band] = rng.uniform(0.35, 0.6, size=10)
+        x = rng.choice([-1.0, 1.0], size=10) * 10.0 ** rng.uniform(-8, -1, 10)
+        kap[band] = np.sqrt(1.0 - x / lon[band] ** 2)
+        kap[band[:3]] *= -1.0
+        assert np.all(np.isfinite(kap))
+        _, J, _ = closure_jacobian(kap, lon)
+        _, J_ref = _reference_jacobian(kap, lon)
+        worst = max(worst, np.max(np.abs(J - J_ref)) / np.max(np.abs(J_ref)))
+    assert worst <= 1e-13, worst
 
 
 def test_restore_returns_perturbed_sausage_to_the_manifold():

@@ -14,6 +14,7 @@ from hypiso.geom import (
     dist,
     frame_defect,
     minkowski,
+    lorentz_cross,
     to_disk,
 )
 from hypiso.render import _view_arc
@@ -24,14 +25,18 @@ from hypiso.spline import (
     arc_matrices,
     arc_points,
     arc_transports,
-    area_polygonal,
     frenet_matrix,
+    _arc_generators,
     _c12,
+    _c3,
     _closure_gaps,
+    _kernel,
     _walk,
     _winds_past_full_turn,
     transport_coeffs,
 )
+
+from polygonal_area import area_polygonal
 
 ETA = np.diag([-1.0, 1.0, 1.0])
 
@@ -263,13 +268,61 @@ def test_arc_matrices_match_expm():
         assert np.array_equal(_arc_matrix(k, s), A[i])
 
 
-def test_arc_matrices_dkappa_matches_central_differences():
-    _, dA = arc_matrices(_MIXED_KAPPAS, _MIXED_LENGTHS, dkappa=True)
+# _MIXED plus kappa = -1, a geodesic, horocycle and concave arcs, and
+# circles past a half turn (kappa = 2 turns pi at length 1.81, kappa =
+# 1.3 at 3.78)
+_GEN_KAPPAS = np.concatenate([_MIXED_KAPPAS, [-1.0, 0.0, 1.0, -2.5, 2.0, 1.3]])
+_GEN_LENGTHS = np.concatenate([_MIXED_LENGTHS, [1.4, 0.3, 3.0, 0.6, 3.2, 4.0]])
+
+
+def _lie(v):
+    """X(v), the matrix of x -> v [x] x, the Lorentz cross."""
+    return lorentz_cross(v, np.eye(3)).T
+
+
+def test_arc_generators_match_central_differences():
+    # dA/dkappa A^-1 = X(u), and A^-1 = eta A^T eta for a Lorentz A
+    A, coeffs = arc_transports(_GEN_KAPPAS, _GEN_LENGTHS)
+    uv = _arc_generators(coeffs)
+    assert uv.shape == (len(_GEN_KAPPAS), 3, 2)
     h = 1e-6
-    fd = (arc_matrices(_MIXED_KAPPAS + h, _MIXED_LENGTHS)
-          - arc_matrices(_MIXED_KAPPAS - h, _MIXED_LENGTHS)) / (2.0 * h)
-    scale = np.maximum(1.0, np.abs(dA))
-    assert np.max(np.abs(dA - fd) / scale) < 1e-7
+    fd = (arc_matrices(_GEN_KAPPAS + h, _GEN_LENGTHS)
+          - arc_matrices(_GEN_KAPPAS - h, _GEN_LENGTHS)) / (2.0 * h)
+    for i, k in enumerate(_GEN_KAPPAS):
+        want = fd[i] @ ETA @ A[i].T @ ETA
+        got = _lie(uv[i, :, 0])
+        scale = np.maximum(1.0, np.abs(got))
+        assert np.max(np.abs(got - want) / scale) < 1e-7, k
+        # M = X(v) exactly, and the length derivative is X(v) A = A M
+        assert np.array_equal(_lie(uv[i, :, 1]), frenet_matrix(k))
+        assert np.array_equal(uv[i, :, 1], [k, 0.0, 1.0])
+
+
+def _c3_series(s, x, terms=20):
+    """s^3 times the sum of x^j / (2j + 3)!, j < terms."""
+    return s ** 3 * sum(x ** j / math.factorial(2 * j + 3)
+                        for j in range(terms))
+
+
+def test_c3_matches_its_series_across_the_switch():
+    # |x| = |alpha s^2| from 1e-12 to 1, hypercircles and circles, the
+    # closed form above |x| = 0.1 and the series below it
+    s = 1.5
+    mags = np.logspace(-12.0, 0.0, 97)
+    x = np.concatenate([mags, -mags])
+    alpha = x / (s * s)
+    for sign in (1.0, -1.0):
+        kappa = sign * np.sqrt(1.0 - alpha)
+        _, x_k, _, c1, _ = _kernel(kappa, s)
+        alpha_k = 1.0 - kappa * kappa
+        got = _c3(np.full(x.size, s), alpha_k, x_k, c1)
+        want = np.array([_c3_series(s, v) for v in x_k])
+        # measured 4.4e-15, at |x| = 0.1 on the closed-form side
+        assert np.max(np.abs(got - want) / want) < 1e-14
+    # x = 0 (kappa = +-1, or s = 0) is the series' first term alone
+    got = _c3(np.array([0.7, 0.7, 0.0]), np.array([0.0, 0.0, 0.5]),
+              np.zeros(3), np.array([0.7, 0.7, 0.0]))
+    assert got.tolist() == [0.7 ** 3 / 6.0, 0.7 ** 3 / 6.0, 0.0]
 
 
 def test_arc_points_on_sheet():
