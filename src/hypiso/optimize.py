@@ -136,15 +136,14 @@ class _Point(NamedTuple):
 
     c holds the perimeter constraint and then the three closure
     residuals; E is the chain product.  The kernel coefficients and the
-    prefix products are what `_jacobian` reuses, and the transports
-    with the prefix products are what an accepted line-search trial
-    keeps, so it needs no second chain product.  prefix is one
+    prefix products are what `_jacobian` reuses, so an accepted
+    line-search trial needs no second chain product.  prefix is one
     (n + 1, 3, 3) array, the chain walked from the identity (prefix[-1]
-    is E), and an accepted body hands it and the transports to its
-    spline as the walk from the origin frame.  Evaluated at a stack of
-    points, x of shape (m, 2n), every array gains an axis of m, after
-    the arc axis in prefix and before it elsewhere; `row` takes one
-    point out of the stack.
+    is E), and an accepted body hands it and the transports, mats, to
+    its spline as the walk from the origin frame.  Evaluated at a stack
+    of points, x of shape (m, 2n), every array gains an axis of m,
+    after the arc axis in prefix and before it elsewhere; `row` takes
+    one point out of the stack.
     """
 
     x: np.ndarray
