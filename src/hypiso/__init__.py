@@ -19,14 +19,11 @@ from .geom import (
     disk_curvature_at_origin,
     dist,
     dist_disk,
-    dist_uhp,
     exp_map,
     fermi_point,
     from_disk,
-    from_uhp,
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
-    isometry_from_frames,
     minkowski,
     parallel_transport,
     random_isometry,
@@ -92,9 +89,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ORIGIN", "ORIGIN_FRAME", "CurveClass", "CurveKind", "Frame", "Point",
     "classify_curvature", "curvature_scaled", "disk_curvature_at_origin",
-    "dist", "dist_disk", "dist_uhp", "exp_map", "fermi_point", "from_disk",
-    "from_uhp", "hypercircle_curvature_from_angle",
-    "hypercircle_distance_from_angle", "isometry_from_frames", "minkowski",
+    "dist", "dist_disk", "exp_map", "fermi_point", "from_disk",
+    "hypercircle_curvature_from_angle",
+    "hypercircle_distance_from_angle", "minkowski",
     "parallel_transport", "random_isometry", "sausage_side_curvature",
     "to_disk", "to_uhp",
     "Arc", "ArcSpline", "GeometryError", "NonSimpleBoundaryError",

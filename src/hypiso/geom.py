@@ -183,15 +183,6 @@ def lorentz_inverse(g: np.ndarray) -> np.ndarray:
     return _ETA @ g.T @ _ETA
 
 
-def isometry_from_frames(src: Frame, dst: Frame) -> np.ndarray:
-    """The unique orientation-preserving isometry mapping src to dst."""
-    return dst.m @ lorentz_inverse(src.m)
-
-
-def apply_isometry_point(g: np.ndarray, p: Point) -> Point:
-    return Point.from_array(g @ p.v, validate=False)
-
-
 def apply_isometry_frame(g: np.ndarray, f: Frame) -> Frame:
     # raw product; renormalizing amplifies error at large coordinates
     return Frame(g @ f.m)
@@ -353,20 +344,9 @@ def disk_to_uhp(z: complex) -> complex:
     return 1j * (1.0 + z) / (1.0 - z)
 
 
-def uhp_to_disk(w: complex) -> complex:
-    return (w - 1j) / (w + 1j)
-
-
 def to_uhp(p: Point) -> complex:
     """Hyperboloid point to upper half-plane coordinate, origin -> i."""
     return disk_to_uhp(to_disk(p))
-
-
-def from_uhp(w: complex) -> Point:
-    w = complex(w)
-    if w.imag <= 0.0:
-        raise ValueError("half-plane coordinate must satisfy Im w > 0")
-    return from_disk(uhp_to_disk(w))
 
 
 def dist_disk(z1: complex, z2: complex) -> float:
@@ -374,12 +354,6 @@ def dist_disk(z1: complex, z2: complex) -> float:
     num = abs(z1 - z2)
     den = abs(1.0 - z1.conjugate() * z2)
     return 2.0 * math.atanh(num / den)
-
-
-def dist_uhp(w1: complex, w2: complex) -> float:
-    """Distance oracle in the half-plane view."""
-    return float(_acosh1p(
-        1.0 + abs(w1 - w2) ** 2 / (2.0 * w1.imag * w2.imag)))
 
 
 def fermi_point(s: float, t: float) -> Point:

@@ -18,9 +18,11 @@ regimes: trig functions of s*sqrt(-alpha) for circles, hyperbolic
 functions of s*sqrt(alpha) for hypercircles and geodesics, and a Taylor
 series in x = alpha s^2 wherever |x| is small, which always covers the
 horocycle band.  The regimes join smoothly.  With one kappa and many s
-(sampling, distance queries) every element shares a regime, so each
-transcendental runs once per element and only the few small-|x|
-entries are patched with the series.
+(sampling) every element shares a regime, so each transcendental runs
+once per element and only the few small-|x| entries are patched with
+the series.  Distance queries against a whole chain take the c1/c2
+path `_kernel_c12`, one curvature per element and each function family
+run only where its regime holds, bit for bit the one-curvature values.
 
 `arc_transports` builds the stacked (n, 3, 3) transports of a whole
 chain from one kernel call and keeps the coefficients, from which
@@ -148,12 +150,12 @@ def _coeffs_one(kappa, s, with_c0=True):
     """(c0, c1, c2) for one curvature and many arclengths.
 
     With with_c0 false only (c1, c2) are computed: points and normals
-    need no c0, and distance queries, the largest callers, skip a full
-    array of cosh or cos.  Every element shares one regime, so each
-    transcendental runs once per element.  x = alpha s^2 has the sign
-    of alpha, so |x| needs no pass of its own, and s = 0 is exact in
-    closed form, so only nonzero small-|x| entries take the series.
-    s can be large (distance queries), so x is dropped early and each
+    need no c0, and their callers skip a full array of cosh or cos.
+    Every element shares one regime, so each transcendental runs once
+    per element.  x = alpha s^2 has the sign of alpha, so |x| needs no
+    pass of its own, and s = 0 is exact in closed form, so only
+    nonzero small-|x| entries take the series.
+    s can be large (dense sampling), so x is dropped early and each
     coefficient is one expression, whose temporaries numpy reuses.
     """
     alpha = 1.0 - kappa * kappa
@@ -178,6 +180,42 @@ def _coeffs_one(kappa, s, with_c0=True):
         for c, p in zip(out, patch):
             c[at] = p
     return out
+
+
+def _kernel_c12(kappa, s):
+    """(c1, c2) of `_coeffs_one` elementwise, with kappa broadcast
+    against s: the c1/c2 path of `_kernel` for many arcs at once.
+
+    Bit for bit `_c12` of each element's curvature: the regimes are
+    those of `_coeffs_one` (the series where alpha = 0 and at nonzero
+    small |x|), and each function family runs, through the ufuncs'
+    where=, only on the elements of its own regime.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    s = np.asarray(s, dtype=float)
+    alpha = 1.0 - kappa * kappa
+    x = alpha * s * s
+    w = np.sqrt(np.abs(alpha))
+    z = w * s
+    half = z / 2.0
+    hyp, circ = alpha > 0.0, alpha < 0.0
+    c1, h = np.empty(z.shape), np.empty(z.shape)
+    for odd, part in ((np.sinh, hyp), (np.sin, circ)):
+        odd(z, out=c1, where=part)
+        odd(half, out=h, where=part)
+    # alpha = 0 takes neither family; the series below overwrites it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 /= w
+        c2 = np.square(h, out=h)
+        c2 *= 2.0
+        c2 /= np.abs(alpha)
+    series = np.abs(x) < _SERIES_X
+    series &= x != 0.0
+    series |= alpha == 0.0
+    if series.any():
+        c1[series], c2[series] = _series_coeffs(
+            x[series], np.broadcast_to(s, x.shape)[series], with_c0=False)
+    return c1, c2
 
 
 def _series_coeffs(x, s, with_c0=True):
@@ -317,12 +355,6 @@ def arc_frames_batch(f: Frame, kappa: float, s):
     t_co = np.stack([c1, one + c2 * (1.0 - k * k), k * c1], axis=-1)
     mt = f.m.T
     return p_co @ mt, t_co @ mt, _normal_coeffs(k, c1, c2) @ mt
-
-
-def _arc_normals(f: Frame, kappa: float, s):
-    """The normals of `arc_frames_batch` alone."""
-    c1, c2 = _c12(kappa, s)
-    return _normal_coeffs(kappa, c1, c2) @ f.m.T
 
 
 @dataclass(frozen=True)

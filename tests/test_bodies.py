@@ -17,6 +17,7 @@ from hypiso.geom import (
     exp_map,
     fermi_point,
     from_disk,
+    project_to_sheet,
     random_isometry,
     to_disk,
 )
@@ -36,8 +37,10 @@ from hypiso.spline import (
 from hypiso import bodies
 from hypiso.bodies import (
     CONTAIN_TOL,
+    INRADIUS_TOL,
     ROLL_TOL,
     Body,
+    ConvexFlagError,
     _axis_boost,
     _critical_params,
     _double_normals,
@@ -178,6 +181,30 @@ def test_q_counterexample_base_height_is_closed_form():
         assert t0 == pytest.approx(want, abs=5e-16)
         # the right cap's center sits on the symmetry axis
         assert abs(center_height(t0)) <= 1e-15
+
+
+def test_body_file_convexity_is_read_from_the_arcs():
+    eroded = offset(two_ball_hull(0.9, 0.7), -0.3)
+    moved = sausage(2.0, 1.0).to_json_dict()
+    g = random_isometry(np.random.default_rng(3))
+    m = g @ sausage(2.0, 1.0).boundary.start.m
+    moved["boundary"]["start"] = {k: [float(v) for v in m[:, j]]
+                                  for j, k in enumerate("ptn")}
+    files = [b.to_json_dict() for b in (
+        ball(1.0), sausage(2.0, 1.0), two_ball_hull(0.9, 0.7), eroded,
+        offset(sausage(2.0, 1.0), 0.2), random_thick_body(2.0, 12, 7))]
+    files.append(moved)
+    for obj in files:
+        # constructor, offset and placed files load as they were written
+        assert Body.from_json_dict(obj).convex is obj["convex"]
+        # a file without the flag gets it from the arcs
+        bare = {k: v for k, v in obj.items() if k != "convex"}
+        assert Body.from_json_dict(bare).convex is obj["convex"]
+        # a flag that disagrees is refused, by name
+        with pytest.raises(ConvexFlagError, match="least curvature"):
+            Body.from_json_dict({**obj, "convex": not obj["convex"]})
+    assert not Body.from_json_dict(eroded.to_json_dict()).convex
+    assert issubclass(ConvexFlagError, ValueError)
 
 
 # --- containment ------------------------------------------------------------
@@ -418,14 +445,34 @@ def test_boundary_proximity_matches_reference_bit_for_bit():
         Frame(np.eye(3)), (Arc(1.0, 2.0), Arc(1.0 + 1e-13, 1.0),
                            Arc(-0.7, 1.5), Arc(-2.5, 3.0), Arc(0.0, 1.0))),
         convex=False)
+    # a circle arc over more than a full turn, so with five roots,
+    # between hypercircles: the stacked pass pads the other arcs' rows
+    looped = Body(boundary=ArcSpline.open_chain(
+        Frame(np.eye(3)), (Arc(0.4, 1.2), Arc(3.0, 3.5), Arc(0.8, 0.6))),
+        convex=False)
+    assert _critical_params(3.0, 3.5, np.ones(1), np.ones(1)).shape[0] >= 4
+    # arcs in the horocycle band, of either sign of 1 - kappa^2 and
+    # exactly 1, between circle arcs
+    band = Body(boundary=ArcSpline.open_chain(
+        Frame(np.eye(3)), (Arc(2.0, 1.0), Arc(1.0 + 3e-12, 0.8),
+                           Arc(1.5, 0.7), Arc(1.0 - 4e-12, 0.5),
+                           Arc(1.0, 0.4), Arc(2.5, 0.9))),
+        convex=True)
+    assert sum(abs(1.0 - a.kappa ** 2) < 1e-11
+               for a in band.boundary.arcs) == 3
     cases = [(b, _query_cloud(rng, 2000)) for b in (
         ball(1.0), sausage(2.0, 1.0), sausage(2.507, 1.983),
         sausage(3.0, 0.0), two_ball_hull(0.8, 0.7),
         q_counterexample(2.0, 0.1), random_thick_body(2.0, 12, 7),
-        random_thick_body(2.0, 12, 23), odd)]
+        random_thick_body(2.0, 12, 23), odd, looped, band)]
     cases.append((moved, _query_cloud(rng, 2000, g)))
     for b, pts in cases:
         pts = np.concatenate([pts, b.boundary.sample_points(200)])
+        _assert_same_bits(boundary_proximity(b, pts),
+                          _reference_proximity(b, pts))
+    # a cloud of one query
+    for b in (random_thick_body(2.0, 12, 7), looped, band):
+        pts = _query_cloud(rng, 1)
         _assert_same_bits(boundary_proximity(b, pts),
                           _reference_proximity(b, pts))
 
@@ -591,6 +638,48 @@ def test_inscribed_ball_of_eroded_hulls(r, d, rho, want):
     t = np.linspace(0.0, 2.0 * depth, 64)[:, None, None]
     grid = (P * np.cosh(t) + N * np.sinh(t)).reshape(-1, 3)
     assert np.max(signed_boundary_distance(body, grid)) <= depth + 1e-9
+
+
+def _unfiltered_deepest_center(body: Body):
+    """`_deepest_center` with no supporting-geodesic prefilter: the exact
+    fit test on every touching configuration."""
+    spline = body.boundary
+    assert spline.is_simple()
+    F = spline.origin_frames
+    C, R = bodies._touch_candidates(spline.arcs, F)
+    C = project_to_sheet(C)
+    depth = bodies._signed_distance(spline.arcs, tuple(map(Frame, F)), C)
+    fits = depth >= R - INRADIUS_TOL * np.maximum(1.0, R)
+    best = np.max(np.where(fits, R, -np.inf))
+    k = int(np.argmax(fits & (R >= best - INRADIUS_TOL * max(1.0, best))))
+    return float(R[k]), spline.start.m @ C[k]
+
+
+def test_inscribed_ball_prefilter_keeps_the_winner():
+    boost = np.array([[math.cosh(3.0), math.sinh(3.0), 0.0],
+                      [math.sinh(3.0), math.cosh(3.0), 0.0],
+                      [0.0, 0.0, 1.0]])
+    s = sausage(2.0, 4.0)
+    moved = Body(boundary=ArcSpline(apply_isometry_frame(boost, s.boundary.start),
+                                    s.boundary.arcs), convex=True)
+    bodies_ = [random_thick_body(lam, 12, seed) for lam in (1.5, 2.0, 3.0)
+               for seed in range(1, 41)]
+    bodies_ += [offset(two_ball_hull(0.9, 0.7), -0.3),
+                offset(two_ball_hull(0.6, 1.0), -0.2), moved]
+    dropped = 0
+    for body in bodies_:
+        r, center = bodies._deepest_center(body)
+        want_r, want_c = _unfiltered_deepest_center(body)
+        assert np.float64(r).tobytes() == np.float64(want_r).tobytes()
+        assert center.v.tobytes() == want_c.tobytes()
+        spline = body.boundary
+        if min(a.kappa for a in spline.arcs) >= -1e-12:
+            F = spline.origin_frames
+            C, R = bodies._touch_candidates(spline.arcs, F)
+            dropped += np.count_nonzero(~bodies._supported(
+                project_to_sheet(C), R, F[:-1, :, 2]))
+    # the prefilter does drop candidates: most of them, on random bodies
+    assert dropped > 100 * len(bodies_)
 
 
 # --- offsets ----------------------------------------------------------------

@@ -216,6 +216,32 @@ def test_verify_ball_reports_positive_deficit(capsys, tmp_path):
     assert "deficit=0.56206" in out
 
 
+def test_verify_rejects_a_convex_flag_that_disagrees_with_the_arcs(
+        capsys, tmp_path):
+    # the loader reads convexity from the arcs: a ball whose flag says
+    # "convex": false would drop its gated rolling row, and an eroded
+    # hull whose flag says true would roll a concave chain
+    ball_file, hull, eroded = (tmp_path / f for f in ("b.json", "h.json",
+                                                      "e.json"))
+    run(capsys, "construct", "ball", "--r", "1", "--out", str(ball_file))
+    run(capsys, "construct", "hull2", "--r", "0.9", "--d", "0.7",
+        "--out", str(hull))
+    code, _, err = run(capsys, "offset", str(hull), "--rho", "-0.3",
+                       "--out", str(eroded))
+    assert code == 0, err
+    for path, flag in ((ball_file, True), (eroded, False)):
+        obj = json.loads(path.read_text())
+        assert obj["convex"] is flag
+        # the files as written load and verify
+        code, out, _ = run(capsys, "verify", str(path), "--lambda", "2")
+        assert code in (0, 1) and ("rolling" in out) is flag
+        obj["convex"] = not flag
+        path.write_text(dumps(obj) + "\n")
+        code, out, err = run(capsys, "verify", str(path), "--lambda", "2")
+        assert code == 3 and out == ""
+        assert "not a valid body file" in err and '"convex"' in err
+
+
 def test_verify_honors_tolerance_env(capsys, tmp_path, monkeypatch):
     body = tmp_path / "s.json"
     run(capsys, "construct", "sausage", "--lambda", "2", "--d", "1",

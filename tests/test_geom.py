@@ -17,22 +17,24 @@ from hypiso.geom import (
     disk_curvature_at_origin,
     dist,
     dist_disk,
-    dist_uhp,
     exp_map,
     fermi_point,
     frame_defect,
     from_disk,
-    from_uhp,
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
-    isometry_from_frames,
-    apply_isometry_point,
     minkowski,
     parallel_transport,
     random_isometry,
     sausage_side_curvature,
     to_disk,
     to_uhp,
+)
+from model_oracles import (
+    apply_isometry_point,
+    dist_uhp,
+    from_uhp,
+    isometry_from_frames,
 )
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0,

@@ -28,6 +28,7 @@ from hypiso.spline import (
     frenet_matrix,
     _arc_generators,
     _c12,
+    _kernel_c12,
     _c3,
     _closure_gaps,
     _kernel,
@@ -191,6 +192,29 @@ def test_arc_end_coefficients_match_a_long_row_bit_for_bit():
                 assert got[0].tobytes() == want[1].tobytes()
             for got, want in zip(_c12(k, row), full[1:]):
                 assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_c12_matches_one_curvature_calls_bit_for_bit():
+    # distance queries against a chain evaluate every arc's roots in one
+    # call, one curvature per element; each element must be what its
+    # arc's own one-curvature call gives, in every regime: circles,
+    # hypercircles, geodesics, the horocycle band on both sides and at
+    # alpha = 0, the series at small nonzero |x|, and s = 0
+    rng = np.random.default_rng(29)
+    kappas = np.array([2.0, 1.3, 0.5, 0.0, -0.7, -2.5, 1.0, -1.0,
+                       1.0 + 3e-12, 1.0 - 4e-12, 1.0 + 1e-9, 40.0])
+    s = rng.uniform(0.0, 3.0, (len(kappas), 3, 257))
+    s[:, 0, :5] = (0.0, 1e-9, 1e-6, 3e-5, 1e-300)
+    want = [_c12(k, row) for k, row in zip(kappas, s)]
+    for got in (_kernel_c12(kappas[:, None, None], s),
+                _kernel_c12(np.repeat(kappas, s[0].size), s.reshape(-1))):
+        for g, w in zip(got, zip(*want)):
+            assert g.tobytes() == np.stack(w).tobytes()
+    # one family throughout, as for a stack of circle arcs
+    circles = kappas > 1.0 + 1e-6
+    got = _kernel_c12(kappas[circles, None, None], s[circles])
+    for g, w in zip(got, zip(*[want[i] for i in np.flatnonzero(circles)])):
+        assert g.tobytes() == np.stack(w).tobytes()
 
 
 def test_arc_transports_of_a_stack_match_row_by_row_calls_bit_for_bit():
