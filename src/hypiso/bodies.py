@@ -426,20 +426,23 @@ def _scan(arcs, frames, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nq = pts.shape[0]
     Q = pts @ _ETA  # row i dotted with x gives <pts[i], x>
-    k, L, regimes, c1L, c2L = _chain_terms(tuple(arcs))
-    out = np.empty(nq), np.empty(nq, dtype=int), np.empty(nq), np.empty(nq)
-    for lo in range(0, nq, _PROXIMITY_BLOCK):
-        at = slice(lo, lo + _PROXIMITY_BLOCK)
-        for o, got in zip(out, _nearest(k, L, frames, regimes, c1L, c2L,
-                                        Q[at])):
-            o[at] = got
-    dist = out[0]
-    np.maximum(dist, 1.0, out=dist)
-    np.arccosh(dist, out=dist)
-    return out
+    terms = _chain_terms(tuple(arcs))
+    # the start frames' columns p, t, n, as (3, arcs, 3)
+    cols = np.array([f.m for f in frames[:len(arcs)]]).transpose(2, 0, 1)
+    if nq <= _PROXIMITY_BLOCK:
+        best, arc, s, side = _nearest(*terms, cols, Q)
+    else:
+        best, s, side = np.empty(nq), np.empty(nq), np.empty(nq)
+        arc = np.empty(nq, dtype=int)
+        for lo in range(0, nq, _PROXIMITY_BLOCK):
+            at = slice(lo, lo + _PROXIMITY_BLOCK)
+            best[at], arc[at], s[at], side[at] = _nearest(*terms, cols,
+                                                         Q[at])
+    np.maximum(best, 1.0, out=best)
+    return np.arccosh(best, out=best), arc, s, side
 
 
-def _nearest(k, L, frames, regimes, c1L, c2L, Q):
+def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     """`_scan` of one block of queries, the rows q of Q = pts @ eta,
     with g = -<q, x> at the nearest point x in place of the distance."""
     n, nq = len(k), Q.shape[0]
@@ -447,7 +450,6 @@ def _nearest(k, L, frames, regimes, c1L, c2L, Q):
     # matrix-vector product per frame column, stacked, so each rounds as
     # Q @ f.p does; a product with the whole frame matrices rounds
     # differently
-    cols = np.array([f.m for f in frames[:n]]).transpose(2, 0, 1)
     QP, QT, QN = np.matmul(Q, cols[..., None])[..., 0]
     A, B = -QP, -QT
     D = A + k[:, None] * -QN
@@ -461,7 +463,7 @@ def _nearest(k, L, frames, regimes, c1L, c2L, Q):
             S[ix, :s.shape[1]] = s
     # only the roots on their arcs take the kernel; on indexes them in
     # S, aq their (arc, query) in A, B and D, at their place in the
-    # candidates (arc, roots..., s = 0, s = length) of G
+    # candidates (arc, roots..., s = 0, s = length)
     on = np.flatnonzero((S >= -1e-12) & (S <= L[:, None, None] + 1e-12))
     row = on // nq  # arc * R + root
     arc = row // R
@@ -469,13 +471,15 @@ def _nearest(k, L, frames, regimes, c1L, c2L, Q):
     at = on + 2 * nq * arc
     s = np.clip(S.take(on), 0.0, L[arc])
     c1, c2 = _kernel_c12(k[arc], s)
+    # the candidates' values, +inf where an arc has no such root
     G = np.full((n, R + 2, nq), np.inf)
     G.put(at, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
     G[:, R] = A
     G[:, R + 1] = A + c1L[:, None] * B + c2L[:, None] * D
-    G = G.reshape(-1, nq)
+    G = G.reshape(n * (R + 2), nq)
     first = np.argmin(G, axis=0)
-    best = G.take(first * nq + np.arange(nq))
+    at = first * nq + np.arange(nq)
+    best = G.take(at)
     nan = np.isnan(best)
     if nan.any():
         # argmin takes a NaN first; a NaN value never wins, so read it
@@ -483,19 +487,20 @@ def _nearest(k, L, frames, regimes, c1L, c2L, Q):
         sub = G[:, nan]
         np.copyto(sub, np.inf, where=np.isnan(sub))
         first[nan] = np.argmin(sub, axis=0)
+        at[nan] = first[nan] * nq + np.flatnonzero(nan)
         best[nan] = sub.min(axis=0)
     arc, row = np.divmod(first, R + 2)
     # the winner's parameter: a root's, clipped to its arc, or an end
-    s = S.take(first * nq - 2 * nq * arc + np.arange(nq), mode="clip")
-    s = np.where(row < R, np.clip(s, 0.0, L[arc]),
-                 np.where(row == R, 0.0, L[arc]))
+    s = np.clip(S.take(at - 2 * nq * arc, mode="clip"), 0.0, L[arc])
+    s[row == R] = 0.0
+    s[row > R] = L[arc[row > R]]
     # no candidate at all: arc 0 at s = 0, as a loop that keeps only
     # strictly smaller values leaves it
     s[best == np.inf] = 0.0
     # <q, N> at the nearest point x: the arc's support vector w = kp + n
     # is constant along it and N = w - k x, so with g = -<q, x> it is
     # <q, n> + k (g - A), exactly <q, n> where x is the arc's start
-    aq = arc * nq + np.arange(nq)
+    aq = at - (first - arc) * nq
     side = QN.take(aq) + k[arc] * (best - A.take(aq))
     return best, arc, s, side
 

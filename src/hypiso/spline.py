@@ -213,8 +213,10 @@ def _kernel_c12(kappa, s):
     series &= x != 0.0
     series |= alpha == 0.0
     if series.any():
-        c1[series], c2[series] = _series_coeffs(
-            x[series], np.broadcast_to(s, x.shape)[series], with_c0=False)
+        if s.shape != x.shape:
+            s = np.broadcast_to(s, x.shape)
+        c1[series], c2[series] = _series_coeffs(x[series], s[series],
+                                                with_c0=False)
     return c1, c2
 
 

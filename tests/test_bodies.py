@@ -475,6 +475,15 @@ def test_boundary_proximity_matches_reference_bit_for_bit():
         pts = _query_cloud(rng, 1)
         _assert_same_bits(boundary_proximity(b, pts),
                           _reference_proximity(b, pts))
+    # queries whose values overflow or are NaN: a NaN never wins, and a
+    # query with no candidate reads arc 0 at s = 0, as in the loop
+    wild = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                     [np.inf, np.inf, 0.0], [1e200, 1e200, 0.0],
+                     [-np.inf, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for b in (sausage(2.0, 1.0), looped):
+            _assert_same_bits(boundary_proximity(b, wild),
+                              _reference_proximity(b, wild))
 
 
 def test_boundary_proximity_matches_reference_on_rolling_queries():
