@@ -336,13 +336,11 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 # s = 0, c1 = c2 = 0 and the row is A itself; at s = length it is
 # A + c1L B + c2L D.  Padded root slots, roots off the arc and NaN
 # values read +inf, so the first of equal minima, in arc order, then
-# roots, then s = 0, then s = length, wins.  A, B and D come from one
-# matrix-vector product per frame column, which a product with the
-# whole frame matrices would round differently.
+# roots, then s = 0, then s = length, wins.
 
-# queries per block of `_proximity`: each block's stacked temporaries
-# hold about ten (arcs x (R + 2)) values per query, a few MB for a
-# 12-arc chain, however many queries a call brings
+# queries per block of `_scan`: each block's stacked temporaries hold
+# about ten (arcs x (R + 2)) values per query, a few MB for a 12-arc
+# chain, however many queries a call brings
 _PROXIMITY_BLOCK = 4096
 
 
@@ -448,8 +446,7 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     n, nq = len(k), Q.shape[0]
     # <q, p>, <q, t>, <q, n> of every arc's start frame: one
     # matrix-vector product per frame column, stacked, so each rounds as
-    # Q @ f.p does; a product with the whole frame matrices rounds
-    # differently
+    # Q @ f.p does; a product with whole frame matrices rounds otherwise
     QP, QT, QN = np.matmul(Q, cols[..., None])[..., 0]
     A, B = -QP, -QT
     D = A + k[:, None] * -QN
@@ -576,10 +573,10 @@ INRADIUS_TOL = 1e-9
 # test, which accepts depths down to r - INRADIUS_TOL max(1, r) and so
 # moves sinh r by at most INRADIUS_TOL max(1, r) cosh r, far below
 # 1e-6 cosh r for every radius under 1000.  The roundoff of <c, n_j>,
-# a few ulps of |c_0| max |n_j|, is added to the slack where it is
-# applied, so chains far from their start stay safe as well.
+# a sum of three products each at most |c_0| max |n_j| in size (c is
+# on the upper sheet), is added to the slack where it is applied, as
+# 16 ulps of that bound, so chains far from their start stay safe too.
 _SUPPORT_SLACK = 1e-6
-
 
 # (c, sinh r, cosh r) -> <c, c> + cosh^2 r - sinh^2 r, zero on every
 # center at every radius
@@ -677,7 +674,7 @@ def _supported(C, R, normals):
     h = C @ (_ETA @ normals.T)  # <c, n_j>
     eps = np.finfo(float).eps
     slack = (_SUPPORT_SLACK * np.cosh(R)
-             + 8.0 * eps * np.abs(C[:, 0]) * np.abs(normals).max())
+             + 16.0 * eps * np.abs(C[:, 0]) * np.abs(normals).max())
     return np.min(h, axis=1) >= np.sinh(R) - slack
 
 
