@@ -389,7 +389,7 @@ def boundary_proximity(body: Body, pts: np.ndarray):
     return _proximity(body.boundary.arcs, body.boundary.frames, pts)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _chain_terms(arcs):
     """What `_scan` reads of a chain's arcs alone, once per chain: the
     curvatures and lengths, the index arrays of the arcs in each root
@@ -621,12 +621,12 @@ def _touch_candidates(arcs, mats):
     W = _support_vectors(kap, mats[:-1])
 
     circ = kap > 1.0
-    centers = [W[circ] / np.sqrt(kap[circ] ** 2 - 1.0)[:, None]]
-    radii = [np.array([arccoth(k) for k in kap[circ]])]
+    centers = W[circ] / np.sqrt(kap[circ] ** 2 - 1.0)[:, None]
+    radii = np.array([arccoth(k) for k in kap[circ]])
 
     n = len(kap)
     if n < 2:  # no pair or triple
-        return centers[0], radii[0]
+        return centers, radii
     i, j, ijk = _touch_indices(n)
     # <c, w> - sinh r + k cosh r = 0, each row scaled to unit length
     rows = np.column_stack([W @ _ETA, -np.ones(n), kap])
@@ -635,13 +635,15 @@ def _touch_candidates(arcs, mats):
     # row is the Euclidean cross; of unit vectors, so that parallel w
     # (one circle, or equidistants of one geodesic) leave it ~1e-16
     U = W / np.linalg.norm(W, axis=1, keepdims=True)
-    crit = np.zeros((len(i), 5))
+    # the systems, three rows each: every pair, then every triple
+    pairs = len(i)
+    M = np.zeros((pairs + len(ijk), 3, 5))
+    M[:pairs, 0], M[:pairs, 1] = rows[i], rows[j]
     a, b = U[i].T, U[j].T
     # np.cross, term by term
     for m, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-        crit[:, m] = a[p] * b[q] - a[q] * b[p]
-    M = np.concatenate([np.stack([rows[i], rows[j], crit], axis=1),
-                        rows[ijk]])
+        M[:pairs, 2, m] = a[p] * b[q] - a[q] * b[p]
+    M[pairs:] = rows[ijk]
     # the last two columns of a complete QR of M^T span its kernel; the
     # diagonal of R gives the volume the three rows span
     Q, R = np.linalg.qr(np.swapaxes(M, 1, 2), mode="complete")
@@ -655,19 +657,18 @@ def _touch_candidates(arcs, mats):
     phi = np.arctan2(P[:, 0, 1], e)
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.arccos(-h / d)  # nan: no real root
-    for th in (0.5 * (phi + spread), 0.5 * (phi - spread)):
-        u = (np.cos(th)[:, None] * K[:, :, 0]
-             + np.sin(th)[:, None] * K[:, :, 1])
-        u *= np.where(u[:, 4] < 0.0, -1.0, 1.0)[:, None]  # cosh r > 0
-        # r > 0, and cosh r > sinh r so that c is timelike
-        u = u[np.isfinite(th) & (u[:, 3] > 0.0) & (u[:, 4] > u[:, 3])]
-        sh, ch = u[:, 3], u[:, 4]
-        r = np.arctanh(sh / ch)
-        c = u[:, :3] / np.sqrt((ch - sh) * (ch + sh))[:, None]
-        up = c[:, 0] > 0.0
-        centers.append(c[up])
-        radii.append(r[up])
-    return np.concatenate(centers), np.concatenate(radii)
+    # both roots of every system, the first root's rows first
+    th = 0.5 * np.stack([phi + spread, phi - spread])
+    u = (np.cos(th)[..., None] * K[:, :, 0]
+         + np.sin(th)[..., None] * K[:, :, 1])
+    u *= np.where(u[..., 4] < 0.0, -1.0, 1.0)[..., None]  # cosh r > 0
+    # r > 0, and cosh r > sinh r so that c is timelike
+    u = u[np.isfinite(th) & (u[..., 3] > 0.0) & (u[..., 4] > u[..., 3])]
+    sh, ch = u[:, 3], u[:, 4]
+    r = np.arctanh(sh / ch)
+    c = u[:, :3] / np.sqrt((ch - sh) * (ch + sh))[:, None]
+    up = c[:, 0] > 0.0
+    return np.concatenate([centers, c[up]]), np.concatenate([radii, r[up]])
 
 
 def _supported(C, R, normals):

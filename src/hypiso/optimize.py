@@ -25,7 +25,7 @@ from .spline import (
     _walk,
     arc_transports,
 )
-from .bodies import Body
+from .bodies import Body, _arcs_convex
 
 KKT_TOL = 1e-8
 RESTORE_TOL = 1e-12
@@ -94,7 +94,7 @@ class Candidate:
 
     def to_body(self, lam: float | None = None) -> Body:
         s = self.to_spline()
-        return Body(boundary=s, convex=min(a.kappa for a in s.arcs) >= 0.0,
+        return Body(boundary=s, convex=_arcs_convex(s.arcs),
                     thick_for=lam, meta={"kind": "optimized"})
 
     def to_json_dict(self) -> dict:
