@@ -357,24 +357,36 @@ def _critical_params(kappa, length, B, D):
     kappa = np.asarray(kappa, dtype=float)[..., None]
     length = np.asarray(length, dtype=float)[..., None]
     alpha = 1.0 - kappa * kappa
+    # the products are formed in place: an operand of shape (1,) or
+    # (m, 1) keeps numpy from reusing a temporary as a scalar would
     with np.errstate(divide="ignore", invalid="ignore"):
         if abs(alpha.flat[0]) < 1e-11:
-            s = -B / D
+            s = -B
+            s /= D
         elif alpha.flat[0] > 0.0:
             mu = np.sqrt(alpha)
-            s = np.arctanh(-B * mu / D) / mu
+            s = -B * mu
+            s /= D
+            np.arctanh(s, out=s)
+            s /= mu
         else:
             s = None
     if s is not None:
         return np.where(np.isfinite(s), s, -1.0)[..., None, :]
     w = np.sqrt(-alpha)
-    base = np.arctan2(-B * w, D) / w
+    base = -B * w
+    base = np.arctan2(base, D, out=base)
+    base /= w
     period = np.pi / w
-    k0 = np.ceil((0.0 - base) / period)
+    k0 = 0.0 - base
+    k0 /= period
+    np.ceil(k0, out=k0)
     # at most length/period + 1 roots can land inside an arc
     count = np.floor(length / period) + 2
     rows = np.arange(int(count.max()))[:, None]
-    s = base[..., None, :] + (k0[..., None, :] + rows) * period[..., None]
+    s = k0[..., None, :] + rows
+    s *= period[..., None]
+    s += base[..., None, :]
     if count.min() < len(rows):
         s[np.broadcast_to(rows >= count[..., None], s.shape)] = -1.0
     return s
