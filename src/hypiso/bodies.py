@@ -420,7 +420,9 @@ def _chain_terms(arcs):
 
 
 def _proximity(arcs, frames, pts):
-    """`boundary_proximity` against arcs starting at the given frames."""
+    """`boundary_proximity` against arcs starting at the given frames:
+    the first three arrays of `_scan`, one stacked pass over all arcs
+    per block of queries."""
     return _scan(arcs, frames, pts)[:3]
 
 
