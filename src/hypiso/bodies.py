@@ -12,8 +12,6 @@ closed form, with no sampling, and the margin is 2 (reach - radius).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -401,28 +399,11 @@ def boundary_proximity(body: Body, pts: np.ndarray):
     return _proximity(body.boundary.arcs, body.boundary.frames, pts)
 
 
-@functools.lru_cache(maxsize=8)
-def _chain_terms(arcs):
-    """What `_scan` reads of a chain's arcs alone, once per chain: the
-    curvatures and lengths, the index arrays of the arcs in each root
-    regime of `_critical_params`, and (c1, c2) at each arc's length.
-    Read-only, as every call on an equal chain shares them."""
-    k = np.array([a.kappa for a in arcs])
-    L = np.array([a.length for a in arcs])
-    alpha = 1.0 - k * k
-    band = np.abs(alpha) < 1e-11
-    regimes = [np.flatnonzero(g) for g in
-               (band, ~band & (alpha > 0.0), ~band & (alpha < 0.0))]
-    terms = (k, L, [ix for ix in regimes if ix.size]) + _kernel_c12(k, L)
-    for a in terms[:2] + tuple(terms[2]) + terms[3:]:
-        a.flags.writeable = False
-    return terms
-
-
 def _proximity(arcs, frames, pts):
     """`boundary_proximity` against arcs starting at the given frames:
-    the first three arrays of `_scan`, one stacked pass over all arcs
-    per block of queries."""
+    the first three arrays of `_scan`.  Kept apart from `_scan` as the
+    three-array form that `boundary_proximity` returns and the sampled
+    rolling oracle of the tests reads."""
     return _scan(arcs, frames, pts)[:3]
 
 
@@ -438,18 +419,22 @@ def _scan(arcs, frames, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nq = pts.shape[0]
     Q = pts @ _ETA  # row i dotted with x gives <pts[i], x>
-    terms = _chain_terms(tuple(arcs))
+    k = np.array([a.kappa for a in arcs])
+    L = np.array([a.length for a in arcs])
+    # the arcs of each root regime of `_critical_params`
+    alpha = 1.0 - k * k
+    band = np.abs(alpha) < 1e-11
+    regimes = [ix for ix in (np.flatnonzero(g) for g in (
+        band, ~band & (alpha > 0.0), ~band & (alpha < 0.0))) if ix.size]
+    c1L, c2L = _kernel_c12(k, L)
     # the start frames' columns p, t, n, as (3, arcs, 3)
     cols = np.array([f.m for f in frames[:len(arcs)]]).transpose(2, 0, 1)
-    if nq <= _PROXIMITY_BLOCK:
-        best, arc, s, side = _nearest(*terms, cols, Q)
-    else:
-        best, s, side = np.empty(nq), np.empty(nq), np.empty(nq)
-        arc = np.empty(nq, dtype=int)
-        for lo in range(0, nq, _PROXIMITY_BLOCK):
-            at = slice(lo, lo + _PROXIMITY_BLOCK)
-            best[at], arc[at], s[at], side[at] = _nearest(*terms, cols,
-                                                         Q[at])
+    best, s, side = np.empty(nq), np.empty(nq), np.empty(nq)
+    arc = np.empty(nq, dtype=int)
+    for lo in range(0, nq, _PROXIMITY_BLOCK):
+        at = slice(lo, lo + _PROXIMITY_BLOCK)
+        best[at], arc[at], s[at], side[at] = _nearest(
+            k, L, regimes, c1L, c2L, cols, Q[at])
     np.maximum(best, 1.0, out=best)
     return np.arccosh(best, out=best), arc, s, side
 
@@ -479,12 +464,12 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     row = on // nq  # arc * R + root
     arc = row // R
     aq = on - (row - arc) * nq
-    at = on + 2 * nq * arc
+    put = on + 2 * nq * arc  # ascending
     s = np.clip(S.take(on), 0.0, L[arc])
     c1, c2 = _kernel_c12(k[arc], s)
     # the candidates' values, +inf where an arc has no such root
     G = np.full((n, R + 2, nq), np.inf)
-    G.put(at, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
+    G.put(put, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
     G[:, R] = A
     G[:, R + 1] = A + c1L[:, None] * B + c2L[:, None] * D
     G = G.reshape(n * (R + 2), nq)
@@ -508,14 +493,21 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     # no candidate at all: arc 0 at s = 0, as a loop that keeps only
     # strictly smaller values leaves it
     s[best == np.inf] = 0.0
-    # <q, N> at the nearest point x: the arc's support vector w = kp + n
-    # is constant along it and N = w - k x, so with g = -<q, x> it is
-    # <q, n> + k (g - A), exactly <q, n> where x is the arc's start.
-    # Its rounding, about k ulps of g, stays below that of the distance
-    # itself near the boundary, arccosh of g near 1 (sqrt(eps) g), for
-    # every k up to about 1e7
+    # c1, c2 at the winner: a root's, found by its place in G, the
+    # arc's end values at s = length, 0 at s = 0 and with no candidate
+    root = (row < R) & (best != np.inf)
+    w1 = np.where(row > R, c1L[arc], 0.0)
+    w2 = np.where(row > R, c2L[arc], 0.0)
+    found = np.searchsorted(put, at[root])
+    w1[root], w2[root] = c1[found], c2[found]
+    # <q, N> at the nearest point, N = -k c2 p - k c1 t + (1 - k^2 c2) n
+    # in the arc's start frame: sums of products of numbers of size
+    # |q|, with no cancellation that grows with k (caps snapped to
+    # radius 1e-9 have k = 1e9)
     aq = at - (first - arc) * nq
-    side = QN.take(aq) + k[arc] * (best - A.take(aq))
+    kw = k[arc]
+    side = ((-kw * w2) * QP.take(aq) + (-kw * w1) * QT.take(aq)
+            + (1.0 - kw * kw * w2) * QN.take(aq))
     return best, arc, s, side
 
 
@@ -600,18 +592,6 @@ _SUPPORT_SLACK = 1e-6
 _TOUCH_FORM = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-@functools.lru_cache(maxsize=32)
-def _touch_indices(n: int):
-    """Pair (i, j) and triple index arrays of `_touch_candidates` for
-    n arcs, built once per n; read-only, as every call shares them."""
-    i, j = np.triu_indices(n, 1)
-    ijk = np.array(list(itertools.combinations(range(n), 3)),
-                   dtype=int).reshape(-1, 3)
-    for a in (i, j, ijk):
-        a.flags.writeable = False
-    return i, j, ijk
-
-
 def _touch_candidates(arcs, mats):
     """Centers and radii of every ball touching the boundary arcs in a
     configuration a deepest point can take: (centers (m, 3), radii (m,)).
@@ -641,7 +621,10 @@ def _touch_candidates(arcs, mats):
     n = len(kap)
     if n < 2:  # no pair or triple
         return centers, radii
-    i, j, ijk = _touch_indices(n)
+    # every pair i < j and triple i < j < k, in lexicographic order
+    r = np.arange(n)
+    i, j = np.argwhere(r[:, None] < r).T
+    ijk = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
     # <c, w> - sinh r + k cosh r = 0, each row scaled to unit length
     rows = np.column_stack([W @ _ETA, -np.ones(n), kap])
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)

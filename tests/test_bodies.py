@@ -378,6 +378,33 @@ def test_boundary_proximity_locates_arc():
     assert 0.0 <= best_s[0] <= s.boundary.arcs[best_arc[0]].length
 
 
+def _reference_critical_params(kappa: float, length: float, B, D):
+    """Interior stationary parameters of one arc, one row per candidate
+    root and one column per query, invalid slots < 0: the scalar form
+    the stacked pass replaced, kept here so the oracle shares no code
+    with it."""
+    alpha = 1.0 - kappa * kappa
+    if abs(alpha) < 1e-11:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -B / D
+        s = np.where(np.isfinite(s), s, -1.0)
+        return s[None, :]
+    if alpha > 0.0:
+        mu = math.sqrt(alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -B * mu / D
+            s = np.arctanh(ratio) / mu
+        s = np.where(np.isfinite(s), s, -1.0)
+        return s[None, :]
+    w = math.sqrt(-alpha)
+    base = np.arctan2(-B * w, D) / w
+    period = math.pi / w
+    k0 = np.ceil((0.0 - base) / period)
+    # at most length/period + 1 roots can land inside the arc
+    count = int(math.floor(length / period)) + 2
+    return base + (k0 + np.arange(count)[:, None]) * period
+
+
 def _reference_proximity(body, pts):
     """The per-row loop with the arc ends as two more rows per query."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -392,7 +419,7 @@ def _reference_proximity(body, pts):
         A = -(Q @ f.p)
         B = -(Q @ f.t)
         D = A + a.kappa * (-(Q @ f.n))
-        S = _critical_params(a.kappa, a.length, B, D)
+        S = _reference_critical_params(a.kappa, a.length, B, D)
         ends = np.broadcast_to(np.array([[0.0], [a.length]]), (2, nq))
         S = np.concatenate([S, ends])
         valid = (S >= -1e-12) & (S <= a.length + 1e-12)
@@ -450,7 +477,8 @@ def test_boundary_proximity_matches_reference_bit_for_bit():
     looped = Body(boundary=ArcSpline.open_chain(
         Frame(np.eye(3)), (Arc(0.4, 1.2), Arc(3.0, 3.5), Arc(0.8, 0.6))),
         convex=False)
-    assert _critical_params(3.0, 3.5, np.ones(1), np.ones(1)).shape[0] >= 4
+    assert _reference_critical_params(3.0, 3.5, np.ones(1),
+                                      np.ones(1)).shape[0] >= 4
     # arcs in the horocycle band, of either sign of 1 - kappa^2 and
     # exactly 1, between circle arcs
     band = Body(boundary=ArcSpline.open_chain(
@@ -526,6 +554,45 @@ def test_boundary_proximity_keeps_the_first_of_equal_minima():
         _assert_same_bits(boundary_proximity(b, center),
                           _reference_proximity(b, center))
 
+
+def _reference_normals(frame: Frame, kappa: float, s):
+    """Inward unit normals at arclengths s of one arc, as a vector each:
+    the normal column of I + c1 M + c2 M^2 carried by the start frame."""
+    _, c1, c2 = transport_coeffs(kappa, s)
+    coeffs = np.stack([-kappa * c2, -kappa * c1, 1.0 - kappa * kappa * c2],
+                      axis=-1)
+    return coeffs @ frame.m.T
+
+
+def test_signed_distance_keeps_its_side_at_snapped_caps():
+    # eroding a sausage by its cap radius snaps each cap to radius 1e-9,
+    # curvature 1e9; points 1e-8 to 1e-7 outside such a cap, and 5e-10
+    # inside it, keep the side that the normal built at the nearest
+    # point reads, bit for bit
+    core = offset(sausage(2.0, 1.0), -BIG_R)
+    spline = core.boundary
+    caps = [i for i, a in enumerate(spline.arcs) if a.kappa > 1e8]
+    assert len(caps) == 2
+    pts = []
+    for i in caps:
+        a, f = spline.arcs[i], spline.frames[i]
+        s = np.linspace(0.0, a.length, 17)
+        _, c1, c2 = transport_coeffs(a.kappa, s)
+        x = np.stack([1.0 + c2, c1, a.kappa * c2], axis=-1) @ f.m.T
+        N = _reference_normals(f, a.kappa, s)
+        for delta in (-1e-7, -5e-8, -2e-8, -1e-8, 5e-10):
+            pts.append(x * math.cosh(delta) + N * math.sinh(delta))
+    pts = np.concatenate(pts)
+    d, arc, s = _reference_proximity(core, pts)
+    Q = pts @ _ETA
+    side = np.empty(len(pts))
+    for i in np.unique(arc):
+        sel = arc == i
+        N = _reference_normals(spline.frames[i], spline.arcs[i].kappa, s[sel])
+        side[sel] = np.einsum("ij,ij->i", Q[sel], N)
+    want = np.where(side >= 0.0, d, -d)
+    got = signed_boundary_distance(core, pts)
+    assert got.tobytes() == want.tobytes()
 
 # --- inradius ---------------------------------------------------------------
 
