@@ -336,7 +336,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 # values read +inf, so the first of equal minima, in arc order, then
 # roots, then s = 0, then s = length, wins.
 
-# queries per block of `_scan`: each block's stacked temporaries hold
+# queries per block of `_proximity`: each block's stacked temporaries hold
 # about ten (arcs x (R + 2)) values per query, a few MB for a 12-arc
 # chain, however many queries a call brings
 _PROXIMITY_BLOCK = 4096
@@ -346,17 +346,14 @@ def _critical_params(kappa, length, B, D):
     """Interior stationary parameters of arcs that share one root
     regime (horocycle band, hypercircle or geodesic, circle).
 
-    kappa and length are one arc's scalars with B, D of shape (q,), or
-    (m,) arrays with B, D of shape (m, q); the result has one row per
-    candidate root before the query axis, (R, q) or (m, R, q), R the
-    most roots of any of the arcs.  Invalid slots, padding included,
-    are < 0.
+    kappa and length are (m,) arrays, B and D of shape (m, q); the
+    result has shape (m, R, q), one row per candidate root, R the most
+    roots of any of the arcs.  Invalid slots, padding included, are < 0.
     """
-    kappa = np.asarray(kappa, dtype=float)[..., None]
-    length = np.asarray(length, dtype=float)[..., None]
+    kappa, length = kappa[:, None], length[:, None]
     alpha = 1.0 - kappa * kappa
-    # the products are formed in place: an operand of shape (1,) or
-    # (m, 1) keeps numpy from reusing a temporary as a scalar would
+    # the products are formed in place: an operand of shape (m, 1)
+    # keeps numpy from reusing a temporary as a scalar would
     with np.errstate(divide="ignore", invalid="ignore"):
         if abs(alpha.flat[0]) < 1e-11:
             s = -B
@@ -400,17 +397,7 @@ def boundary_proximity(body: Body, pts: np.ndarray):
 
 
 def _proximity(arcs, frames, pts):
-    """`boundary_proximity` against arcs starting at the given frames:
-    the first three arrays of `_scan`.  Kept apart from `_scan` as the
-    three-array form that `boundary_proximity` returns and the sampled
-    rolling oracle of the tests reads."""
-    return _scan(arcs, frames, pts)[:3]
-
-
-def _scan(arcs, frames, pts):
-    """(dist, arc, s, side) of each point against the arcs starting at
-    the given frames: `boundary_proximity`'s three arrays, and
-    side = <q, N> with N the inward unit normal at the nearest point.
+    """`boundary_proximity` against arcs starting at the given frames.
 
     One stacked pass over all arcs per block of `_PROXIMITY_BLOCK`
     queries, equal bit for bit to a loop over the arcs; see the
@@ -429,18 +416,18 @@ def _scan(arcs, frames, pts):
     c1L, c2L = _kernel_c12(k, L)
     # the start frames' columns p, t, n, as (3, arcs, 3)
     cols = np.array([f.m for f in frames[:len(arcs)]]).transpose(2, 0, 1)
-    best, s, side = np.empty(nq), np.empty(nq), np.empty(nq)
+    best, s = np.empty(nq), np.empty(nq)
     arc = np.empty(nq, dtype=int)
     for lo in range(0, nq, _PROXIMITY_BLOCK):
         at = slice(lo, lo + _PROXIMITY_BLOCK)
-        best[at], arc[at], s[at], side[at] = _nearest(
-            k, L, regimes, c1L, c2L, cols, Q[at])
+        best[at], arc[at], s[at] = _nearest(k, L, regimes, c1L, c2L, cols,
+                                            Q[at])
     np.maximum(best, 1.0, out=best)
-    return np.arccosh(best, out=best), arc, s, side
+    return np.arccosh(best, out=best), arc, s
 
 
 def _nearest(k, L, regimes, c1L, c2L, cols, Q):
-    """`_scan` of one block of queries, the rows q of Q = pts @ eta,
+    """`_proximity` of one block of queries, the rows q of Q = pts @ eta,
     with g = -<q, x> at the nearest point x in place of the distance."""
     n, nq = len(k), Q.shape[0]
     # <q, p>, <q, t>, <q, n> of every arc's start frame: one
@@ -464,12 +451,12 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     row = on // nq  # arc * R + root
     arc = row // R
     aq = on - (row - arc) * nq
-    put = on + 2 * nq * arc  # ascending
+    at = on + 2 * nq * arc
     s = np.clip(S.take(on), 0.0, L[arc])
     c1, c2 = _kernel_c12(k[arc], s)
     # the candidates' values, +inf where an arc has no such root
     G = np.full((n, R + 2, nq), np.inf)
-    G.put(put, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
+    G.put(at, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
     G[:, R] = A
     G[:, R + 1] = A + c1L[:, None] * B + c2L[:, None] * D
     G = G.reshape(n * (R + 2), nq)
@@ -493,22 +480,7 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     # no candidate at all: arc 0 at s = 0, as a loop that keeps only
     # strictly smaller values leaves it
     s[best == np.inf] = 0.0
-    # c1, c2 at the winner: a root's, found by its place in G, the
-    # arc's end values at s = length, 0 at s = 0 and with no candidate
-    root = (row < R) & (best != np.inf)
-    w1 = np.where(row > R, c1L[arc], 0.0)
-    w2 = np.where(row > R, c2L[arc], 0.0)
-    found = np.searchsorted(put, at[root])
-    w1[root], w2[root] = c1[found], c2[found]
-    # <q, N> at the nearest point, N = -k c2 p - k c1 t + (1 - k^2 c2) n
-    # in the arc's start frame: sums of products of numbers of size
-    # |q|, with no cancellation that grows with k (caps snapped to
-    # radius 1e-9 have k = 1e9)
-    aq = at - (first - arc) * nq
-    kw = k[arc]
-    side = ((-kw * w2) * QP.take(aq) + (-kw * w1) * QT.take(aq)
-            + (1.0 - kw * kw * w2) * QN.take(aq))
-    return best, arc, s, side
+    return best, arc, s
 
 
 def dist_to_boundary(body: Body, q: Point) -> float:
@@ -534,10 +506,17 @@ def signed_boundary_distance(body: Body, pts: np.ndarray) -> np.ndarray:
 
 
 def _signed_distance(arcs, frames, pts):
-    """`signed_boundary_distance` on arcs from the given frames: the
-    sign of <q, N> that the stacked pass of `_scan` reads at each
-    nearest point, with no normal built."""
-    d, _, _, side = _scan(arcs, frames, pts)
+    """`signed_boundary_distance` on arcs from the given frames."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d, arc, s = _proximity(arcs, frames, pts)
+    # <q, N> with the inward normal at each nearest point, all in one
+    # pass: N = -k c2 p - k c1 t + (1 - k^2 c2) n in its arc's start
+    # frame, whose <q, p>, <q, t>, <q, n> are read in one product
+    k = np.array([a.kappa for a in arcs])[arc]
+    c1, c2 = _kernel_c12(k, s)
+    F = np.array([f.m for f in frames[:len(arcs)]])
+    p, t, n = np.einsum("ij,ijk->ki", pts @ _ETA, F[arc])
+    side = (-k * c2) * p + (-k * c1) * t + (1.0 - k * k * c2) * n
     return np.where(side >= 0.0, d, -d)
 
 

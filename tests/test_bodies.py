@@ -42,7 +42,6 @@ from hypiso.bodies import (
     Body,
     ConvexFlagError,
     _axis_boost,
-    _critical_params,
     _double_normals,
     _fermi_frame,
     _sausage_at_origin,
