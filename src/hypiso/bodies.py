@@ -37,8 +37,8 @@ from .spline import (
     GeometryError,
     NonSimpleBoundaryError,
     ThicknessCertificate,
-    _kernel_c12,
     _closure_gaps,
+    _kernel,
     _on_arcs,
     _simple_chains,
     _support_vectors,
@@ -321,20 +321,20 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
 # For a point q and one arc with start frame (p, T, N), the Lorentz
 # product -<q, curve(s)> expands to A + c1(s) B + c2(s) D with
 # A = -<q,p>, B = -<q,T>, D = A + kappa * (-<q,N>), where c1, c2 are
-# the transport coefficients.  Its stationary points solve
-# c0(s) B + c1(s) D = 0, which each curvature regime inverts in closed
-# form, so the nearest parameter needs no iteration.  All arcs are
-# solved in one stacked pass: the arcs of each root regime share one
-# `_critical_params` call, every root of every arc lands in one
-# (arcs, R + 2, queries) array, R the most roots any arc has, with the
-# arc's two ends as its last two rows, and one argmin over the
-# flattened (arc, roots..., s = 0, s = length) axis picks each query's
-# nearest point.  The end rows hold the same two parameters for every
-# query, so their coefficients come from one kernel call per chain: at
-# s = 0, c1 = c2 = 0 and the row is A itself; at s = length it is
-# A + c1L B + c2L D.  Padded root slots, roots off the arc and NaN
-# values read +inf, so the first of equal minima, in arc order, then
-# roots, then s = 0, then s = length, wins.
+# the coefficients of `spline._kernel`.  Its stationary points solve
+# c0(s) B + c1(s) D = 0, with c0 = c1' (c1 = c2'), which each
+# curvature regime inverts in closed form, so the nearest parameter
+# needs no iteration.  All arcs are solved in one stacked pass: the
+# arcs of each root regime share one `_critical_params` call, every
+# root of every arc lands in one (arcs, R + 2, queries) array, R the
+# most roots any arc has, with the arc's two ends as its last two rows,
+# and one argmin over the flattened (arc, roots..., s = 0, s = length)
+# axis picks each query's nearest point.  The end rows hold the same
+# two parameters for every query, so their coefficients come from one
+# kernel call per chain: at s = 0, c1 = c2 = 0 and the row is A itself;
+# at s = length it is A + c1L B + c2L D.  Padded root slots, roots off
+# the arc and NaN values read +inf, so the first of equal minima, in
+# arc order, then roots, then s = 0, then s = length, wins.
 
 # queries per block of `_proximity`: each block's stacked temporaries hold
 # about ten (arcs x (R + 2)) values per query, a few MB for a 12-arc
@@ -413,7 +413,7 @@ def _proximity(arcs, frames, pts):
     band = np.abs(alpha) < 1e-11
     regimes = [ix for ix in (np.flatnonzero(g) for g in (
         band, ~band & (alpha > 0.0), ~band & (alpha < 0.0))) if ix.size]
-    c1L, c2L = _kernel_c12(k, L)
+    c1L, c2L = _kernel(k, L)
     # the start frames' columns p, t, n, as (3, arcs, 3)
     cols = np.array([f.m for f in frames[:len(arcs)]]).transpose(2, 0, 1)
     best, s = np.empty(nq), np.empty(nq)
@@ -453,7 +453,7 @@ def _nearest(k, L, regimes, c1L, c2L, cols, Q):
     aq = on - (row - arc) * nq
     at = on + 2 * nq * arc
     s = np.clip(S.take(on), 0.0, L[arc])
-    c1, c2 = _kernel_c12(k[arc], s)
+    c1, c2 = _kernel(k[arc], s)
     # the candidates' values, +inf where an arc has no such root
     G = np.full((n, R + 2, nq), np.inf)
     G.put(at, A.take(aq) + c1 * B.take(aq) + c2 * D.take(aq))
@@ -513,7 +513,7 @@ def _signed_distance(arcs, frames, pts):
     # pass: N = -k c2 p - k c1 t + (1 - k^2 c2) n in its arc's start
     # frame, whose <q, p>, <q, t>, <q, n> are read in one product
     k = np.array([a.kappa for a in arcs])[arc]
-    c1, c2 = _kernel_c12(k, s)
+    c1, c2 = _kernel(k, s)
     F = np.array([f.m for f in frames[:len(arcs)]])
     p, t, n = np.einsum("ij,ijk->ki", pts @ _ETA, F[arc])
     side = (-k * c2) * p + (-k * c1) * t + (1.0 - k * k * c2) * n
@@ -1027,7 +1027,7 @@ def _double_normals(k, L, F, W):
     return length[on], first[on], second[on], x[on], y[on]
 
 
-def rolls_freely(body: Body, lam: float, n: int = 720,
+def rolls_freely(body: Body, lam: float,
                  tol: float = ROLL_TOL) -> RollReport:
     """Test whether the curvature-lam ball rolls freely inside body.
 
@@ -1046,8 +1046,7 @@ def rolls_freely(body: Body, lam: float, n: int = 720,
     leave the body and the two part, and above rho the margin tells how
     much room the ball has.  It runs on `ArcSpline.origin_frames`; only
     the witness leaves by the start frame, so the report does not
-    depend on placement.  n is accepted for callers that pass a
-    sample count and is unused: nothing is sampled.
+    depend on placement.
     """
     if lam <= 1.0:
         raise ValueError("thickness parameter must exceed 1")

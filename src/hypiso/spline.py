@@ -12,29 +12,27 @@ whose solution for constant kappa is the matrix exponential of
 acting on the frame columns (p, T, N).  With alpha = 1 - kappa^2 the
 exponential is I + c1(s) M + c2(s) M^2.
 
-One kernel, `transport_coeffs`, evaluates (c0 = c1', c1, c2) for
-arrays of kappa and s at once.  Each element falls in one of three
-regimes: trig functions of s*sqrt(-alpha) for circles, hyperbolic
-functions of s*sqrt(alpha) for hypercircles and geodesics, and a Taylor
-series in x = alpha s^2 wherever |x| is small, which always covers the
-horocycle band.  The regimes join smoothly.  With one kappa and many s
-(sampling) every element shares a regime, so each transcendental runs
-once per element and only the few small-|x| entries are patched with
-the series.  Distance queries against a whole chain take the c1/c2
-path `_kernel_c12`, one curvature per element and each function family
-run only where its regime holds, bit for bit the one-curvature values.
+One kernel, `_kernel`, evaluates (c1, c2) elementwise with kappa
+broadcast against s: one curvature with many arclengths (sampling), or
+one curvature per element (a chain's arcs, or distance queries against
+a whole chain).  Each element falls in one of three regimes: trig
+functions of s*sqrt(-alpha) for circles, hyperbolic functions of
+s*sqrt(alpha) for hypercircles and geodesics, and a Taylor series in
+x = alpha s^2 wherever |x| is small, which always covers the horocycle
+band.  The regimes join smoothly.  Curvatures of one family run that
+family alone, and a mix runs both and picks per element, so every
+element equals its curvature's one-element call bit for bit.
 
 `arc_transports` builds the stacked (n, 3, 3) transports of a whole
 chain from one kernel call and keeps the coefficients, from which
 `_arc_generators` builds the Lie-algebra generators of their two
-derivatives without a second call; `arc_matrices` returns the
-transports alone.  Every element of so(2, 1) is X(v): x ->
-lorentz_cross(v, x) (`geom.lorentz_cross`).  So an arc's derivative in
-length is X(v) exp(s M) with v = (kappa, 0, 1), since M = X(v), and
-in kappa it is X(u) exp(s M), with u the integral of the arc's point
-over its length; a chain's closure Jacobian then needs the prefix
-products alone (`optimize._jacobian`).  `arc_transports` takes one
-chain or a stack of chains, (m, n) curvatures and lengths, whose
+derivatives without a second call.  Every element of so(2, 1) is X(v):
+x -> lorentz_cross(v, x) (`geom.lorentz_cross`).  So an arc's
+derivative in length is X(v) exp(s M) with v = (kappa, 0, 1), since
+M = X(v), and in kappa it is X(u) exp(s M), with u the integral of the
+arc's point over its length; a chain's closure Jacobian then needs the
+prefix products alone (`optimize._jacobian`).  `arc_transports` takes
+one chain or a stack of chains, (m, n) curvatures and lengths, whose
 (m, n, 3, 3) transports and coefficients equal m calls on the single
 chains byte for byte: every step is elementwise or one 3x3 product
 per arc.  Everything else here reads from these: frames along a chain,
@@ -117,137 +115,60 @@ _C3_TERMS = 1.0 / np.array([math.factorial(2 * j + 3) for j in range(7)])
 
 
 def _kernel(kappa, s):
-    """(alpha, x, c0, c1, c2) elementwise over broadcast kappa and s.
+    """(c1, c2) with exp(s M(kappa)) = I + c1 M + c2 M^2, elementwise
+    over kappa broadcast against s.
 
-    Built for one entry per arc, where regimes mix: both function
-    families are evaluated and the right one picked per element.
+    With alpha = 1 - kappa^2 and z = sqrt|alpha| s: c1 = sinh(z) /
+    sqrt(alpha) and c2 = 2 sinh(z / 2)^2 / alpha where alpha > 0, the
+    same with sin and |alpha| where alpha < 0, and the series in x =
+    alpha s^2 where 0 < |x| < `_SERIES_X` or alpha = 0; s = 0 is exact
+    in closed form.  alpha = 0 runs with the circles, and the series
+    overwrites its 0 / 0.  No floating-point warning leaves the call.
     """
     kappa = np.asarray(kappa, dtype=float)
     s = np.asarray(s, dtype=float)
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
-    small = np.abs(x) < _SERIES_X
-    n_small = np.count_nonzero(small)
-    if n_small == small.size:
-        return (alpha, x) + _series_coeffs(x, s)
-    # the discarded family may overflow, and w = 0 only where x = 0
-    hyp = alpha > 0.0
-    w = np.sqrt(np.abs(alpha))
-    z = w * s
-    with np.errstate(all="ignore"):
-        c0 = np.where(hyp, np.cosh(z), np.cos(z))
-        c1 = np.where(hyp, np.sinh(z), np.sin(z)) / w
-        h = np.where(hyp, np.sinh(z / 2.0), np.sin(z / 2.0))
-        c2 = 2.0 * (h * h) / np.abs(alpha)
-    if n_small:
-        if s.shape != x.shape:
-            s = np.broadcast_to(s, x.shape)
-        c0[small], c1[small], c2[small] = _series_coeffs(x[small], s[small])
-    return alpha, x, c0, c1, c2
-
-
-def _coeffs_one(kappa, s, with_c0=True):
-    """(c0, c1, c2) for one curvature and many arclengths.
-
-    With with_c0 false only (c1, c2) are computed: points and normals
-    need no c0, and their callers skip a full array of cosh or cos.
-    Every element shares one regime, so each transcendental runs once
-    per element.  x = alpha s^2 has the sign of alpha, so |x| needs no
-    pass of its own, and s = 0 is exact in closed form, so only
-    nonzero small-|x| entries take the series.
-    s can be large (dense sampling), so x is dropped early and each
-    coefficient is one expression, whose temporaries numpy reuses.
-    """
-    alpha = 1.0 - kappa * kappa
-    x = alpha * s * s
-    if alpha == 0.0:
-        return _series_coeffs(x, s, with_c0)
-    small = (x < _SERIES_X if alpha > 0.0 else x > -_SERIES_X) & (x != 0.0)
-    n_small = np.count_nonzero(small)
-    if n_small == small.size:
-        return _series_coeffs(x, s, with_c0)
-    if n_small:
-        # one pass to locate the few entries
-        at = np.unravel_index(np.flatnonzero(small), small.shape)
-        patch = _series_coeffs(x[at], s[at], with_c0)
-    del x, small
-    w = math.sqrt(abs(alpha))
-    odd, even = (np.sinh, np.cosh) if alpha > 0.0 else (np.sin, np.cos)
-    c2 = 2.0 * np.square(odd(w * s / 2.0)) / abs(alpha)
-    z = w * s
-    out = (even(z), odd(z) / w, c2) if with_c0 else (odd(z) / w, c2)
-    if n_small:
-        for c, p in zip(out, patch):
-            c[at] = p
-    return out
-
-
-def _kernel_c12(kappa, s):
-    """(c1, c2) of `_coeffs_one` elementwise, with kappa broadcast
-    against s: the c1/c2 path of `_kernel` for many arcs at once.
-
-    Bit for bit `_c12` of each element's curvature: the regimes are
-    those of `_coeffs_one` (the series where alpha = 0 and at nonzero
-    small |x|), and each function family runs, through the ufuncs'
-    where=, only on the elements of its own regime.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    s = np.asarray(s, dtype=float)
-    alpha = 1.0 - kappa * kappa
-    x = alpha * s * s
-    w = np.sqrt(np.abs(alpha))
-    z = w * s
-    half = z / 2.0
-    hyp, circ = alpha > 0.0, alpha < 0.0
-    c1, h = np.empty(z.shape), np.empty(z.shape)
-    for odd, part in ((np.sinh, hyp), (np.sin, circ)):
-        odd(z, out=c1, where=part)
-        odd(half, out=h, where=part)
-    # alpha = 0 takes neither family; the series below overwrites it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c1 /= w
-        c2 = np.square(h, out=h)
-        c2 *= 2.0
-        c2 /= np.abs(alpha)
     series = np.abs(x) < _SERIES_X
-    series &= x != 0.0
-    series |= alpha == 0.0
-    if series.any():
+    if np.count_nonzero(series):
+        series &= (x != 0.0) | (alpha == 0.0)
+    patch = None
+    if np.count_nonzero(series):
         if s.shape != x.shape:
             s = np.broadcast_to(s, x.shape)
-        c1[series], c2[series] = _series_coeffs(x[series], s[series],
-                                                with_c0=False)
+        xs, ss = x[series], s[series]
+        patch = (ss * (1.0 + xs / 6.0 + xs * xs / 120.0),
+                 ss * ss * (0.5 + xs / 24.0 + xs * xs / 720.0))
+    # s may be long (dense sampling): each array is dropped once read,
+    # so numpy reuses its memory
+    del x
+    size = np.abs(alpha)
+    w = np.sqrt(size)
+    z = w * s
+    hyp = alpha > 0.0
+    n_hyp = np.count_nonzero(hyp)
+    if n_hyp == hyp.size:
+        odd = np.sinh
+    elif n_hyp == 0:
+        odd = np.sin
+    else:
+        def odd(v):
+            return np.where(hyp, np.sinh(v), np.sin(v))
+    # the discarded family of a mix may overflow, and alpha = 0 gives
+    # 0 / 0 until the series overwrites it
+    with np.errstate(all="ignore"):
+        c2 = odd(z / 2.0)
+        c1 = odd(z)
+        del z
+        c1 /= w
+        c2 *= c2
+        c2 *= 2.0
+        c2 /= size
+    if patch is not None:
+        # a 0-d call computes numpy scalars, which take no assignment
+        c1, c2 = np.asarray(c1), np.asarray(c2)
+        c1[series], c2[series] = patch
     return c1, c2
-
-
-def _series_coeffs(x, s, with_c0=True):
-    c1 = s * (1.0 + x / 6.0 + x * x / 120.0)
-    c2 = s * s * (0.5 + x / 24.0 + x * x / 720.0)
-    if not with_c0:
-        return c1, c2
-    return 1.0 + x / 2.0 + x * x / 24.0, c1, c2
-
-
-def _c12(kappa, s):
-    """(c1, c2) of `transport_coeffs` for one curvature, without c0."""
-    return _coeffs_one(kappa, np.asarray(s, dtype=float), with_c0=False)
-
-
-def transport_coeffs(kappa, s):
-    """Coefficients (c0, c1, c2) with exp(s M(kappa)) = I + c1 M + c2 M^2.
-
-    c0 = c1' is returned as well.  kappa and s broadcast against each
-    other: one curvature with many arclengths, or one curvature per
-    arclength.
-    """
-    if np.isscalar(kappa):
-        return _coeffs_one(kappa, np.asarray(s, dtype=float))
-    return _kernel(kappa, s)[2:]
-
-
-def arc_matrices(kappas, lengths):
-    """Stacked transports exp(l_i M(k_i)), shape (n, 3, 3)."""
-    return arc_transports(kappas, lengths)[0]
 
 
 class ArcCoeffs(NamedTuple):
@@ -256,8 +177,6 @@ class ArcCoeffs(NamedTuple):
 
     k: np.ndarray
     s: np.ndarray
-    alpha: np.ndarray
-    x: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
 
@@ -272,19 +191,22 @@ def arc_transports(kappas, lengths):
     """
     k = np.asarray(kappas, dtype=float)
     s = np.asarray(lengths, dtype=float)
-    alpha, x, c0, c1, c2 = _kernel(k, s)
+    c1, c2 = _kernel(k, s)
     m = frenet_matrix(k)
     m2 = m @ m
     a = _I3 + c1[..., None, None] * m + c2[..., None, None] * m2
-    return a, ArcCoeffs(k, s, alpha, x, c1, c2)
+    return a, ArcCoeffs(k, s, c1, c2)
 
 
-def _c3(s, alpha, x, c1):
+def _c3(k, s, c1):
     """c3 = the integral of c2 over [0, s], elementwise.
 
     It is (c1 - s) / alpha in closed form and s^3 times the sum of
-    x^j / (2j + 3)! as a series, taken below |x| = `_C3_SERIES_X`.
+    x^j / (2j + 3)! as a series, taken below |x| = `_C3_SERIES_X`;
+    alpha and x are those of `_kernel`, by the same expressions.
     """
+    alpha = 1.0 - k * k
+    x = alpha * s * s
     small = np.abs(x) < _C3_SERIES_X
     # alpha + 1 where the series takes over keeps alpha = 0 finite
     c3 = (c1 - s) / (alpha + small)
@@ -304,8 +226,8 @@ def _arc_generators(coeffs: ArcCoeffs) -> np.ndarray:
     t, and u is that point integrated over [0, s].  u is column 0 and
     v column 1.  One chain's coefficients only.
     """
-    k, s, alpha, x, c1, c2 = coeffs
-    c3 = _c3(s, alpha, x, c1)
+    k, s, c1, c2 = coeffs
+    c3 = _c3(k, s, c1)
     uv = np.empty((k.size, 3, 2))
     uv[:, 0, 0] = s + c3
     uv[:, 1, 0] = c2
@@ -337,7 +259,7 @@ def _walk(mats) -> np.ndarray:
 
 def arc_points(f: Frame, kappa: float, s):
     """Curve points at arclengths s along the arc starting at frame f."""
-    c1, c2 = _c12(kappa, s)
+    c1, c2 = _kernel(kappa, s)
     coeff = np.stack([1.0 + c2, c1, kappa * c2], axis=-1)
     return coeff @ f.m.T
 
@@ -350,7 +272,7 @@ def _normal_coeffs(kappa: float, c1, c2):
 
 def arc_frames_batch(f: Frame, kappa: float, s):
     """Points, tangents and normals at arclengths s (vectorized)."""
-    c1, c2 = _c12(kappa, s)
+    c1, c2 = _kernel(kappa, s)
     k = kappa
     one = np.ones_like(c1)
     p_co = np.stack([1.0 + c2, c1, k * c2], axis=-1)
@@ -479,8 +401,8 @@ class ArcSpline:
     @cached_property
     def _transports(self) -> np.ndarray:
         """The stacked arc transports, shape (n, 3, 3)."""
-        return arc_matrices([a.kappa for a in self.arcs],
-                            [a.length for a in self.arcs])
+        return arc_transports([a.kappa for a in self.arcs],
+                              [a.length for a in self.arcs])[0]
 
     @cached_property
     def origin_frames(self) -> np.ndarray:

@@ -148,9 +148,9 @@ def test_criterion_06_euclidean_limit_of_scaled_bound():
 
 def test_criterion_07_rolling_ball_verdicts():
     t0 = time.perf_counter()
-    r_sausage = rolls_freely(sausage(2.0, 1.0), 2.0, n=720)
-    r_ball = rolls_freely(ball(BIG_R), 2.0, n=720)
-    r_q = rolls_freely(q_counterexample(2.0, 0.1), 2.0, n=720)
+    r_sausage = rolls_freely(sausage(2.0, 1.0), 2.0)
+    r_ball = rolls_freely(ball(BIG_R), 2.0)
+    r_q = rolls_freely(q_counterexample(2.0, 0.1), 2.0)
     elapsed = time.perf_counter() - t0
     ok = (r_sausage.ok and r_ball.ok and not r_q.ok
           and r_q.worst_margin <= -1e-3 and elapsed < 10.0)

@@ -30,9 +30,9 @@ from hypiso.spline import (
     ArcSpline,
     GeometryError,
     NonSimpleBoundaryError,
+    _kernel,
     _sample_chain,
     arc_transports,
-    transport_coeffs,
 )
 from hypiso import bodies
 from hypiso.bodies import (
@@ -423,7 +423,7 @@ def _reference_proximity(body, pts):
         S = np.concatenate([S, ends])
         valid = (S >= -1e-12) & (S <= a.length + 1e-12)
         Sc = np.clip(S, 0.0, a.length)
-        _, c1, c2 = transport_coeffs(a.kappa, Sc)
+        c1, c2 = _kernel(a.kappa, Sc)
         gvals = A + c1 * B + c2 * D
         for g, s, ok in zip(gvals, Sc, valid):
             better = ok & (g < best)
@@ -557,7 +557,7 @@ def test_boundary_proximity_keeps_the_first_of_equal_minima():
 def _reference_normals(frame: Frame, kappa: float, s):
     """Inward unit normals at arclengths s of one arc, as a vector each:
     the normal column of I + c1 M + c2 M^2 carried by the start frame."""
-    _, c1, c2 = transport_coeffs(kappa, s)
+    c1, c2 = _kernel(kappa, s)
     coeffs = np.stack([-kappa * c2, -kappa * c1, 1.0 - kappa * kappa * c2],
                       axis=-1)
     return coeffs @ frame.m.T
@@ -576,7 +576,7 @@ def test_signed_distance_keeps_its_side_at_snapped_caps():
     for i in caps:
         a, f = spline.arcs[i], spline.frames[i]
         s = np.linspace(0.0, a.length, 17)
-        _, c1, c2 = transport_coeffs(a.kappa, s)
+        c1, c2 = _kernel(a.kappa, s)
         x = np.stack([1.0 + c2, c1, a.kappa * c2], axis=-1) @ f.m.T
         N = _reference_normals(f, a.kappa, s)
         for delta in (-1e-7, -5e-8, -2e-8, -1e-8, 5e-10):

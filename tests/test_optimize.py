@@ -29,7 +29,7 @@ from hypiso.spline import (
     GeometryError,
     arc_transports,
     frenet_matrix,
-    transport_coeffs,
+    _kernel,
 )
 from hypiso.steiner import sausage_measures
 
@@ -118,11 +118,12 @@ def _dkappa_transport(kappa, s):
 
     With alpha = 1 - kappa^2, d/dkappa = -2 kappa d/dalpha, and
     dc1/dalpha = (s c0 - c1) / (2 alpha), dc2/dalpha = (s c1 / 2 - c2)
-    / alpha.  Those cancel as alpha s^2 = x goes to 0, so below |x| = 1
-    their Taylor series in x take over, to 20 terms:
+    / alpha, where c0 = c1' is cosh(sqrt(alpha) s), or cos(sqrt(-alpha)
+    s) on circles.  Those cancel as alpha s^2 = x goes to 0, so below
+    |x| = 1 their Taylor series in x take over, to 20 terms:
     s^3 sum (j + 1) x^j / (2j + 3)! and s^4 sum (j + 1) x^j / (2j + 4)!.
     """
-    c0, c1, c2 = transport_coeffs(kappa, s)
+    c1, c2 = _kernel(kappa, s)
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
     if abs(x) < 1.0:
@@ -131,6 +132,8 @@ def _dkappa_transport(kappa, s):
         d2 = s ** 4 * sum((j + 1) * x ** j / math.factorial(2 * j + 4)
                           for j in range(20))
     else:
+        z = math.sqrt(abs(alpha)) * s
+        c0 = math.cosh(z) if alpha > 0.0 else math.cos(z)
         d1 = (s * c0 - c1) / (2.0 * alpha)
         d2 = (s * c1 / 2.0 - c2) / alpha
     m = frenet_matrix(kappa)

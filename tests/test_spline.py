@@ -1,6 +1,7 @@
 """Arc chains: Frenet transport, closure, measures, splitting, simplicity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,19 +23,15 @@ from hypiso.spline import (
     Arc,
     ArcSpline,
     GeometryError,
-    arc_matrices,
     arc_points,
     arc_transports,
     frenet_matrix,
     _arc_generators,
-    _c12,
-    _kernel_c12,
     _c3,
     _closure_gaps,
     _kernel,
     _walk,
     _winds_past_full_turn,
-    transport_coeffs,
 )
 
 from polygonal_area import area_polygonal
@@ -112,12 +109,10 @@ def test_transport_composes():
 
 def test_transport_coeffs_match_trig():
     # alpha = 1 - kappa^2 > 0: boost-like (open curves); < 0: periodic
-    c0, c1, c2 = transport_coeffs(0.0, 1.3)  # alpha = 1, a geodesic
-    assert c0 == pytest.approx(math.cosh(1.3), abs=1e-14)
+    c1, c2 = _kernel(0.0, 1.3)  # alpha = 1, a geodesic
     assert c1 == pytest.approx(math.sinh(1.3), abs=1e-14)
     assert c2 == pytest.approx(math.cosh(1.3) - 1.0, abs=1e-14)
-    c0, c1, c2 = transport_coeffs(math.sqrt(2.0), 0.7)  # alpha = -1, a circle
-    assert c0 == pytest.approx(math.cos(0.7), abs=1e-15)
+    c1, c2 = _kernel(math.sqrt(2.0), 0.7)  # alpha = -1, a circle
     assert c1 == pytest.approx(math.sin(0.7), abs=1e-15)
     assert c2 == pytest.approx(1.0 - math.cos(0.7), abs=1e-15)
 
@@ -130,45 +125,68 @@ _MIXED_LENGTHS = np.array([1.1, 2.5, 0.8, 1.6, 0.4, 1.2, 0.9,
                            1.3, 0.7, 1e-3, 2.0])
 
 
+def _series(kappa, s):
+    """The Taylor polynomials of (c1, c2) in x = alpha s^2."""
+    x = (1.0 - kappa * kappa) * s * s
+    return (s * (1.0 + x / 6.0 + x * x / 120.0),
+            s * s * (0.5 + x / 24.0 + x * x / 720.0))
+
+
 def _scalar_coeffs(kappa, s):
     """Closed forms per regime; the band uses its Taylor polynomial."""
     alpha = 1.0 - kappa * kappa
-    x = alpha * s * s
-    if abs(x) < 1e-8:
-        return (1.0 + x / 2.0 + x * x / 24.0,
-                s * (1.0 + x / 6.0 + x * x / 120.0),
-                s * s * (0.5 + x / 24.0 + x * x / 720.0))
+    if abs(alpha * s * s) < 1e-8:
+        return _series(kappa, s)
     if alpha > 0.0:
         mu = math.sqrt(alpha)
-        return (math.cosh(mu * s), math.sinh(mu * s) / mu,
-                (math.cosh(mu * s) - 1.0) / alpha)
+        return math.sinh(mu * s) / mu, (math.cosh(mu * s) - 1.0) / alpha
     w = math.sqrt(-alpha)
-    return (math.cos(w * s), math.sin(w * s) / w,
-            (1.0 - math.cos(w * s)) / -alpha)
+    return math.sin(w * s) / w, (1.0 - math.cos(w * s)) / -alpha
 
 
 def test_transport_coeffs_mixed_array_matches_scalar_closed_forms():
-    c0, c1, c2 = transport_coeffs(_MIXED_KAPPAS, _MIXED_LENGTHS)
+    c1, c2 = _kernel(_MIXED_KAPPAS, _MIXED_LENGTHS)
     for i, (k, s) in enumerate(zip(_MIXED_KAPPAS, _MIXED_LENGTHS)):
         ref = _scalar_coeffs(k, s)
-        for got, want in zip((c0[i], c1[i], c2[i]), ref):
+        for got, want in zip((c1[i], c2[i]), ref):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     # one curvature against many arclengths, zero and band-small included
     s = np.array([0.0, 1e-9, 1e-5, 0.3, 2.0])
     for k in (0.5, 1.0, 1.0 + 1e-9, 1.5):
-        c0, c1, c2 = transport_coeffs(k, s)
+        c1, c2 = _kernel(k, s)
         for j, sj in enumerate(s):
             ref = _scalar_coeffs(k, sj)
-            for got, want in zip((c0[j], c1[j], c2[j]), ref):
+            for got, want in zip((c1[j], c2[j]), ref):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
         # each element is computed alone: layout and batch do not matter
         grid = np.tile(s, (3, 1))
         for view in (grid, np.asfortranarray(grid), grid[:, ::-1].T):
-            for got, want in zip(transport_coeffs(k, view),
-                                 transport_coeffs(k, np.ascontiguousarray(view))):
+            for got, want in zip(_kernel(k, view),
+                                 _kernel(k, np.ascontiguousarray(view))):
                 assert np.array_equal(got, want)
-            for got, flat in zip(transport_coeffs(k, view), (c0, c1, c2)):
+            for got, flat in zip(_kernel(k, view), (c1, c2)):
                 assert set(np.ravel(got)) == set(flat)
+
+
+def test_kernel_at_the_horocycle_band_is_its_series_without_warnings():
+    # kappa = +-1 exactly (alpha = 0) has no closed form and takes the
+    # series, as do kappa = 1 +- 1e-12 at these lengths.  The freed
+    # buffers of 1e300 fill numpy's cache of small buffers, which the
+    # call's arrays reuse: a slot read before it is written squares to
+    # an overflow warning
+    kappas = np.array([1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-12, 2.0, 0.5])
+    s = np.linspace(0.1, 3.0, 7)
+    want = _series(kappas[:4, None], s)
+    flat = np.repeat(kappas, s.size), np.tile(s, kappas.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, ss in (flat, (kappas[:, None], s)):
+            for _ in range(50):
+                junk = [np.full(flat[1].shape, 1e300) for _ in range(8)]
+                del junk
+                for got, w in zip(_kernel(k, ss), want):
+                    assert got.reshape(kappas.size, s.size)[:4].tobytes() \
+                        == w.tobytes()
 
 
 def test_arc_end_coefficients_match_a_long_row_bit_for_bit():
@@ -181,17 +199,14 @@ def test_arc_end_coefficients_match_a_long_row_bit_for_bit():
             row = rng.uniform(0.0, length, 4099)
             where = [0, 1, 1000, 4097, 4098]
             row[where] = (0.0, length, 0.0, length, length)
-            full = transport_coeffs(k, row)
-            ends = transport_coeffs(k, np.array([0.0, length]))
+            full = _kernel(k, row)
+            ends = _kernel(k, np.array([0.0, length]))
             for got, want in zip(ends, full):
                 for j in where:
                     assert got[0 if row[j] == 0.0 else 1].tobytes() \
                         == want[j].tobytes()
-            # the path without c0 gives the same c1 and c2
-            for got, want in zip(_c12(k, np.array([length])), full[1:]):
+            for got, want in zip(_kernel(k, np.array([length])), full):
                 assert got[0].tobytes() == want[1].tobytes()
-            for got, want in zip(_c12(k, row), full[1:]):
-                assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_c12_matches_one_curvature_calls_bit_for_bit():
@@ -205,14 +220,14 @@ def test_stacked_c12_matches_one_curvature_calls_bit_for_bit():
                        1.0 + 3e-12, 1.0 - 4e-12, 1.0 + 1e-9, 40.0])
     s = rng.uniform(0.0, 3.0, (len(kappas), 3, 257))
     s[:, 0, :5] = (0.0, 1e-9, 1e-6, 3e-5, 1e-300)
-    want = [_c12(k, row) for k, row in zip(kappas, s)]
-    for got in (_kernel_c12(kappas[:, None, None], s),
-                _kernel_c12(np.repeat(kappas, s[0].size), s.reshape(-1))):
+    want = [_kernel(k, row) for k, row in zip(kappas, s)]
+    for got in (_kernel(kappas[:, None, None], s),
+                _kernel(np.repeat(kappas, s[0].size), s.reshape(-1))):
         for g, w in zip(got, zip(*want)):
             assert g.tobytes() == np.stack(w).tobytes()
     # one family throughout, as for a stack of circle arcs
     circles = kappas > 1.0 + 1e-6
-    got = _kernel_c12(kappas[circles, None, None], s[circles])
+    got = _kernel(kappas[circles, None, None], s[circles])
     for g, w in zip(got, zip(*[want[i] for i in np.flatnonzero(circles)])):
         assert g.tobytes() == np.stack(w).tobytes()
 
@@ -282,7 +297,7 @@ def test_walk_of_a_stack_is_each_chain_walked_alone():
 
 def test_arc_matrices_match_expm():
     from scipy.linalg import expm
-    A = arc_matrices(_MIXED_KAPPAS, _MIXED_LENGTHS)
+    A = arc_transports(_MIXED_KAPPAS, _MIXED_LENGTHS)[0]
     assert A.shape == (len(_MIXED_KAPPAS), 3, 3)
     for i, (k, s) in enumerate(zip(_MIXED_KAPPAS, _MIXED_LENGTHS)):
         direct = expm(s * frenet_matrix(k))
@@ -310,8 +325,8 @@ def test_arc_generators_match_central_differences():
     uv = _arc_generators(coeffs)
     assert uv.shape == (len(_GEN_KAPPAS), 3, 2)
     h = 1e-6
-    fd = (arc_matrices(_GEN_KAPPAS + h, _GEN_LENGTHS)
-          - arc_matrices(_GEN_KAPPAS - h, _GEN_LENGTHS)) / (2.0 * h)
+    fd = (arc_transports(_GEN_KAPPAS + h, _GEN_LENGTHS)[0]
+          - arc_transports(_GEN_KAPPAS - h, _GEN_LENGTHS)[0]) / (2.0 * h)
     for i, k in enumerate(_GEN_KAPPAS):
         want = fd[i] @ ETA @ A[i].T @ ETA
         got = _lie(uv[i, :, 0])
@@ -337,15 +352,15 @@ def test_c3_matches_its_series_across_the_switch():
     alpha = x / (s * s)
     for sign in (1.0, -1.0):
         kappa = sign * np.sqrt(1.0 - alpha)
-        _, x_k, _, c1, _ = _kernel(kappa, s)
-        alpha_k = 1.0 - kappa * kappa
-        got = _c3(np.full(x.size, s), alpha_k, x_k, c1)
+        c1, _ = _kernel(kappa, s)
+        x_k = (1.0 - kappa * kappa) * s * s
+        got = _c3(kappa, np.full(x.size, s), c1)
         want = np.array([_c3_series(s, v) for v in x_k])
         # measured 4.4e-15, at |x| = 0.1 on the closed-form side
         assert np.max(np.abs(got - want) / want) < 1e-14
     # x = 0 (kappa = +-1, or s = 0) is the series' first term alone
-    got = _c3(np.array([0.7, 0.7, 0.0]), np.array([0.0, 0.0, 0.5]),
-              np.zeros(3), np.array([0.7, 0.7, 0.0]))
+    got = _c3(np.array([1.0, -1.0, 0.5]), np.array([0.7, 0.7, 0.0]),
+              np.array([0.7, 0.7, 0.0]))
     assert got.tolist() == [0.7 ** 3 / 6.0, 0.7 ** 3 / 6.0, 0.0]
 
 
