@@ -25,7 +25,6 @@ from .geom import (
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
     minkowski,
-    parallel_transport,
     random_isometry,
     sausage_side_curvature,
     to_disk,
@@ -82,7 +81,7 @@ from .optimize import (
     random_thick_body,
     solve,
 )
-from .render import RenderSpec, render_svg, write_svg
+from .render import RenderSpec, render_svg
 
 __version__ = "0.1.0"
 
@@ -91,9 +90,8 @@ __all__ = [
     "classify_curvature", "curvature_scaled", "disk_curvature_at_origin",
     "dist", "dist_disk", "exp_map", "fermi_point", "from_disk",
     "hypercircle_curvature_from_angle",
-    "hypercircle_distance_from_angle", "minkowski",
-    "parallel_transport", "random_isometry", "sausage_side_curvature",
-    "to_disk", "to_uhp",
+    "hypercircle_distance_from_angle", "minkowski", "random_isometry",
+    "sausage_side_curvature", "to_disk", "to_uhp",
     "Arc", "ArcSpline", "GeometryError", "NonSimpleBoundaryError",
     "ThicknessCertificate", "arc_points",
     "SIGN_AS_PRINTED", "SIGN_STEINER_CONSISTENT", "BodyMeasure",
@@ -107,5 +105,5 @@ __all__ = [
     "signed_boundary_distance", "two_ball_hull",
     "Candidate", "ShapeProblem", "lam_ball_circumference",
     "perimeter_to_d", "random_thick_body", "solve",
-    "RenderSpec", "render_svg", "write_svg",
+    "RenderSpec", "render_svg",
 ]

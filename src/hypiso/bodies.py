@@ -86,7 +86,7 @@ class ConvexFlagError(ValueError):
 def _arcs_convex(arcs) -> bool:
     """Convexity as every constructor reads it: no arc bends outward
     beyond roundoff, kappa >= -1e-12 throughout."""
-    return min(a.kappa for a in arcs) >= -1e-12
+    return bool(min(a.kappa for a in arcs) >= -1e-12)
 
 
 def _axis_boost(t: float) -> np.ndarray:
@@ -113,15 +113,19 @@ def _fermi_frame(s: float, t: float) -> Frame:
 class Body:
     """A compact region bounded by one closed arc chain.
 
-    convex means every boundary arc has nonnegative curvature;
     thick_for records the thickness parameter the body was built to
     satisfy, if any.  meta carries construction details.
     """
 
     boundary: ArcSpline
-    convex: bool
     thick_for: float | None = None
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def convex(self) -> bool:
+        """Whether no boundary arc bends outward (`_arcs_convex`), read
+        from the arcs alone."""
+        return _arcs_convex(self.boundary.arcs)
 
     @cached_property
     def measure(self) -> BodyMeasure:
@@ -149,15 +153,14 @@ class Body:
         since verify and the boundary distance pick their checks by it.
         """
         spline = ArcSpline.from_json_dict(obj["boundary"])
-        convex = _arcs_convex(spline.arcs)
         flag = obj.get("convex")
-        if flag is not None and flag != convex:
+        if flag is not None and flag != _arcs_convex(spline.arcs):
             raise ConvexFlagError(
                 f'"convex": {flag!r} disagrees with the arcs, '
                 f"whose least curvature is "
                 f"{min(a.kappa for a in spline.arcs):.6g}")
         tf = obj.get("thick_for")
-        return Body(boundary=spline, convex=convex,
+        return Body(boundary=spline,
                     thick_for=None if tf is None else float(tf),
                     meta=dict(obj.get("meta", {})))
 
@@ -181,11 +184,9 @@ def _cap_sweep(center: Point, foot: np.ndarray, what: str) -> float:
     return 2.0 * (-theta)
 
 
-def _make_body(start: Frame, arcs, convex: bool, thick_for=None,
-               meta=None) -> Body:
+def _make_body(start: Frame, arcs, thick_for=None, meta=None) -> Body:
     spline = ArcSpline(start, tuple(arcs))
-    return Body(boundary=spline, convex=convex, thick_for=thick_for,
-                meta=meta or {})
+    return Body(boundary=spline, thick_for=thick_for, meta=meta or {})
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def ball(r: float) -> Body:
     start = _fermi_frame(0.0, -r)
     k = 1.0 / math.tanh(r)
     return _make_body(
-        start, [Arc(k, 2.0 * math.pi * math.sinh(r))], convex=True,
+        start, [Arc(k, 2.0 * math.pi * math.sinh(r))],
         meta={"kind": "ball", "radius": r})
 
 
@@ -224,7 +225,7 @@ def sausage(lam: float, d: float) -> Body:
     else:
         arcs = [cap, cap]
     start = _fermi_frame(d, -r)
-    return _make_body(start, arcs, convex=True, thick_for=lam,
+    return _make_body(start, arcs, thick_for=lam,
                       meta={"kind": "sausage", "lambda": lam, "d": d,
                             "cap_radius": r})
 
@@ -267,7 +268,7 @@ def two_ball_hull(r: float, d: float) -> Body:
     tv = math.copysign(1.0 / math.sqrt(minkowski(tv, tv)), tv[1]) * tv
     start = Frame.create(feet[0], tv)
     arcs = [Arc(0.0, seg), cap, Arc(0.0, seg), cap]
-    return _make_body(start, arcs, convex=True,
+    return _make_body(start, arcs,
                       meta={"kind": "two_ball_hull", "radius": r, "d": d,
                             "cap_sweep": sweep, "segment_length": seg})
 
@@ -306,7 +307,7 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
     side = Arc(ks, 2.0 * d * math.cosh(h)) if ks > 0.0 else Arc(0.0, 2.0 * d)
     cap = Arc(lam, sweep * math.sinh(rc))
     start = apply_isometry_frame(g, _fermi_frame(-d, -h))
-    body = _make_body(start, [side, cap, side, cap], convex=True,
+    body = _make_body(start, [side, cap, side, cap],
                       meta={"kind": "q_counterexample", "lambda": lam,
                             "eps": eps, "d": d, "cap_sweep": sweep,
                             "base_height": t0})
@@ -566,6 +567,21 @@ INRADIUS_TOL = 1e-9
 # 16 ulps of that bound, so chains far from their start stay safe too.
 _SUPPORT_SLACK = 1e-6
 
+# A ball inside the body has circumference 2 pi sinh r at most the
+# perimeter P: nearest-point projection onto the ball, a convex set of
+# H^2, is 1-Lipschitz and maps the boundary, which winds once around
+# the ball, onto its circle.  So no candidate deeper than
+# asinh(P / 2 pi) can win, and `_deepest_center` drops those before
+# projecting them to the hyperboloid: a nearly degenerate pair system
+# can return one of radius 18 with |c| of 2e7 to 3e7, whose <c, c>
+# rounds to 0.  A ball attains the bound, and roundoff in P and in the
+# closed-form radii puts its own center up to 3.4e-16 of the bound
+# above it: without the slack, sausage(lam, 0) would lose its cap
+# center at 269 of 2000 lam in [1.05, 8] and at lam =
+# 2.1923076923076925, 2.7 and 2.8269230769230766.  So the bound is
+# taken this fraction wider, seven orders above that roundoff.
+_PERIMETER_SLACK = 1e-9
+
 # (c, sinh r, cosh r) -> <c, c> + cosh^2 r - sinh^2 r, zero on every
 # center at every radius
 _TOUCH_FORM = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
@@ -662,21 +678,22 @@ def _deepest_center(body: Body):
     """Largest inscribed ball of a simple body: (radius, center).
 
     The exact fit test is one `_signed_distance` pass over the touching
-    configurations of `_touch_candidates`.  On a convex chain, its
-    convexity read from the arcs (every kappa >= -1e-12) and not from
-    `Body.convex`, the candidates that the supporting geodesics at the
-    joints rule out (`_supported`) skip that pass: none of them could
-    fit, so the winner is the same, and a random 12-arc body keeps
-    about a fifth of its 300 or so candidates.
+    configurations of `_touch_candidates` whose radius the perimeter
+    allows (`_PERIMETER_SLACK`).  On a convex body the candidates that
+    the supporting geodesics at the joints rule out (`_supported`) skip
+    that pass: none of them could fit, so the winner is the same, and a
+    random 12-arc body keeps about a fifth of its 300 or so candidates.
     """
     spline = body.boundary
     if not spline.is_simple():
         raise NonSimpleBoundaryError("boundary is not simple")
     F = spline.origin_frames
     C, R = _touch_candidates(spline.arcs, F)
-    C = project_to_sheet(C)
+    top = math.asinh(spline.perimeter() / (2.0 * math.pi))
+    keep = R <= top * (1.0 + _PERIMETER_SLACK)
+    C, R = project_to_sheet(C[keep]), R[keep]
     live = np.arange(len(R))
-    if _arcs_convex(spline.arcs):
+    if body.convex:
         live = live[_supported(C, R, F[:-1, :, 2])]
     depth = _signed_distance(spline.arcs, tuple(map(Frame, F)), C[live])
     fits = np.zeros(len(R), dtype=bool)
@@ -714,8 +731,9 @@ def _sausage_at_origin(body: Body) -> bool:
 def inradius(body: Body) -> float:
     """Radius of the largest inscribed ball of a body.
 
-    Exact for every body with a simple boundary, convex or not, to
-    roundoff; `inscribed_ball` says how.
+    Exact for bodies with a simple boundary, convex or not, to
+    roundoff; `inscribed_ball` says how, and where long chains fall
+    short.
     """
     return inscribed_ball(body)[0]
 
@@ -736,7 +754,10 @@ def inscribed_ball(body: Body):
     answer is the one of the full search, bit for bit.  GeometryError
     if none fits.  The search reads the chain walked from the origin frame
     (`ArcSpline.origin_frames`), so the radius does not depend on
-    placement.
+    placement.  On long chains the walk's roundoff can exceed the fit
+    test's INRADIUS_TOL: the cap centers of sausage(2.1923076923076925,
+    3.7) sit 2.4e-9 and 2.6e-9 shallower than their radius, so the
+    general search reads 0.17297 for its cap radius 0.49243.
 
     Completeness: let c be a deepest point, at depth r.  Unless 0 lies
     in the convex hull of the unit directions from c to the boundary
@@ -870,7 +891,6 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
         # distance, the first body's kind and any cap snapped on the way
         out[i] = Body(
             boundary=boundary,
-            convex=_arcs_convex(arcs),
             meta={**meta,
                   "offset_from": meta.get("offset_from",
                                           meta.get("kind", "body")),
@@ -1027,8 +1047,7 @@ def _double_normals(k, L, F, W):
     return length[on], first[on], second[on], x[on], y[on]
 
 
-def rolls_freely(body: Body, lam: float,
-                 tol: float = ROLL_TOL) -> RollReport:
+def rolls_freely(body: Body, lam: float) -> RollReport:
     """Test whether the curvature-lam ball rolls freely inside body.
 
     The ball has radius rho = arccoth(lam).  It rolls freely, tangent
@@ -1040,7 +1059,7 @@ def rolls_freely(body: Body, lam: float,
     the reach of a manifold", 2019).  Both are closed forms: the focal
     distance of the most curved circle arc, and the double normals of
     `_double_normals`, one batch over all pairs of arcs.  The margin is
-    2 (reach - rho), and a pass means margin >= -tol.  Where
+    2 (reach - rho), and a pass means margin >= -`ROLL_TOL`.  Where
     rho / 2 <= reach <= rho it equals the least of dist(c, boundary) -
     rho over the tangent balls' centers c; below rho / 2 the centers
     leave the body and the two part, and above rho the margin tells how
@@ -1089,7 +1108,7 @@ def rolls_freely(body: Body, lam: float,
     wm = 2.0 * (reach - rho)
     g = spline.start.m
     return RollReport(
-        ok=wm >= -tol, lam=lam, rho=rho, worst_margin=wm, reach=reach,
+        ok=wm >= -ROLL_TOL, lam=lam, rho=rho, worst_margin=wm, reach=reach,
         binding_arcs=pair,
         witness_point=Point.from_array(
             g @ (c * math.cosh(rho) - v * math.sinh(rho)), validate=False),

@@ -372,6 +372,16 @@ def _parse_grid(raw: str, what: str) -> list[float]:
 
 
 def cmd_table(args) -> int:
+    try:
+        rows = _table_rows(args)
+    except ValueError as e:
+        raise UsageError(str(e))
+    _write_text(args.out, "\n".join(rows) + "\n")
+    return EXIT_OK
+
+
+def _table_rows(args) -> list[str]:
+    """The CSV lines of one table: header, then one row per grid point."""
     rows = []
     if args.kind == "deficit":
         lams = _parse_grid(args.grid_lambda, "lambda")
@@ -402,14 +412,13 @@ def cmd_table(args) -> int:
         euclid = args.perimeter / args.lam - math.pi / args.lam ** 2
         rows.append("c,scaled_bound,euclidean_gap")
         for c in cs:
-            if not 0 < c <= args.lam:
-                raise UsageError("curvature scale c must be in (0, lambda]")
+            if not 0 < c < args.lam:
+                raise UsageError("curvature scale c must be in (0, lambda)")
             v = bound_scaled(args.perimeter, args.lam, c)
             rows.append(csv_line([c, v, v - euclid]))
     else:
         raise UsageError(f"unknown table kind {args.kind!r}")
-    _write_text(args.out, "\n".join(rows) + "\n")
-    return EXIT_OK
+    return rows
 
 
 # ---------------------------------------------------------------------------

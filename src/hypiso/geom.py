@@ -167,15 +167,6 @@ def exp_map(p: Point, v) -> Point:
     return Point.from_array(p.v * math.cosh(s) + u * math.sinh(s), validate=False)
 
 
-def parallel_transport(v, a: Point, b: Point):
-    """Parallel transport of tangent v along the geodesic from a to b."""
-    v = np.asarray(v, dtype=float)
-    av = a.v
-    bv = b.v
-    denom = 1.0 - minkowski(av, bv)
-    return v + (minkowski(v, bv) / denom) * (av + bv)
-
-
 # ── isometries ────────────────────────────────────────────────────────────
 
 def lorentz_inverse(g: np.ndarray) -> np.ndarray:

@@ -25,10 +25,16 @@ from .spline import (
     _walk,
     arc_transports,
 )
-from .bodies import Body, _arcs_convex
+from .bodies import Body
 
 KKT_TOL = 1e-8
 RESTORE_TOL = 1e-12
+# Newton steps `_restore` takes before it gives up
+_RESTORE_MAX_ITER = 60
+# active-set passes of `_reduced_gradient`
+_ACTIVE_SET_PASSES = 4
+# first trial step of `_pg_loop`
+_PG_STEP0 = 0.1
 
 
 def lam_ball_circumference(lam: float) -> float:
@@ -91,11 +97,6 @@ class Candidate:
         arcs = [Arc(k, l) for k, l in zip(self.kappas, self.lengths)
                 if l > 1e-12]
         return ArcSpline(ORIGIN_FRAME, tuple(arcs), closure_tol=1e-8)
-
-    def to_body(self, lam: float | None = None) -> Body:
-        s = self.to_spline()
-        return Body(boundary=s, convex=_arcs_convex(s.arcs),
-                    thick_for=lam, meta={"kind": "optimized"})
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,28 +199,6 @@ def _jacobian(pt: _Point) -> np.ndarray:
     return J
 
 
-def _as_point(kappas, lengths) -> _Point:
-    kap = np.asarray(kappas, dtype=float)
-    lon = np.asarray(lengths, dtype=float)
-    if kap.ndim != 1 or kap.shape != lon.shape:
-        raise ValueError(
-            f"need one length per curvature: {kap.shape} curvatures, "
-            f"{lon.shape} lengths")
-    return _evaluate(np.concatenate([kap, lon]), kap.size, 0.0)
-
-
-def closure_residual_vec(kappas, lengths) -> np.ndarray:
-    """The three independent closure residuals of the chain product."""
-    return _as_point(kappas, lengths).c[1:]
-
-
-def closure_jacobian(kappas, lengths):
-    """Residuals, their Jacobian wrt (kappas, lengths), shape (3, 2n),
-    and the chain product."""
-    pt = _as_point(kappas, lengths)
-    return pt.c[1:], _jacobian(pt)[1:], pt.E
-
-
 # Below this residual norm the three closure entries pin the chain
 # product near the identity or near the rotation by pi (|E[1, 1]| is
 # then above 0.9999), and the short steps that keep the norm falling
@@ -240,30 +219,31 @@ def _accepted(c, norm, t):
     return np.abs(c).max(axis=-1) <= norm * (1.0 - 0.2 * t)
 
 
-def _restore(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
+def _restore(x, n, perimeter, lb, ub):
     """Newton least-norm steps back onto the constraint manifold.
 
-    Returns the accepted `_Point`, or None.  Variables pinned at the
-    box have their columns dropped before the min-norm solve, otherwise
-    clipping stalls the iteration; each step backtracks on the residual
-    norm.  The full step t = 1, clipped to the box once, is evaluated
-    alone; when it is rejected, the nine halvings t = 1/2 ... 1/512 are
-    evaluated as one (9, 2n) stack and the first of them, in order,
-    that passes takes the step, as a loop trying them one by one
-    would.  The accepted trial's evaluation, sliced out of the stack
-    with its transports and prefix products, is the next step's
-    starting point and the caller's next Jacobian.  A chain that
-    closes on the reversed branch (end tangent opposite the start,
-    E[1, 1] < 0) is rejected as soon as the residual norm is below
-    1e-2, instead of after it has converged there: the three residuals
-    then pin the product near the rotation by pi, and the backtracking
-    keeps the norm falling.
+    Returns the accepted `_Point`, once the residual norm is at most
+    `RESTORE_TOL`, or None after `_RESTORE_MAX_ITER` steps.  Variables
+    pinned at the box have their columns dropped before the min-norm
+    solve, otherwise clipping stalls the iteration; each step backtracks
+    on the residual norm.  The full step t = 1, clipped to the box once,
+    is evaluated alone; when it is rejected, the nine halvings
+    t = 1/2 ... 1/512 are evaluated as one (9, 2n) stack and the first
+    of them, in order, that passes takes the step, as a loop trying them
+    one by one would.  The accepted trial's evaluation, sliced out of the stack
+    with its transports and prefix products, is the next step's starting
+    point and the caller's next Jacobian.  A chain that closes on the
+    reversed branch (end tangent opposite the start, E[1, 1] < 0) is
+    rejected as soon as the residual norm is below 1e-2, instead of
+    after it has converged there: the three residuals then pin the
+    product near the rotation by pi, and the backtracking keeps the norm
+    falling.
     """
     pt = _evaluate(x.copy(), n, perimeter)
-    for _ in range(max_iter):
+    for _ in range(_RESTORE_MAX_ITER):
         x, c, E = pt.x, pt.c, pt.E
         norm = np.abs(c).max()
-        if norm <= tol:
+        if norm <= RESTORE_TOL:
             return pt if E[1, 1] > 0.0 else None
         if not math.isfinite(norm) or norm > 1e8:
             return None
@@ -311,13 +291,13 @@ def _grad(x, n):
     return np.concatenate([lon, kap])
 
 
-def _reduced_gradient(x, g, J, lb, ub, passes=4):
+def _reduced_gradient(x, g, J, lb, ub):
     """Project the gradient onto the constraint tangent space and the
     inactive box; returns (direction, kkt_residual)."""
     m = x.size
     free = np.ones(m, dtype=bool)
     r = g.copy()
-    for _ in range(passes):
+    for _ in range(_ACTIVE_SET_PASSES):
         Jf = J[:, free]
         if Jf.shape[1] == 0:
             return np.zeros(m), 0.0
@@ -380,10 +360,10 @@ def _polish(x, n, problem, lb, ub):
     return _restore(xp, n, problem.perimeter, lb, ub)
 
 
-def _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
+def _pg_loop(pt, n, problem, lb, ub, max_iters):
     """Projected reduced-gradient descent with restoration per trial,
     from a restored `_Point`: (last point, kkt residual, iterations)."""
-    step = step0
+    step = _PG_STEP0
     kkt = math.inf
     it = 0
     for it in range(1, max_iters + 1):
@@ -391,7 +371,7 @@ def _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
         g = _grad(x, n)
         J = _jacobian(pt)
         r, kkt = _reduced_gradient(x, g, J, lb, ub)
-        if kkt < kkt_tol:
+        if kkt < KKT_TOL:
             break
         f0 = _objective(x, n)
         rn2 = float(r @ r)
@@ -413,13 +393,13 @@ def _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol, step0=0.1):
 
 
 def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
-          max_iters: int = 600, kkt_tol: float = KKT_TOL):
+          max_iters: int = 600):
     """Run the optimizer from several starts; candidates sorted by value.
 
     Each start is restored onto the closure manifold, then follows
     projected negative reduced gradients with backtracking, restoring
     after every step.  A candidate is converged when the projected
-    gradient is below kkt_tol with the constraints at restoration
+    gradient is below `KKT_TOL` with the constraints at restoration
     accuracy.
     """
     n = problem.n_arcs
@@ -447,14 +427,14 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
                 objective=math.inf, closure_residual=math.inf,
                 kkt_residual=math.inf, converged=False, n_iters=0))
             continue
-        pt, kkt, it = _pg_loop(pt, n, problem, lb, ub, max_iters, kkt_tol)
+        pt, kkt, it = _pg_loop(pt, n, problem, lb, ub, max_iters)
         for _ in range(2):
-            if kkt < kkt_tol:
+            if kkt < KKT_TOL:
                 break
             pp = _polish(pt.x, n, problem, lb, ub)
             if pp is None:
                 break
-            pp, kkt_p, it_p = _pg_loop(pp, n, problem, lb, ub, 100, kkt_tol)
+            pp, kkt_p, it_p = _pg_loop(pp, n, problem, lb, ub, 100)
             it += it_p
             f_old, f_new = _objective(pt.x, n), _objective(pp.x, n)
             # a converged vertex is worth a sliver of objective
@@ -476,7 +456,7 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
             objective=_objective(x, n),
             closure_residual=spline_res,
             kkt_residual=kkt,
-            converged=bool(kkt < kkt_tol and np.max(np.abs(c)) < 1e-9),
+            converged=bool(kkt < KKT_TOL and np.max(np.abs(c)) < 1e-9),
             n_iters=it))
     out.sort(key=lambda cand: cand.objective)
     return out
@@ -528,7 +508,7 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
             continue
         if not spline.is_simple():
             continue
-        return Body(boundary=spline, convex=True, thick_for=lam,
+        return Body(boundary=spline, thick_for=lam,
                     meta={"kind": "random_thick", "lambda": lam,
                           "seed": seed})
     raise GeometryError(

@@ -29,21 +29,23 @@ from .spline import Arc, arc_points
 
 _MODELS = ("disk", "uhp")
 
+# stroke widths in pixels and colors of every figure
+STROKE_WIDTH = 2.0
+OVERLAY_WIDTH = 1.1
+BOUNDARY_COLOR = "#1b1b1b"
+FRAME_COLOR = "#c9c9c9"
+EXTENSION_COLOR = "#9a9a9a"
+OVERLAY_COLOR = "#2166ac"
+WITNESS_COLOR = "#c22727"
+
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Figure options: view model, canvas size, strokes, overlays."""
+    """Figure options: view model, canvas size, overlays."""
 
     model: str = "disk"
     width_px: int = 640
     height_px: int = 640
-    stroke_width: float = 2.0
-    overlay_width: float = 1.1
-    boundary_color: str = "#1b1b1b"
-    frame_color: str = "#c9c9c9"
-    extension_color: str = "#9a9a9a"
-    overlay_color: str = "#2166ac"
-    witness_color: str = "#c22727"
     draw_extensions: bool = True
     core_geodesic: bool = False
     inscribed_balls: bool = False
@@ -59,18 +61,6 @@ class RenderSpec:
 def _fmt(x: float) -> str:
     # fixed decimals keep the output byte-stable across runs
     return f"{x:.6f}"
-
-
-def unit_circle_meeting_angle(center: complex, radius: float) -> float:
-    """Angle in [0, pi/2] at which a circle meets the unit circle.
-
-    For the circle carrying a hypercircle arc of curvature kappa the
-    cosine of this angle equals |kappa|; geodesic circles meet at a
-    right angle.
-    """
-    d2 = abs(center) ** 2
-    cosb = abs(d2 - 1.0 - radius * radius) / (2.0 * radius)
-    return math.acos(min(cosb, 1.0))
 
 
 def ball_view_circle(center_z: complex, r: float) -> tuple[complex, float]:
@@ -270,10 +260,10 @@ def _emit_dot(z: complex, view: _View, color: str) -> str:
             f'fill="{color}" stroke="none"/>')
 
 
-def _extension_elements(body: Body, arcs: list[DiskArc], view: _View,
-                        spec: RenderSpec) -> list[str]:
+def _extension_elements(body: Body, arcs: list[DiskArc],
+                        view: _View) -> list[str]:
     out = []
-    style = _style(spec.extension_color, spec.overlay_width, "6,5")
+    style = _style(EXTENSION_COLOR, OVERLAY_WIDTH, "6,5")
     for a, va in zip(body.boundary.arcs, arcs):
         # a concave hypercircle arc extends along the same equidistant
         if classify_curvature(abs(a.kappa)).kind is not CurveKind.HYPERCIRCLE:
@@ -290,7 +280,7 @@ def _extension_elements(body: Body, arcs: list[DiskArc], view: _View,
 
 def _core_geodesic_elements(view: _View, spec: RenderSpec) -> list[str]:
     # constructor bodies are built over the x-axis geodesic
-    style = _style(spec.overlay_color, spec.overlay_width, "10,6")
+    style = _style(OVERLAY_COLOR, OVERLAY_WIDTH, "10,6")
     if spec.model == "disk":
         va = DiskArc(z0=-1.0 + 0.0j, z1=1.0 + 0.0j, center=None)
         return [_emit_arc(va, view, style)]
@@ -302,7 +292,7 @@ def _core_geodesic_elements(view: _View, spec: RenderSpec) -> list[str]:
 
 def _inscribed_elements(body: Body, view: _View,
                         spec: RenderSpec) -> list[str]:
-    style = _style(spec.overlay_color, spec.overlay_width, "4,4")
+    style = _style(OVERLAY_COLOR, OVERLAY_WIDTH, "4,4")
     balls = []
     if _sausage_at_origin(body):
         meta = body.meta
@@ -332,11 +322,11 @@ def _witness_elements(body: Body, view: _View,
         return []
     rep = rolls_freely(body, float(lam))
     ec, er = ball_view_circle(to_disk(rep.witness_center), rep.rho)
-    style = _style(spec.witness_color, spec.overlay_width)
+    style = _style(WITNESS_COLOR, OVERLAY_WIDTH)
     out = [_emit_arc(_circle_as_view_arc(ec, er, spec.model), view, style)]
     wz = (to_disk(rep.witness_point) if spec.model == "disk"
           else to_uhp(rep.witness_point))
-    out.append(_emit_dot(wz, view, spec.witness_color))
+    out.append(_emit_dot(wz, view, WITNESS_COLOR))
     return out
 
 
@@ -358,7 +348,7 @@ def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
         f'<rect width="{spec.width_px}" height="{spec.height_px}" '
         f'fill="white"/>',
     ]
-    frame_style = _style(spec.frame_color, 1.0)
+    frame_style = _style(FRAME_COLOR, 1.0)
     if spec.model == "disk":
         parts.append(_emit_circle(0.0 + 0.0j, 1.0, view, frame_style))
     else:
@@ -367,20 +357,15 @@ def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
                      f'x2="{spec.width_px}" y2="{_fmt(y0)}" '
                      f'{frame_style}/>')
     if spec.draw_extensions:
-        parts.extend(_extension_elements(body, arcs, view, spec))
+        parts.extend(_extension_elements(body, arcs, view))
     if spec.core_geodesic:
         parts.extend(_core_geodesic_elements(view, spec))
     if spec.inscribed_balls:
         parts.extend(_inscribed_elements(body, view, spec))
-    body_style = _style(spec.boundary_color, spec.stroke_width)
+    body_style = _style(BOUNDARY_COLOR, STROKE_WIDTH)
     for va in arcs:
         parts.append(_emit_arc(va, view, body_style, cls="arc"))
     if spec.rolling_witness:
         parts.extend(_witness_elements(body, view, spec))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(body: Body, spec: RenderSpec | None, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_svg(body, spec))

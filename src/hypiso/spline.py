@@ -306,7 +306,8 @@ def _closure_gaps(ends) -> np.ndarray:
     p, t = ends[..., :, 0], ends[..., :, 1]
     pgap = p - o
     d_pos = np.sqrt(np.maximum(minkowski(pgap, pgap), 0.0))
-    # `geom.parallel_transport` of t along the geodesic from p to o
+    # t parallel transported along the geodesic from p to o:
+    # v + <v, o> / (1 - <p, o>) (p + o) carries a tangent v at p to o
     scale = minkowski(t, o) / (1.0 - minkowski(p, o))
     t_moved = t + scale[..., None] * (p + o)
     tgap = t_moved - o_t
@@ -367,11 +368,6 @@ class ArcSpline:
                 raise GeometryError(
                     f"chain does not close: residual {res:.3e} exceeds "
                     f"{self.closure_tol:.1e}")
-
-    @staticmethod
-    def open_chain(start: Frame, arcs) -> "ArcSpline":
-        """Construct without the closure check, for diagnostics only."""
-        return ArcSpline(start, tuple(arcs), closure_tol=math.inf)
 
     @staticmethod
     def _from_walk(arcs, transports, origin_frames,

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geom import arccoth
 
 SIGN_STEINER_CONSISTENT = "steiner_consistent"
@@ -48,15 +46,6 @@ class BodyMeasure:
     def __post_init__(self):
         if not (math.isfinite(self.area) and math.isfinite(self.perimeter)):
             raise ValueError("measures must be finite")
-
-    def as_tuple(self):
-        return (self.area, self.perimeter)
-
-
-def boost_matrix(rho: float) -> np.ndarray:
-    """Flow matrix acting on the vector (area + 2 pi, perimeter)."""
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    return np.array([[ch, sh], [sh, ch]])
 
 
 def outer_flow(m: BodyMeasure, rho: float) -> BodyMeasure:
@@ -149,7 +138,6 @@ class DeficitReport:
     bound_value: float
     deficit: float
     sign_convention: str
-    oracle_checked: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,31 +147,26 @@ class DeficitReport:
             "bound_value": self.bound_value,
             "deficit": self.deficit,
             "sign_convention": self.sign_convention,
-            "oracle_checked": self.oracle_checked,
         }
 
 
 def deficit(m: BodyMeasure, lam: float,
-            sign_convention: str = SIGN_STEINER_CONSISTENT,
-            oracle_checked: bool = False) -> DeficitReport:
+            sign_convention: str = SIGN_STEINER_CONSISTENT) -> DeficitReport:
     """Area minus the reverse isoperimetric bound (>= 0 on thick bodies)."""
     b = area_lower_bound(m.perimeter, lam, sign_convention)
     return DeficitReport(
         lam=lam, area=m.area, perimeter=m.perimeter, bound_value=b,
-        deficit=m.area - b, sign_convention=sign_convention,
-        oracle_checked=oracle_checked)
+        deficit=m.area - b, sign_convention=sign_convention)
 
 
-def deficit_both(m: BodyMeasure, lam: float,
-                 oracle_checked: bool = False) -> dict:
+def deficit_both(m: BodyMeasure, lam: float) -> dict:
     """Both sign conventions in one JSON-ready report."""
-    rep_s = deficit(m, lam, SIGN_STEINER_CONSISTENT, oracle_checked)
-    rep_p = deficit(m, lam, SIGN_AS_PRINTED, oracle_checked)
+    rep_s = deficit(m, lam, SIGN_STEINER_CONSISTENT)
+    rep_p = deficit(m, lam, SIGN_AS_PRINTED)
     return {
         "lambda": lam,
         "area": m.area,
         "perimeter": m.perimeter,
-        "oracle_checked": oracle_checked,
         SIGN_STEINER_CONSISTENT: {
             "bound_value": rep_s.bound_value,
             "deficit": rep_s.deficit,

@@ -1,8 +1,8 @@
 """Test oracles for the half-plane view and for isometries given by
-frames: the inverse of `geom.to_uhp`, the half-plane distance, and the
-isometry carrying one frame to another.  The library needs none of
-them; the tests check the model conversions and `random_isometry`
-with them.
+frames: the inverse of `geom.to_uhp`, the half-plane distance, the
+isometry carrying one frame to another, and parallel transport along
+a geodesic.  The library needs none of them; the tests check the model
+conversions and `random_isometry` with them.
 
 Imported by the test modules next to it (`from model_oracles import
 dist_uhp`); pytest puts this directory on the import path.
@@ -10,7 +10,14 @@ dist_uhp`); pytest puts this directory on the import path.
 
 import numpy as np
 
-from hypiso.geom import Frame, Point, _acosh1p, from_disk, lorentz_inverse
+from hypiso.geom import (
+    Frame,
+    Point,
+    _acosh1p,
+    from_disk,
+    lorentz_inverse,
+    minkowski,
+)
 
 
 def uhp_to_disk(w: complex) -> complex:
@@ -40,3 +47,12 @@ def isometry_from_frames(src: Frame, dst: Frame) -> np.ndarray:
 
 def apply_isometry_point(g: np.ndarray, p: Point) -> Point:
     return Point.from_array(g @ p.v, validate=False)
+
+
+def parallel_transport(v, a: Point, b: Point):
+    """Parallel transport of tangent v along the geodesic from a to b."""
+    v = np.asarray(v, dtype=float)
+    av = a.v
+    bv = b.v
+    denom = 1.0 - minkowski(av, bv)
+    return v + (minkowski(v, bv) / denom) * (av + bv)

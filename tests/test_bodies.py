@@ -454,7 +454,7 @@ def _exact_center_tie_ball():
     m = np.column_stack([[1.25, 0.0, -0.75], [0.0, 1.0, 0.0],
                          [-0.75, 0.0, 1.25]])
     spline = ArcSpline(Frame(m), (Arc(1.25 / 0.75, 1.5 * math.pi),))
-    return Body(boundary=spline, convex=True)
+    return Body(boundary=spline)
 
 
 def test_boundary_proximity_matches_reference_bit_for_bit():
@@ -464,27 +464,26 @@ def test_boundary_proximity_matches_reference_bit_for_bit():
                   [math.sinh(4.0), math.cosh(4.0), 0.0],
                   [0.0, 0.0, 1.0]])
     moved = Body(boundary=ArcSpline(apply_isometry_frame(g, s.boundary.start),
-                                    s.boundary.arcs),
-                 convex=True)
+                                    s.boundary.arcs))
     # open chains reach the horocycle branch and concave arcs
-    odd = Body(boundary=ArcSpline.open_chain(
+    odd = Body(boundary=ArcSpline(
         Frame(np.eye(3)), (Arc(1.0, 2.0), Arc(1.0 + 1e-13, 1.0),
-                           Arc(-0.7, 1.5), Arc(-2.5, 3.0), Arc(0.0, 1.0))),
-        convex=False)
+                           Arc(-0.7, 1.5), Arc(-2.5, 3.0), Arc(0.0, 1.0)),
+        closure_tol=math.inf))
     # a circle arc over more than a full turn, so with five roots,
     # between hypercircles: the stacked pass pads the other arcs' rows
-    looped = Body(boundary=ArcSpline.open_chain(
-        Frame(np.eye(3)), (Arc(0.4, 1.2), Arc(3.0, 3.5), Arc(0.8, 0.6))),
-        convex=False)
+    looped = Body(boundary=ArcSpline(
+        Frame(np.eye(3)), (Arc(0.4, 1.2), Arc(3.0, 3.5), Arc(0.8, 0.6)),
+        closure_tol=math.inf))
     assert _reference_critical_params(3.0, 3.5, np.ones(1),
                                       np.ones(1)).shape[0] >= 4
     # arcs in the horocycle band, of either sign of 1 - kappa^2 and
     # exactly 1, between circle arcs
-    band = Body(boundary=ArcSpline.open_chain(
+    band = Body(boundary=ArcSpline(
         Frame(np.eye(3)), (Arc(2.0, 1.0), Arc(1.0 + 3e-12, 0.8),
                            Arc(1.5, 0.7), Arc(1.0 - 4e-12, 0.5),
-                           Arc(1.0, 0.4), Arc(2.5, 0.9))),
-        convex=True)
+                           Arc(1.0, 0.4), Arc(2.5, 0.9)),
+        closure_tol=math.inf))
     assert sum(abs(1.0 - a.kappa ** 2) < 1e-11
                for a in band.boundary.arcs) == 3
     cases = [(b, _query_cloud(rng, 2000)) for b in (
@@ -549,7 +548,7 @@ def test_boundary_proximity_keeps_the_first_of_equal_minima():
                          (Arc(a.kappa, a.length / 4.0),) * 4)
     restarted = ArcSpline(quarters.frames[1], tie.boundary.arcs)
     for spline in (quarters, restarted):
-        b = Body(boundary=spline, convex=True)
+        b = Body(boundary=spline)
         _assert_same_bits(boundary_proximity(b, center),
                           _reference_proximity(b, center))
 
@@ -617,11 +616,11 @@ def test_sausage_inradius_is_the_cap_radius():
     depth, center = inscribed_ball(s)
     assert depth == BIG_R and center == ORIGIN
     assert _sausage_at_origin(Body.from_json_dict(s.to_json_dict()))
-    assert not _sausage_at_origin(Body(boundary=s.boundary, convex=True,
+    assert not _sausage_at_origin(Body(boundary=s.boundary,
                                        meta={"kind": "sausage"}))
     # the touching-configuration search agrees once meta no longer
     # names the body: the cap circles' centers are candidates
-    bare = Body(boundary=s.boundary, convex=True)
+    bare = Body(boundary=s.boundary)
     assert inradius(bare) == pytest.approx(BIG_R, abs=1e-12)
     # an offset sausage keeps its meta but not its inradius
     grown = offset(s, 0.3)
@@ -632,7 +631,7 @@ def test_sausage_inradius_is_the_cap_radius():
                   [math.sinh(1.0), 0.0, math.cosh(1.0)]])
     moved = Body(boundary=ArcSpline(apply_isometry_frame(g, s.boundary.start),
                                     s.boundary.arcs),
-                 convex=True, meta=dict(s.meta))
+                 meta=dict(s.meta))
     assert not _sausage_at_origin(moved)
     depth, center = inscribed_ball(moved)
     assert depth == pytest.approx(BIG_R, abs=1e-12)
@@ -662,7 +661,7 @@ def test_inradius_between_sides_of_one_geodesic():
     side = Arc(math.tanh(h), 2.0 * math.cosh(h))
     spline = ArcSpline(bodies._fermi_frame(1.0, -h),
                        [tight, flat, tight, side] * 2)
-    body = Body(boundary=spline, convex=True)
+    body = Body(boundary=spline)
     r, center = inscribed_ball(body)
     assert r == pytest.approx(h, abs=1e-12)
     assert abs(center.x2) < 1e-12
@@ -690,9 +689,9 @@ def test_inscribed_ball_of_random_bodies_is_deepest(lam):
         # (so they are built without the closure check)
         spline = body.boundary
         for g in (random_isometry(rng), far @ random_isometry(rng)):
-            moved = ArcSpline.open_chain(apply_isometry_frame(g, spline.start),
-                                         spline.arcs)
-            assert inradius(Body(boundary=moved, convex=True)) == \
+            moved = ArcSpline(apply_isometry_frame(g, spline.start),
+                              spline.arcs, closure_tol=math.inf)
+            assert inradius(Body(boundary=moved)) == \
                 pytest.approx(r, abs=1e-9)
 
 
@@ -736,7 +735,7 @@ def test_inscribed_ball_prefilter_keeps_the_winner():
                       [0.0, 0.0, 1.0]])
     s = sausage(2.0, 4.0)
     moved = Body(boundary=ArcSpline(apply_isometry_frame(boost, s.boundary.start),
-                                    s.boundary.arcs), convex=True)
+                                    s.boundary.arcs))
     bodies_ = [random_thick_body(lam, 12, seed) for lam in (1.5, 2.0, 3.0)
                for seed in range(1, 41)]
     bodies_ += [offset(two_ball_hull(0.9, 0.7), -0.3),
@@ -1078,8 +1077,8 @@ def _restarted(body: Body, s: int) -> Body:
     """The same body with its chain started at the start of arc s."""
     spline = body.boundary
     arcs = spline.arcs[s:] + spline.arcs[:s]
-    return Body(boundary=ArcSpline.open_chain(spline.frames[s], arcs),
-                convex=body.convex)
+    return Body(boundary=ArcSpline(spline.frames[s], arcs,
+                                   closure_tol=math.inf))
 
 
 def _mirrored(body: Body) -> Body:
@@ -1089,8 +1088,8 @@ def _mirrored(body: Body) -> Body:
     f = body.boundary.start
     R = np.diag([1.0, 1.0, -1.0])
     start = Frame(np.column_stack([R @ f.p, -(R @ f.t), R @ f.n]))
-    return Body(boundary=ArcSpline.open_chain(
-        start, tuple(reversed(body.boundary.arcs))), convex=body.convex)
+    return Body(boundary=ArcSpline(
+        start, tuple(reversed(body.boundary.arcs)), closure_tol=math.inf))
 
 
 def _shortest_double_normal(body: Body) -> float:
@@ -1205,7 +1204,7 @@ def test_double_normals_of_split_sausage_sides():
         assert (i, j) in pairs or (j, i) in pairs, (i, j)
     sides = np.isin(first, list(bottom | top))
     assert np.all(length[sides] == 2.0 * s.meta["cap_radius"])
-    rep = rolls_freely(Body(boundary=spline, convex=True), 2.0)
+    rep = rolls_freely(Body(boundary=spline), 2.0)
     assert rep.worst_margin == 0.0
 
 
@@ -1219,7 +1218,7 @@ def test_sausages_read_zero_margin_and_moved_copies_keep_inradius_bits():
         assert abs(rolls_freely(s, lam).worst_margin) <= 1e-12, (lam, d)
         moved = Body(boundary=ArcSpline(
             apply_isometry_frame(g, s.boundary.start), s.boundary.arcs),
-            convex=True, meta=dict(s.meta))
+            meta=dict(s.meta))
         assert not _sausage_at_origin(moved)
         assert inradius(moved) == inradius(s) == s.meta["cap_radius"]
 
@@ -1233,10 +1232,33 @@ def test_moved_long_sausage_keeps_its_cap_radius_bits():
     for phi, d, psi in ((0.0, 0.0, 0.3), (0.7, 3.0, 1.1), (2.5, 8.0, 4.0)):
         moved = Body(boundary=ArcSpline(
             apply_isometry_frame(_translation(phi, d, psi), s.boundary.start),
-            s.boundary.arcs), convex=True, meta=dict(s.meta))
+            s.boundary.arcs), meta=dict(s.meta))
         assert not _sausage_at_origin(moved)
         r, _ = inscribed_ball(moved)
         assert r == inradius(s) == s.meta["cap_radius"]
+
+
+def test_deepest_center_reads_every_sausage_cap_radius_bits():
+    # the general search, at the origin and moved 0.5 along x1; at
+    # lam = 2.2390445222611306, 2.2459979989995 and 3.0807692307692305
+    # a nearly degenerate pair system returns a radius near 18 whose
+    # center's <c, c> rounds to 0, and the perimeter bound drops it;
+    # sausage(lam, 0) at lam = 2.1923076923076925, 2.7 and
+    # 2.8269230769230766 keeps its cap center only through the bound's
+    # slack
+    g = _translation(0.0, 0.5, 0.0)
+    lams = sorted({*np.linspace(1.05, 4.35, 27)[2:].tolist(),
+                   2.2390445222611306, 2.2459979989995})
+    assert {2.1923076923076925, 2.7, 2.8269230769230766,
+            3.0807692307692305} <= set(lams)
+    for lam in lams:
+        for d in (0.0, 0.5, 1.0, 2.0, 3.0):
+            s = sausage(lam, d)
+            moved = Body(boundary=ArcSpline(
+                apply_isometry_frame(g, s.boundary.start), s.boundary.arcs))
+            for body in (s, moved):
+                r, _ = bodies._deepest_center(body)
+                assert r == s.meta["cap_radius"], (lam, d)
 
 
 def test_near_sausage_between_old_and_new_tolerance_is_rejected():
@@ -1258,7 +1280,7 @@ def test_rolling_verdict_survives_isometries():
     for _ in range(5):
         g = random_isometry(rng)
         moved = Body(boundary=ArcSpline(apply_isometry_frame(
-            g, s.boundary.start), s.boundary.arcs), convex=True)
+            g, s.boundary.start), s.boundary.arcs))
         rep = rolls_freely(moved, 2.0)
         assert rep.ok == at_origin.ok
         assert rep.worst_margin == at_origin.worst_margin
@@ -1314,10 +1336,10 @@ def test_intrinsic_verdicts_do_not_depend_on_placement(kind, a, b, phi, d,
     # `_sausage_at_origin` keeps for the unmoved one
     body = _KINDS[kind](a, b)
     lam = body.thick_for or 2.0
-    home = Body(boundary=body.boundary, convex=body.convex)
+    home = Body(boundary=body.boundary)
     moved = Body(boundary=ArcSpline(
         apply_isometry_frame(_translation(phi, d, psi), body.boundary.start),
-        body.boundary.arcs), convex=body.convex)
+        body.boundary.arcs))
     assert _intrinsic(moved, lam) == _intrinsic(home, lam)
 
 

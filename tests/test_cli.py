@@ -391,6 +391,21 @@ def test_render_inscribed_ball_of_a_moved_long_sausage(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_render_inscribed_ball_of_a_moved_sausage(capsys, tmp_path):
+    # a nearly degenerate pair system of this sausage returns a center
+    # of size 3e7 whose Lorentz norm rounds to 0; the perimeter bound
+    # on the radius drops it before it is projected to the hyperboloid
+    ch, sh = math.cosh(0.5), math.sinh(0.5)
+    g = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    body = tmp_path / "moved.json"
+    _write_moved(sausage(3.0807692307692305, 0.5), g, body)
+    svg = tmp_path / "moved.svg"
+    code, _, err = run(capsys, "render", str(body), "--inscribed-balls",
+                       "--out", str(svg))
+    assert code == 0, err
+    assert svg.read_text().startswith("<svg")
+
+
 # --- optimize ---------------------------------------------------------------
 
 def test_optimize_quick_run(capsys, tmp_path):
@@ -631,3 +646,19 @@ def test_table_empty_grid_exits_2(capsys):
     code, _, _ = run(capsys, "table", "deficit",
                      "--grid-lambda", "", "--grid-d", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--lambda", "2", "--grid-c", "2"),
+    ("limit", "--lambda", "0.5", "--grid-c", "0.1"),
+    ("limit", "--perimeter", "-1"),
+    ("steiner", "--grid-rho", "-0.5"),
+    ("deficit", "--grid-d", "-1"),
+], ids=["c-equals-lambda", "lambda-below-1", "negative-perimeter",
+        "negative-rho", "negative-d"])
+def test_table_bad_values_are_usage_errors(capsys, argv):
+    # a value outside the formulas' domain is the caller's mistake: exit
+    # 2 with a message, no traceback
+    code, out, err = run(capsys, "table", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")

@@ -24,7 +24,6 @@ from hypiso.geom import (
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
     minkowski,
-    parallel_transport,
     random_isometry,
     sausage_side_curvature,
     to_disk,
@@ -35,6 +34,7 @@ from model_oracles import (
     dist_uhp,
     from_uhp,
     isometry_from_frames,
+    parallel_transport,
 )
 
 finite_coord = st.floats(min_value=-3.0, max_value=3.0,

@@ -11,8 +11,6 @@ from hypiso.optimize import (
     RESTORE_TOL,
     Candidate,
     ShapeProblem,
-    closure_jacobian,
-    closure_residual_vec,
     lam_ball_circumference,
     perimeter_to_d,
     random_thick_body,
@@ -41,6 +39,13 @@ def _sausage_x(lam: float, d: float):
     kap = np.array([a.kappa for a in s.boundary.arcs])
     lon = np.array([a.length for a in s.boundary.arcs])
     return kap, lon
+
+
+def _closure(kap, lon):
+    """`_evaluate` of the chain: c[1:] holds its three closure
+    residuals, E its chain product, and `_jacobian` of it, rows 1:, the
+    residuals' Jacobian in (kappas, lengths)."""
+    return _evaluate(np.concatenate([kap, lon]), kap.size, 0.0)
 
 
 def test_lam_ball_circumference_value():
@@ -79,23 +84,14 @@ def test_problem_validation():
 
 def test_closure_residual_zero_on_sausage():
     kap, lon = _sausage_x(2.0, 1.0)
-    assert np.max(np.abs(closure_residual_vec(kap, lon))) < 1e-12
-
-
-def test_closure_functions_reject_mismatched_sizes():
-    # one length would otherwise broadcast over both arcs
-    for kappas, lengths in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
-                            ([[1.0, 2.0]], [[1.0, 2.0]])):
-        with pytest.raises(ValueError, match="one length per curvature"):
-            closure_residual_vec(kappas, lengths)
-        with pytest.raises(ValueError, match="one length per curvature"):
-            closure_jacobian(kappas, lengths)
+    assert np.max(np.abs(_closure(kap, lon).c[1:])) < 1e-12
 
 
 def test_closure_jacobian_matches_finite_differences():
     rng = np.random.default_rng(8)
     kap, lon = _sausage_x(2.0, 1.0)
-    res, J, _ = closure_jacobian(kap, lon)
+    pt = _closure(kap, lon)
+    res, J = pt.c[1:], _jacobian(pt)[1:]
     n = len(kap)
     h = 1e-7
     for _ in range(10):
@@ -105,7 +101,7 @@ def test_closure_jacobian_matches_finite_differences():
             dk[j] += h
         else:
             dl[j - n] += h
-        fd = (closure_residual_vec(dk, dl) - res) / h
+        fd = (_closure(dk, dl).c[1:] - res) / h
         assert np.max(np.abs(fd - J[:, j])) < 1e-5
 
 
@@ -181,20 +177,19 @@ def test_closure_jacobian_matches_per_arc_reference_at_n64():
     kap = rng.uniform(0.5, 2.0, size=n)
     kap[::9] = 1.0  # horocycle arcs take the series branch
     lon = rng.uniform(0.02, 0.3, size=n)
-    res, J, _ = closure_jacobian(kap, lon)
+    pt = _closure(kap, lon)
+    res, J = pt.c[1:], _jacobian(pt)[1:]
     res_ref, J_ref = _reference_jacobian(kap, lon)
     assert np.max(np.abs(J - J_ref)) <= 1e-14 * np.max(np.abs(J_ref))
     assert np.max(np.abs(res - res_ref)) <= 1e-14 * np.max(np.abs(res_ref))
-    vec = closure_residual_vec(kap, lon)
-    assert np.max(np.abs(vec - res_ref)) <= 1e-14 * np.max(np.abs(res_ref))
     # and the derivative itself, by central differences
     h = 1e-6
     for j in rng.choice(2 * n, size=16, replace=False):
         dk, dl = kap.copy(), lon.copy()
         (dk if j < n else dl)[j % n] += h
-        up = closure_residual_vec(dk, dl)
+        up = _closure(dk, dl).c[1:]
         (dk if j < n else dl)[j % n] -= 2.0 * h
-        down = closure_residual_vec(dk, dl)
+        down = _closure(dk, dl).c[1:]
         fd = (up - down) / (2.0 * h)
         assert np.max(np.abs(fd - J[:, j])) < 1e-7 * max(1.0, np.max(np.abs(J)))
 
@@ -217,7 +212,7 @@ def test_closure_jacobian_matches_product_rule_on_mixed_chains():
         kap[band] = np.sqrt(1.0 - x / lon[band] ** 2)
         kap[band[:3]] *= -1.0
         assert np.all(np.isfinite(kap))
-        _, J, _ = closure_jacobian(kap, lon)
+        J = _jacobian(_closure(kap, lon))[1:]
         _, J_ref = _reference_jacobian(kap, lon)
         worst = max(worst, np.max(np.abs(J - J_ref)) / np.max(np.abs(J_ref)))
     assert worst <= 1e-13, worst
@@ -231,39 +226,35 @@ def test_restore_returns_perturbed_sausage_to_the_manifold():
     rng = np.random.default_rng(3)
     x0 = np.clip(np.concatenate([kap, lon]) + 0.05 * rng.standard_normal(2 * n),
                  lb, ub)
-    assert np.max(np.abs(closure_residual_vec(x0[:n], x0[n:]))) > 1e-3
+    assert np.max(np.abs(_closure(x0[:n], x0[n:]).c[1:])) > 1e-3
     pt = _restore(x0, n, SAUSAGE_P, lb, ub)
     assert pt is not None
     x = pt.x
     assert np.all((lb <= x) & (x <= ub))
     assert x[n:].sum() == pytest.approx(SAUSAGE_P, abs=RESTORE_TOL)
-    res, _, E = closure_jacobian(x[:n], x[n:])
-    assert np.max(np.abs(res)) <= RESTORE_TOL
+    end = _closure(x[:n], x[n:])
+    assert np.max(np.abs(end.c[1:])) <= RESTORE_TOL
     # closed on the forward branch: the end frame keeps its tangent
-    assert E[1, 1] > 0.0
+    assert end.E[1, 1] > 0.0
+
+
+def _newton_point(x, n, perimeter):
+    """The constraints, their Jacobian and the chain product at x."""
+    pt = _evaluate(x, n, perimeter)
+    return pt.c, _jacobian(pt), pt.E
+
+
+def _trial_constraints(x, n, perimeter):
+    """The constraints at one line-search trial x."""
+    return _evaluate(x, n, perimeter).c
 
 
 def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
     """The restoration loop with one Jacobian and one trial product per
     step, kept as the reference: (x, E) on convergence, else None."""
-
-    def full(x):
-        kap, lon = x[:n], x[n:]
-        res, Jc, E = closure_jacobian(kap, lon)
-        c = np.concatenate([[lon.sum() - perimeter], res])
-        J = np.zeros((4, 2 * n))
-        J[0, n:] = 1.0
-        J[1:, :] = Jc
-        return c, J, E
-
-    def only(x):
-        kap, lon = x[:n], x[n:]
-        return np.concatenate([[lon.sum() - perimeter],
-                               closure_residual_vec(kap, lon)])
-
     x = x.copy()
     for _ in range(max_iter):
-        c, J, E = full(x)
+        c, J, E = _newton_point(x, n, perimeter)
         norm = np.max(np.abs(c))
         if norm <= tol:
             return x, E
@@ -291,7 +282,7 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
         improved = False
         for _ in range(10):
             xt = np.clip(x + t * delta, lb, ub)
-            ct = only(xt)
+            ct = _trial_constraints(xt, n, perimeter)
             if np.max(np.abs(ct)) <= norm * (1.0 - 0.2 * t):
                 x = xt
                 improved = True
@@ -313,18 +304,18 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
     trace = []
 
     def traced(f, letter):
-        def wrapped(kappas, lengths):
-            out = f(kappas, lengths)
+        def wrapped(x, n, perimeter):
+            out = f(x, n, perimeter)
             trace.append(letter(out))
             return out
         return wrapped
 
-    monkeypatch.setitem(globals(), "closure_jacobian", traced(
-        closure_jacobian,
+    monkeypatch.setitem(globals(), "_newton_point", traced(
+        _newton_point,
         lambda out: "R" if out[2][1, 1] < 0.0
-        and np.max(np.abs(out[0])) < 1e-2 else "J"))
-    monkeypatch.setitem(globals(), "closure_residual_vec", traced(
-        closure_residual_vec, lambda out: "t"))
+        and np.max(np.abs(out[0][1:])) < 1e-2 else "J"))
+    monkeypatch.setitem(globals(), "_trial_constraints", traced(
+        _trial_constraints, lambda out: "t"))
     rng = np.random.default_rng(16)
     outcomes = {"forward": 0, "reversed": 0, "failed": 0}
     searches = {"accepted at t <= 1/4": 0, "rejected all ten": 0}

@@ -77,8 +77,8 @@ def test_transport_circle_returns_home():
     kappa = 2.0
     circ = 2.0 * math.pi * math.sinh(math.atanh(1.0 / kappa))
     f = _transport(ORIGIN_FRAME, kappa, circ)
-    assert ArcSpline.open_chain(ORIGIN_FRAME,
-                                [Arc(kappa, circ)]).closure_residual() < 1e-12
+    assert ArcSpline(ORIGIN_FRAME, [Arc(kappa, circ)],
+                     closure_tol=math.inf).closure_residual() < 1e-12
     assert np.max(np.abs(f.m - ORIGIN_FRAME.m)) < 1e-12
 
 
@@ -286,7 +286,7 @@ def test_walk_of_a_stack_is_each_chain_walked_alone():
         alone = _walk(arc_transports(kap[i], lon[i])[0])
         assert walk[:, i].tobytes() == alone.tobytes()
         arcs = [Arc(k, l) for k, l in zip(kap[i], lon[i])]
-        spline = ArcSpline.open_chain(ORIGIN_FRAME, arcs)
+        spline = ArcSpline(ORIGIN_FRAME, arcs, closure_tol=math.inf)
         assert spline.origin_frames.tobytes() == alone.tobytes()
         # the plain product, one arc at a time
         m = np.eye(3)
@@ -387,7 +387,8 @@ def test_spline_rejects_unclosed_chain():
     with pytest.raises(GeometryError):
         ArcSpline(ORIGIN_FRAME, (Arc(0.0, 1.0),))
     # same chain is fine as an open diagnostic object
-    open_chain = ArcSpline.open_chain(ORIGIN_FRAME, (Arc(0.0, 1.0),))
+    open_chain = ArcSpline(ORIGIN_FRAME, (Arc(0.0, 1.0),),
+                           closure_tol=math.inf)
     assert open_chain.closure_residual() > 1.0
 
 
@@ -582,8 +583,8 @@ def _moved(s: ArcSpline, distance: float, angle: float) -> ArcSpline:
     rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -sn], [0.0, sn, c]])
     ch, sh = math.cosh(distance), math.sinh(distance)
     boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-    return ArcSpline.open_chain(
-        apply_isometry_frame(boost @ rot, s.start), s.arcs)
+    return ArcSpline(apply_isometry_frame(boost @ rot, s.start), s.arcs,
+                     closure_tol=math.inf)
 
 
 @pytest.fixture(scope="module")
