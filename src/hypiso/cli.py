@@ -1,5 +1,9 @@
 """Command line front end: construct, offset, verify, optimize, render, table.
 
+Each command, and each kind of `construct` and `table`, takes only the
+options its handler reads (`_leaf` in `build_parser`); any other
+option, or an abbreviated one, is a usage error.
+
 Exit codes: 0 all checks pass, 1 check failures, 2 usage errors,
 3 unreadable input.  HYPISO_TOL overrides the comparison tolerance
 (default 1e-9).  All output is deterministic for fixed inputs and
@@ -145,8 +149,7 @@ def cmd_construct(args) -> int:
     if args.out:
         _write_text(args.out, dumps(body.to_json_dict()) + "\n")
     m = body.measure
-    rin = inradius(body) if body.convex else math.nan
-    print(csv_line([m.area, m.perimeter, rin]))
+    print(csv_line([m.area, m.perimeter, inradius(body)]))
     return EXIT_OK
 
 
@@ -396,7 +399,7 @@ def _table_rows(args) -> list[str]:
                 rows.append(csv_line([lam, d, m.area, m.perimeter,
                                       rep.deficit]))
     elif args.kind == "steiner":
-        if args.r is None or args.r <= 0:
+        if args.r <= 0:
             raise UsageError("steiner table needs --r > 0")
         rhos = _parse_grid(args.grid_rho, "rho")
         base = ball(args.r).measure
@@ -406,8 +409,6 @@ def _table_rows(args) -> list[str]:
             rows.append(csv_line([rho, m.area, m.perimeter,
                                   flow_invariant(m)]))
     elif args.kind == "limit":
-        if args.lam is None or args.perimeter is None:
-            raise UsageError("limit table needs --lambda and --perimeter")
         cs = _parse_grid(args.grid_c, "c")
         euclid = args.perimeter / args.lam - math.pi / args.lam ** 2
         rows.append("c,scaled_bound,euclidean_gap")
@@ -416,24 +417,52 @@ def _table_rows(args) -> list[str]:
                 raise UsageError("curvature scale c must be in (0, lambda)")
             v = bound_scaled(args.perimeter, args.lam, c)
             rows.append(csv_line([c, v, v - euclid]))
-    else:
-        raise UsageError(f"unknown table kind {args.kind!r}")
     return rows
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="thickness parameter (> 1)")
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-arcs", dest="n_arcs", type=int, default=12)
-    p.add_argument("--out", default=None)
+# the add_argument keywords of every argument, written once; a leaf
+# takes the ones its handler reads
+_OPTIONS = {
+    "body": {},
+    "--lambda": dict(dest="lam", type=float, default=None,
+                     help="thickness parameter (> 1)"),
+    "--d": dict(type=float, default=None),
+    "--r": dict(type=float, default=None),
+    "--rho": dict(type=float, default=None),
+    "--eps": dict(type=float, default=None),
+    "--seed": dict(type=int, default=0),
+    "--n-arcs": dict(type=int, default=12),
+    "--perimeter": dict(type=float, default=None),
+    "--n-starts": dict(type=int, default=8),
+    "--model": dict(choices=["disk", "uhp"], default="disk"),
+    "--width": dict(type=int, default=640),
+    "--height": dict(type=int, default=640),
+    "--no-extensions": dict(action="store_true"),
+    "--core-geodesic": dict(action="store_true"),
+    "--inscribed-balls": dict(action="store_true"),
+    "--rolling-witness": dict(action="store_true"),
+    "--grid-lambda": dict(default="1.5,2,5"),
+    "--grid-d": dict(default="0,1,3"),
+    "--grid-rho": dict(default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
+    "--grid-c": dict(default="1,0.1,0.01,0.001"),
+    "--out": dict(default=None),
+}
+
+
+def _leaf(sub, name: str, func, *options: str, help: str | None = None,
+          **defaults) -> None:
+    """Add the parser of one command or kind: the named options of
+    _OPTIONS and --out, nothing else.  defaults holds this leaf's own
+    default of an option, keyed by its dest.  Abbreviations are off, so
+    that offset's --rho cannot stand in for a --r it does not read."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for opt in (*options, "--out"):
+        action = p.add_argument(opt, **_OPTIONS[opt])
+        action.default = defaults.get(action.dest, action.default)
+    p.set_defaults(func=func)
 
 
 @functools.cache
@@ -451,50 +480,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="constant-curvature bodies in the hyperbolic plane")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a body and save its JSON")
-    p.add_argument("kind",
-                   choices=["sausage", "ball", "hull2", "qbody", "random"])
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
+    kinds = sub.add_parser(
+        "construct", help="build a body and save its JSON",
+    ).add_subparsers(dest="kind", required=True)
+    _leaf(kinds, "sausage", cmd_construct, "--lambda", "--d")
+    _leaf(kinds, "ball", cmd_construct, "--r")
+    _leaf(kinds, "hull2", cmd_construct, "--r", "--d")
+    _leaf(kinds, "qbody", cmd_construct, "--lambda", "--eps", "--d")
+    _leaf(kinds, "random", cmd_construct, "--lambda", "--seed", "--n-arcs")
 
-    p = sub.add_parser("offset", help="parallel body at signed distance")
-    p.add_argument("body")
-    _add_common(p)
-    p.set_defaults(func=cmd_offset)
+    _leaf(sub, "offset", cmd_offset, "body", "--rho",
+          help="parallel body at signed distance")
+    _leaf(sub, "verify", cmd_verify, "body", "--lambda",
+          help="thickness, deficit, rolling, flows")
+    _leaf(sub, "optimize", cmd_optimize, "--lambda", "--perimeter", "--d",
+          "--n-arcs", "--seed", "--n-starts",
+          help="fixed-perimeter area minimization", n_arcs=16)
+    _leaf(sub, "render", cmd_render, "body", "--model", "--width",
+          "--height", "--no-extensions", "--core-geodesic",
+          "--inscribed-balls", "--rolling-witness",
+          help="SVG figure of a body")
 
-    p = sub.add_parser("verify", help="thickness, deficit, rolling, flows")
-    p.add_argument("body")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("optimize", help="fixed-perimeter area minimization")
-    _add_common(p)
-    p.add_argument("--perimeter", type=float, default=None)
-    p.add_argument("--n-starts", dest="n_starts", type=int, default=8)
-    p.set_defaults(func=cmd_optimize, n_arcs=16)
-
-    p = sub.add_parser("render", help="SVG figure of a body")
-    p.add_argument("body")
-    _add_common(p)
-    p.add_argument("--model", choices=["disk", "uhp"], default="disk")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=640)
-    p.add_argument("--no-extensions", action="store_true")
-    p.add_argument("--core-geodesic", action="store_true")
-    p.add_argument("--inscribed-balls", action="store_true")
-    p.add_argument("--rolling-witness", action="store_true")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("table", help="CSV sweeps")
-    p.add_argument("kind", choices=["deficit", "steiner", "limit"])
-    _add_common(p)
-    p.add_argument("--perimeter", type=float, default=10.0)
-    p.add_argument("--grid-lambda", default="1.5,2,5")
-    p.add_argument("--grid-d", default="0,1,3")
-    p.add_argument("--grid-rho",
-                   default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--grid-c", default="1,0.1,0.01,0.001")
-    p.set_defaults(func=cmd_table, r=1.0, lam=2.0)
+    kinds = sub.add_parser(
+        "table", help="CSV sweeps",
+    ).add_subparsers(dest="kind", required=True)
+    _leaf(kinds, "deficit", cmd_table, "--grid-lambda", "--grid-d")
+    _leaf(kinds, "steiner", cmd_table, "--r", "--grid-rho", r=1.0)
+    _leaf(kinds, "limit", cmd_table, "--lambda", "--perimeter", "--grid-c",
+          lam=2.0, perimeter=10.0)
 
     return ap
 

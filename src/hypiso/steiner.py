@@ -116,6 +116,8 @@ def area_lower_bound(perimeter: float, lam: float,
     steiner_consistent:  P/lam - 2 pi (1 - sqrt(1 - 1/lam^2))
     as_printed:          P/lam + 2 pi (1 - sqrt(1 - 1/lam^2))
     """
+    if not math.isfinite(lam):
+        raise ValueError("curvature bound lambda must be finite")
     if lam <= 1.0:
         raise ValueError("curvature bound must exceed 1")
     if perimeter < 0.0:
@@ -187,6 +189,8 @@ def bound_scaled(perimeter: float, lam: float, c: float,
     cancel; the series limit at c = 0 is pi / lam^2, recovering the
     Euclidean bound P/lam - pi/lam^2.
     """
+    if not math.isfinite(lam):
+        raise ValueError("curvature bound lambda must be finite")
     if lam <= 1.0:
         raise ValueError("curvature bound must exceed 1")
     if perimeter < 0.0:

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -100,12 +101,123 @@ def test_table_keeps_its_defaults_after_construct(capsys):
     code, _, _ = run(capsys, "construct", "ball", "--r", "0.5")
     assert code == 0
     args = build_parser().parse_args(["table", "steiner"])
-    assert args.r == 1.0 and args.lam == 2.0
+    assert args.r == 1.0
+    args = build_parser().parse_args(["table", "limit"])
+    assert args.lam == 2.0 and args.perimeter == 10.0
     code, out, _ = run(capsys, "table", "steiner", "--grid-rho", "0.1")
     assert code == 0
     m = outer_flow(ball(1.0).measure, 0.1)
     row = [float(v) for v in out.strip().splitlines()[1].split(",")]
     assert row[1:3] == [m.area, m.perimeter]
+
+
+# --- options ----------------------------------------------------------------
+
+# the options each command or kind reads, besides --out
+LEAF_OPTIONS = {
+    ("construct", "sausage"): {"--lambda", "--d"},
+    ("construct", "ball"): {"--r"},
+    ("construct", "hull2"): {"--r", "--d"},
+    ("construct", "qbody"): {"--lambda", "--eps", "--d"},
+    ("construct", "random"): {"--lambda", "--seed", "--n-arcs"},
+    ("offset",): {"body", "--rho"},
+    ("verify",): {"body", "--lambda"},
+    ("optimize",): {"--lambda", "--perimeter", "--d", "--n-arcs", "--seed",
+                    "--n-starts"},
+    ("render",): {"body", "--model", "--width", "--height",
+                  "--no-extensions", "--core-geodesic", "--inscribed-balls",
+                  "--rolling-witness"},
+    ("table", "deficit"): {"--grid-lambda", "--grid-d"},
+    ("table", "steiner"): {"--r", "--grid-rho"},
+    ("table", "limit"): {"--lambda", "--perimeter", "--grid-c"},
+}
+
+# options that every command and kind once accepted, read or not
+SHARED_ONCE = {"--lambda", "--d", "--r", "--rho", "--eps", "--seed",
+               "--n-arcs"}
+ONCE_ACCEPTED = {
+    leaf: SHARED_ONCE | LEAF_OPTIONS[leaf]
+    | ({"--perimeter", "--grid-lambda", "--grid-d", "--grid-rho",
+        "--grid-c"} if leaf[0] == "table" else set())
+    for leaf in LEAF_OPTIONS
+}
+REFUSED = sorted((leaf, opt) for leaf in LEAF_OPTIONS
+                 for opt in ONCE_ACCEPTED[leaf] - LEAF_OPTIONS[leaf])
+
+# a valid command line of each leaf, which the refused option joins
+VALID_ARGV = {
+    ("construct", "sausage"): ("--lambda", "2", "--d", "1"),
+    ("construct", "ball"): ("--r", "1"),
+    ("construct", "hull2"): ("--r", "1", "--d", "1"),
+    ("construct", "qbody"): ("--lambda", "2", "--eps", "0.1"),
+    ("construct", "random"): ("--lambda", "2"),
+    ("offset",): ("BODY", "--rho", "0.1"),
+    ("verify",): ("BODY",),
+    ("optimize",): ("--lambda", "2", "--perimeter", "9", "--n-arcs", "8",
+                    "--n-starts", "1"),
+    ("render",): ("BODY",),
+    ("table", "deficit"): (),
+    ("table", "steiner"): (),
+    ("table", "limit"): (),
+}
+OPTION_VALUE = {"--lambda": "2", "--d": "1", "--r": "1", "--rho": "0.1",
+                "--eps": "0.1", "--seed": "1", "--n-arcs": "10",
+                "--perimeter": "9", "--grid-lambda": "2", "--grid-d": "1",
+                "--grid-rho": "0.1", "--grid-c": "0.1"}
+
+
+def _leaves(parser, path=()):
+    """(path, parser) of every leaf below parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for a in subs:
+        for name, p in a.choices.items():
+            yield from _leaves(p, path + (name,))
+
+
+def test_each_leaf_declares_exactly_the_options_it_reads():
+    leaves = dict(_leaves(build_parser()))
+    assert set(leaves) == set(LEAF_OPTIONS)
+    slots = 0
+    for path, p in leaves.items():
+        declared = {s for a in p._actions
+                    for s in (a.option_strings or [a.dest])} - {"-h", "--help"}
+        assert declared == LEAF_OPTIONS[path] | {"--out"}, path
+        slots += len(declared - {"body"})
+    assert slots == 45
+    assert len(REFUSED) == 75
+    # the one option whose default differs between leaves
+    ap = build_parser()
+    assert ap.parse_args(["construct", "random"]).n_arcs == 12
+    assert ap.parse_args(["optimize"]).n_arcs == 16
+
+
+@pytest.fixture(scope="module")
+def body_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("body") / "s.json"
+    path.write_text(dumps(sausage(2.0, 1.0).to_json_dict()) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("leaf,opt", REFUSED,
+                         ids=["-".join(leaf) + opt for leaf, opt in REFUSED])
+def test_an_option_the_command_does_not_read_exits_2(capsys, tmp_path,
+                                                      body_file, leaf, opt):
+    # once every command took every shared option and dropped the ones
+    # it did not read: `render --rolling-witness --lambda 2` drew no
+    # witness and exited 0
+    out = tmp_path / "out"
+    argv = [leaf[0], *leaf[1:],
+            *(str(body_file) if a == "BODY" else a for a in VALID_ARGV[leaf]),
+            opt, *([OPTION_VALUE[opt]] if opt in OPTION_VALUE else []),
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- offset -----------------------------------------------------------------
@@ -654,8 +766,11 @@ def test_table_empty_grid_exits_2(capsys):
     ("limit", "--perimeter", "-1"),
     ("steiner", "--grid-rho", "-0.5"),
     ("deficit", "--grid-d", "-1"),
+    ("limit", "--lambda", "inf"),
+    ("deficit", "--grid-lambda", "inf"),
 ], ids=["c-equals-lambda", "lambda-below-1", "negative-perimeter",
-        "negative-rho", "negative-d"])
+        "negative-rho", "negative-d", "limit-lambda-inf",
+        "deficit-lambda-inf"])
 def test_table_bad_values_are_usage_errors(capsys, argv):
     # a value outside the formulas' domain is the caller's mistake: exit
     # 2 with a message, no traceback
