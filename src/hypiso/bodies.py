@@ -37,6 +37,7 @@ from .spline import (
     GeometryError,
     NonSimpleBoundaryError,
     ThicknessCertificate,
+    _arc_pairs,
     _closure_gaps,
     _kernel,
     _on_arcs,
@@ -631,10 +632,10 @@ def _touch_candidates(arcs, mats):
     pairs = len(i)
     M = np.zeros((pairs + len(ijk), 3, 5))
     M[:pairs, 0], M[:pairs, 1] = rows[i], rows[j]
-    a, b = U[i].T, U[j].T
-    # np.cross, term by term
-    for m, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-        M[:pairs, 2, m] = a[p] * b[q] - a[q] * b[p]
+    # the Euclidean cross is the Lorentz one with component 0 negated
+    # back, exactly
+    M[:pairs, 2, :3] = lorentz_cross(U[i], U[j])
+    M[:pairs, 2, 0] *= -1.0
     M[pairs:] = rows[ijk]
     # the last two columns of a complete QR of M^T span its kernel; the
     # diagonal of R gives the volume the three rows span
@@ -842,7 +843,8 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
     f = spline.start
     meta = body.meta
     out = [body] * len(rhos)  # rho = 0 leaves the body as it is
-    todo = []  # (entry, rho, arcs, start, snapped)
+    todo = []  # (entry, rho, arcs, snapped)
+    slide = []  # (cosh rho, sinh rho) of each entry of todo
     for i, rho in enumerate(rhos):
         if rho == 0.0:
             continue
@@ -854,19 +856,22 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
                 if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
                     snapped = True
                 new_arcs.append(Arc(k2, l2))
-            ch, sh = math.cosh(rho), math.sinh(rho)
-            # slide the start frame along its normal; the tangent is
-            # parallel along that perpendicular geodesic, the normal
-            # stays in the plane
-            start = Frame(np.column_stack([f.p * ch - f.n * sh, f.t,
-                                           f.n * ch - f.p * sh]))
+            slide.append((math.cosh(rho), math.sinh(rho)))
         except (ValueError, ArithmeticError) as e:
             out[i] = e
             continue
-        todo.append((i, rho, tuple(new_arcs), start, snapped))
+        todo.append((i, rho, tuple(new_arcs), snapped))
     if not todo:
         return out
-    chains = [arcs for _, _, arcs, _, _ in todo]
+    # slide the start frame along its normal, by every rho at once; the
+    # tangent is parallel along that perpendicular geodesic, the normal
+    # stays in the plane
+    ch, sh = np.array(slide).T[:, :, None]
+    starts = np.empty((len(todo), 3, 3))
+    starts[:, :, 0] = f.p * ch - f.n * sh
+    starts[:, :, 1] = f.t
+    starts[:, :, 2] = f.n * ch - f.p * sh
+    chains = [arcs for _, _, arcs, _ in todo]
     mats, _ = arc_transports([[a.kappa for a in arcs] for arcs in chains],
                              [[a.length for a in arcs] for arcs in chains])
     walk = _walk(mats)
@@ -875,11 +880,12 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
               if check_simple and not snapped]
     simple = dict(zip(judged, _simple_chains(
         [chains[j] for j in judged], walk[:, judged]))) if judged else {}
-    for j, (i, rho, arcs, start, snapped) in enumerate(todo):
+    for j, (i, rho, arcs, snapped) in enumerate(todo):
         try:
             boundary = ArcSpline._from_walk(
-                arcs, mats[j], walk[:, j], start=start, closure_tol=1e-8,
-                residual=float(gaps[j]), simple=simple.get(j))
+                arcs, mats[j], walk[:, j], start=Frame(starts[j]),
+                closure_tol=1e-8, residual=float(gaps[j]),
+                simple=simple.get(j))
         except GeometryError as e:
             out[i] = e
             continue
@@ -996,10 +1002,11 @@ def _double_normals(k, L, F, W):
     never shorter than twice the focal distance arccoth(max kappa).
     So no length cut-off is needed.
     """
-    n = len(k)
-    i, j = np.triu_indices(n, 1)
-    keep = (j > i + 1) & ~((i == 0) & (j == n - 1))
-    i, j = i[keep], j[keep]
+    pairs = _arc_pairs(len(k))
+    i, j = pairs.far_i, pairs.far_j
+    if not i.size:  # n <= 3: every pair of arcs shares a joint
+        none = np.empty(0, dtype=np.intp)
+        return np.empty(0), none, none, np.empty((0, 3)), np.empty((0, 3))
     m = lorentz_cross(W[i], W[j])
     w_size = np.linalg.norm(W, axis=1)
     parallel = (np.linalg.norm(m, axis=1)
@@ -1013,37 +1020,47 @@ def _double_normals(k, L, F, W):
     o[:, 0] += 1.0
     o /= np.sqrt(1.0 + mh[:, 0] ** 2)[:, None]
     e = lorentz_cross(mh, o)
-    # four planes per parallel pair, through each arc end
-    a, b = i[parallel], j[parallel]
-    ends = np.concatenate([a, a + 1, b, b + 1])
-    a, b = np.concatenate([i[cut], np.tile(a, 4)]), \
-        np.concatenate([j[cut], np.tile(b, 4)])
-    o = np.concatenate([o, F[ends, :, 0]])
-    e = np.concatenate([e, F[ends, :, 2]])
+    a, b = i[cut], j[cut]
+    n_cut = a.size
+    if np.count_nonzero(parallel):
+        # four planes per parallel pair, through each arc end
+        pa, pb = i[parallel], j[parallel]
+        ends = np.concatenate([pa, pa + 1, pb, pb + 1])
+        a = np.concatenate([a, pa, pa, pa, pa])
+        b = np.concatenate([b, pb, pb, pb, pb])
+        o = np.concatenate([o, F[ends, :, 0]])
+        e = np.concatenate([e, F[ends, :, 2]])
 
-    # both ways round: first at its u+ foot, second at its u- foot
+    # both ways round: first at its u+ foot, second at its u- foot,
+    # each plane's <nu, w> of both arcs read once for both
     first, second = np.concatenate([a, b]), np.concatenate([b, a])
-    nu, nubar = np.tile(o + e, (2, 1)), np.tile(o - e, (2, 1))
+    nu, nubar = o + e, o - e
+    ga, gb = minkowski(nu, W[a]), minkowski(nu, W[b])
     with np.errstate(divide="ignore", invalid="ignore"):
-        u1 = (1.0 - k[first]) / minkowski(nu, W[first])
-        u2 = (-1.0 - k[second]) / minkowski(nu, W[second])
+        u1 = (1.0 - k[first]) / np.concatenate([ga, gb])
+        u2 = (-1.0 - k[second]) / np.concatenate([gb, ga])
         length = np.log(u2 / u1)
     # a parallel pair's constant distance in closed form, unless a
     # horocycle takes part: the signed distances atanh kappa from the
     # common geodesic, or arccoth kappa from the common center, add up
-    if a.size > cut.sum():
+    if a.size > n_cut:
         h = np.array([math.atanh(v) if abs(v) < 1.0 else
                       arccoth(v) if abs(v) > 1.0 else math.nan for v in k])
-        closed = np.tile(np.arange(a.size) >= cut.sum(), 2)
-        closed &= np.isfinite(h[first] + h[second])
+        closed = np.arange(a.size) >= n_cut
+        closed = (np.concatenate([closed, closed])
+                  & np.isfinite(h[first] + h[second]))
         length[closed] = (h[first] + h[second])[closed]
     ok = (u1 > 0.0) & (u2 > 0.0) & (length > 0.0)
     first, second, length = first[ok], second[ok], length[ok]
-    nu, nubar, u1, u2 = nu[ok], nubar[ok], u1[ok, None], u2[ok, None]
+    nu = np.concatenate([nu, nu])[ok]
+    nubar = np.concatenate([nubar, nubar])[ok]
+    u1, u2 = u1[ok, None], u2[ok, None]
     x = 0.5 * (u1 * nu + nubar / u1)
     y = 0.5 * (u2 * nu + nubar / u2)
-    on = (_on_arcs(k[first], L[first], F[first], x)
-          & _on_arcs(k[second], L[second], F[second], y))
+    # both feet in one call
+    both = np.concatenate([first, second])
+    on = _on_arcs(k[both], L[both], F[both], np.concatenate([x, y]))
+    on = on[:len(first)] & on[len(first):]
     return length[on], first[on], second[on], x[on], y[on]
 
 

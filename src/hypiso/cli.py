@@ -366,9 +366,12 @@ def _parse_grid(raw: str, what: str) -> list[float]:
         if not part:
             continue
         try:
-            vals.append(float(part))
+            val = float(part)
         except ValueError:
             raise UsageError(f"bad {what} grid entry: {part!r}")
+        if not math.isfinite(val):
+            raise UsageError(f"{what} grid entries must be finite: {part!r}")
+        vals.append(val)
     if not vals:
         raise UsageError(f"empty {what} grid")
     return vals
@@ -409,6 +412,11 @@ def _table_rows(args) -> list[str]:
             rows.append(csv_line([rho, m.area, m.perimeter,
                                   flow_invariant(m)]))
     elif args.kind == "limit":
+        # lambda bounds every c, so it is judged first
+        if not math.isfinite(args.lam):
+            raise UsageError("curvature bound lambda must be finite")
+        if not math.isfinite(args.perimeter):
+            raise UsageError("perimeter must be finite")
         cs = _parse_grid(args.grid_c, "c")
         euclid = args.perimeter / args.lam - math.pi / args.lam ** 2
         rows.append("c,scaled_bound,euclidean_gap")

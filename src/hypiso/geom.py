@@ -27,13 +27,20 @@ import numpy as np
 HOROCYCLE_BAND = 1e-12
 
 _ETA = np.diag([-1.0, 1.0, 1.0])
+# component i + 1 and i + 2 of each component i, mod 3
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
 
 
 def minkowski(a, b):
-    """Lorentz inner product -a0*b0 + a1*b1 + a2*b2 (broadcasts)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return -a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """Lorentz inner product -a0*b0 + a1*b1 + a2*b2 (broadcasts).
+
+    The three products are formed in one call and summed left to
+    right; -(a0 b0) is (-a0) b0 exactly, so the value is that of the
+    expression as written.
+    """
+    ab = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    return -ab[..., 0] + ab[..., 1] + ab[..., 2]
 
 
 def lorentz_cross(a, b):
@@ -41,11 +48,18 @@ def lorentz_cross(a, b):
 
     For an oriented orthonormal frame (p, t, n) this gives n from (p, t),
     matching a +90 degree rotation of t in the tangent plane at p.
+
+    Written out term by term, component i as a[i+1] b[i+2] -
+    a[i+2] b[i+1] (indices mod 3), the difference np.cross forms, so
+    the result equals np.cross(a, b) with component 0 negated bit for
+    bit; np.cross itself spends most of a small call on axis handling.
+    The Euclidean cross is this with component 0 negated back, exactly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.cross(a, b)
-    c[..., 0] = -c[..., 0]
+    c = a.take(_NEXT, axis=-1) * b.take(_AFTER, axis=-1)
+    c -= a.take(_AFTER, axis=-1) * b.take(_NEXT, axis=-1)
+    c[..., 0] *= -1.0
     return c
 
 

@@ -7,8 +7,8 @@ platforms and every value round-trips exactly.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def fmt17(x: float) -> str:
@@ -22,23 +22,53 @@ def fmt17(x: float) -> str:
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits, keys in order."""
     pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2).lstrip()}'
-            for k, v in obj.items())
-        return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(dumps(v, indent + 2) for v in obj)
-        return f"{pad}[\n{items}\n{pad}]" if len(obj) else f"{pad}[]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
+    out = [pad]
+    _emit(obj, pad, out)
+    return "".join(out)
+
+
+def _emit(obj, pad: str, out: list) -> None:
+    """Append the JSON text of obj to out, its inner lines indented by
+    pad plus two spaces.  Strings, keys included, go through the
+    encoder json.dumps uses for them, true, false and null are written
+    as literals, so the text is what json.dumps would give piece by
+    piece, without a call per piece."""
     if isinstance(obj, float):
-        return pad + fmt17(obj)
-    if isinstance(obj, int):
-        return pad + str(obj)
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append(fmt17(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for k, v in obj.items():
+            out += (sep, inner, _quote(str(k)), ": ")
+            _emit(v, inner, out)
+            sep = ",\n"
+        out += ("\n", pad, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n"
+        for v in obj:
+            out += (sep, inner)
+            _emit(v, inner, out)
+            sep = ",\n"
+        out += ("\n", pad, "]")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def csv_line(values) -> str:

@@ -63,9 +63,10 @@ counterclockwise boundary has kappa >= 0 and the normal points inward.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -123,15 +124,50 @@ def _kernel(kappa, s):
     same with sin and |alpha| where alpha < 0, and the series in x =
     alpha s^2 where 0 < |x| < `_SERIES_X` or alpha = 0; s = 0 is exact
     in closed form.  alpha = 0 runs with the circles, and the series
-    overwrites its 0 / 0.  No floating-point warning leaves the call.
+    overwrites its 0 / 0.
+
+    One curvature (a 0-d kappa, as in sampling) reads its family and
+    the series mask from the sign of alpha: x = alpha s^2 has that
+    sign, so |x| < `_SERIES_X`, x != 0 is one bounded comparison per
+    side.  It computes its own family alone, so a circle or
+    hypercircle call raises a floating-point warning only where its
+    coefficients themselves overflow.  No other warning leaves the
+    call: a mix of curvatures computes both families and discards one,
+    which may overflow, and alpha = 0 divides 0 by 0.
     """
     kappa = np.asarray(kappa, dtype=float)
     s = np.asarray(s, dtype=float)
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
-    series = np.abs(x) < _SERIES_X
-    if np.count_nonzero(series):
-        series &= (x != 0.0) | (alpha == 0.0)
+    if kappa.ndim:
+        series = np.abs(x) < _SERIES_X
+        if np.count_nonzero(series):
+            series &= (x != 0.0) | (alpha == 0.0)
+        hyp = alpha > 0.0
+        n_hyp = np.count_nonzero(hyp)
+        if n_hyp == hyp.size:
+            odd = np.sinh
+        elif n_hyp == 0:
+            odd = np.sin
+        else:
+            def odd(v):
+                return np.where(hyp, np.sinh(v), np.sin(v))
+        quiet = True
+        size = np.abs(alpha)
+        w = np.sqrt(size)
+    else:
+        a = float(alpha)
+        if a > 0.0:
+            series = (x < _SERIES_X) & (x > 0.0)
+            odd, quiet = np.sinh, False
+        elif a < 0.0:
+            series = (x > -_SERIES_X) & (x < 0.0)
+            odd, quiet = np.sin, False
+        else:  # alpha = 0, or a NaN curvature
+            series = np.abs(x) < _SERIES_X
+            odd, quiet = np.sin, True
+        size = abs(a)
+        w = math.sqrt(size)
     patch = None
     if np.count_nonzero(series):
         if s.shape != x.shape:
@@ -142,21 +178,8 @@ def _kernel(kappa, s):
     # s may be long (dense sampling): each array is dropped once read,
     # so numpy reuses its memory
     del x
-    size = np.abs(alpha)
-    w = np.sqrt(size)
     z = w * s
-    hyp = alpha > 0.0
-    n_hyp = np.count_nonzero(hyp)
-    if n_hyp == hyp.size:
-        odd = np.sinh
-    elif n_hyp == 0:
-        odd = np.sin
-    else:
-        def odd(v):
-            return np.where(hyp, np.sinh(v), np.sin(v))
-    # the discarded family of a mix may overflow, and alpha = 0 gives
-    # 0 / 0 until the series overwrites it
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
         c2 = odd(z / 2.0)
         c1 = odd(z)
         del z
@@ -303,16 +326,17 @@ def _closure_gaps(ends) -> np.ndarray:
     Elementwise over the stack, so each gap equals its chain's alone.
     """
     o, o_t = ORIGIN_FRAME.p, ORIGIN_FRAME.t
-    p, t = ends[..., :, 0], ends[..., :, 1]
-    pgap = p - o
-    d_pos = np.sqrt(np.maximum(minkowski(pgap, pgap), 0.0))
+    pt = np.swapaxes(ends[..., :, :2], -1, -2)  # rows p, t
+    p, t = pt[..., 0, :], pt[..., 1, :]
+    po_to = minkowski(pt, o)
     # t parallel transported along the geodesic from p to o:
     # v + <v, o> / (1 - <p, o>) (p + o) carries a tangent v at p to o
-    scale = minkowski(t, o) / (1.0 - minkowski(p, o))
-    t_moved = t + scale[..., None] * (p + o)
-    tgap = t_moved - o_t
-    d_ang = np.sqrt(np.maximum(minkowski(tgap, tgap), 0.0))
-    return np.maximum(d_pos, d_ang)
+    scale = po_to[..., 1] / (1.0 - po_to[..., 0])
+    gap = np.empty(pt.shape)
+    gap[..., 0, :] = p - o
+    gap[..., 1, :] = t + scale[..., None] * (p + o) - o_t
+    d = np.sqrt(np.maximum(minkowski(gap, gap), 0.0))
+    return np.maximum(d[..., 0], d[..., 1])
 
 
 def _sample_chain(arcs, frames, n: int):
@@ -640,6 +664,36 @@ def _on_arcs(kappas, lengths, frames, x) -> np.ndarray:
     return (s >= -tol) & (s <= lengths + tol)
 
 
+class _ArcPairs(NamedTuple):
+    """The pairs of arcs of a closed chain of n arcs, as `_arc_pairs`
+    tabulates them.  Read-only arrays, shared by every caller."""
+
+    i: np.ndarray       # every pair i < j, in lexicographic order
+    j: np.ndarray
+    after: np.ndarray   # j == i + 1: the end of arc i is the start of j
+    before: np.ndarray  # (0, n - 1): the end of arc j is the start of i
+    far_i: np.ndarray   # the pairs sharing no joint, in the same order
+    far_j: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _arc_pairs(n: int) -> _ArcPairs:
+    """The pair table of a closed chain of n arcs, built once per n.
+
+    The pair solvers (`_chain_crosses`, `bodies._double_normals`) run
+    once per body on a few arcs, where building the table is a fixed
+    cost comparable to the solve itself.
+    """
+    i, j = np.triu_indices(n, 1)
+    after = j == i + 1
+    before = (i == 0) & (j == n - 1)
+    far = ~after & ~before
+    table = _ArcPairs(i, j, after, before, i[far], j[far])
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _simple_chains(chains, walk) -> list:
     """Simplicity verdicts of a stack of closed chains, one bool each.
 
@@ -689,9 +743,7 @@ def _chain_crosses(arcs, origin_frames) -> bool:
     L = np.array([a.length for a in arcs])
     F = origin_frames[:-1]
     W = _support_vectors(k, F)
-    i, j = np.triu_indices(n, 1)
-    after = j == i + 1                # the end of i is the start of j
-    before = (i == 0) & (j == n - 1)  # the end of j is the start of i
+    i, j, after, before, _, _ = _arc_pairs(n)
     m = lorentz_cross(W[i], W[j])
     w_size = np.linalg.norm(W, axis=1)
     parallel = (np.linalg.norm(m, axis=1)

@@ -23,6 +23,7 @@ from hypiso.geom import (
 )
 from hypiso.optimize import random_thick_body
 from hypiso.render import _view_arcs
+from model_oracles import byte_identity_corpus, double_normals_ref
 from hypiso.spline import (
     CLOSURE_TOL,
     _support_vectors,
@@ -1359,3 +1360,19 @@ def test_body_json_round_trip():
     assert t.measure.perimeter == pytest.approx(s.measure.perimeter, abs=1e-12)
     assert t.convex == s.convex
     assert t.thick_for == s.thick_for
+
+
+def test_double_normals_match_the_reference_bit_for_bit():
+    # the cached pair table, the early return without far pairs, the
+    # concatenations and the one _on_arcs call for both feet keep every
+    # output of the solver, dtypes and shapes included
+    for name, body in byte_identity_corpus():
+        spline = body.boundary
+        k = np.array([a.kappa for a in spline.arcs])
+        L = np.array([a.length for a in spline.arcs])
+        F = spline.origin_frames
+        W = _support_vectors(k, F[:-1])
+        got, want = _double_normals(k, L, F, W), double_normals_ref(k, L, F, W)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name

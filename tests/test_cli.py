@@ -18,6 +18,7 @@ from hypiso.cli import build_parser, main
 from hypiso.geom import dist_disk, from_disk, to_disk
 from hypiso.serialize import dumps
 from hypiso.steiner import outer_flow
+from model_oracles import byte_identity_corpus, dumps_ref
 
 SAUSAGE_P = 8.2464008819854406
 
@@ -760,20 +761,58 @@ def test_table_empty_grid_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("limit", "--lambda", "2", "--grid-c", "2"),
-    ("limit", "--lambda", "0.5", "--grid-c", "0.1"),
-    ("limit", "--perimeter", "-1"),
-    ("steiner", "--grid-rho", "-0.5"),
-    ("deficit", "--grid-d", "-1"),
-    ("limit", "--lambda", "inf"),
-    ("deficit", "--grid-lambda", "inf"),
+@pytest.mark.parametrize("argv, message", [
+    (("limit", "--lambda", "2", "--grid-c", "2"),
+     "curvature scale c must be in (0, lambda)"),
+    (("limit", "--lambda", "0.5", "--grid-c", "0.1"),
+     "curvature bound must exceed 1"),
+    (("limit", "--perimeter", "-1"), "perimeter must be >= 0"),
+    (("steiner", "--grid-rho", "-0.5"), "outer flow expects rho >= 0"),
+    (("deficit", "--grid-d", "-1"), "core half-length must be >= 0"),
+    (("limit", "--lambda", "inf"), "curvature bound lambda must be finite"),
+    (("deficit", "--grid-lambda", "inf"),
+     "lambda grid entries must be finite: 'inf'"),
+    (("limit", "--lambda", "nan"), "curvature bound lambda must be finite"),
+    (("limit", "--perimeter", "nan"), "perimeter must be finite"),
+    (("limit", "--perimeter", "inf"), "perimeter must be finite"),
+    (("deficit", "--grid-d", "nan"), "d grid entries must be finite: 'nan'"),
+    (("steiner", "--grid-rho", "nan"),
+     "rho grid entries must be finite: 'nan'"),
 ], ids=["c-equals-lambda", "lambda-below-1", "negative-perimeter",
         "negative-rho", "negative-d", "limit-lambda-inf",
-        "deficit-lambda-inf"])
-def test_table_bad_values_are_usage_errors(capsys, argv):
+        "deficit-lambda-inf", "limit-lambda-nan", "limit-perimeter-nan",
+        "limit-perimeter-inf", "deficit-d-nan", "steiner-rho-nan"])
+def test_table_bad_values_are_usage_errors(capsys, argv, message):
     # a value outside the formulas' domain is the caller's mistake: exit
-    # 2 with a message, no traceback
+    # 2 with a message naming the bad value, no traceback
     code, out, err = run(capsys, "table", *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    assert message in err
+
+
+def test_dumps_matches_the_reference_writer(monkeypatch, tmp_path):
+    # every body file of the corpus and every verify report written
+    # from it must be the text the first writer gave, byte for byte
+    import hypiso.cli as hcli
+
+    def checked(obj, indent=0):
+        text = dumps(obj, indent)
+        assert text == dumps_ref(obj, indent)
+        return text
+
+    monkeypatch.setattr(hcli, "dumps", checked)
+    path, report = tmp_path / "b.json", tmp_path / "r.json"
+    for name, body in byte_identity_corpus():
+        text = checked(body.to_json_dict())
+        path.write_text(text + "\n")
+        code = main(["verify", str(path), "--lambda", "2",
+                     "--out", str(report)])
+        assert code in (0, 1), name
+        assert report.read_text() == dumps_ref(
+            json.loads(report.read_text())) + "\n"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dumps({"x": [bad]})
+        with pytest.raises(ValueError):
+            dumps_ref({"x": [bad]})

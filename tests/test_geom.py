@@ -23,6 +23,7 @@ from hypiso.geom import (
     from_disk,
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
+    lorentz_cross,
     minkowski,
     random_isometry,
     sausage_side_curvature,
@@ -34,6 +35,7 @@ from model_oracles import (
     dist_uhp,
     from_uhp,
     isometry_from_frames,
+    lorentz_cross_ref,
     parallel_transport,
 )
 
@@ -217,3 +219,23 @@ def test_hypercircle_identities_pairwise(beta):
     assert abs(disk_curvature_at_origin(2.0 * math.cos(beta)) - kap) < 1e-12
     lam = 1.0 / kap
     assert abs(sausage_side_curvature(lam) - kap) < 1e-12
+
+
+def test_lorentz_cross_is_eta_times_np_cross_bit_for_bit():
+    # the cross is written out term by term; each component must be
+    # np.cross's, component 0 negated, on every broadcast shape, signed
+    # zeros included, and negating component 0 back gives np.cross
+    rng = np.random.default_rng(41)
+    eta = np.array([-1.0, 1.0, 1.0])
+    for sa, sb in (((3,), (3,)), ((7, 3), (7, 3)), ((5, 4, 3), (5, 4, 3)),
+                   ((7, 3), (3,)), ((5, 1, 3), (4, 3))):
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        a.reshape(-1)[::4] = 0.0
+        b.reshape(-1)[1::5] = -0.0
+        b.reshape(-1)[::7] = 0.0
+        want = eta * np.cross(a, b)
+        got = lorentz_cross(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == lorentz_cross_ref(a, b).tobytes()
+        assert (eta * got).tobytes() == np.cross(a, b).tobytes()

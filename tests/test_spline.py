@@ -27,6 +27,7 @@ from hypiso.spline import (
     arc_transports,
     frenet_matrix,
     _arc_generators,
+    _arc_pairs,
     _c3,
     _closure_gaps,
     _kernel,
@@ -717,3 +718,20 @@ def test_simplicity_verdict_is_cached(monkeypatch):
         assert eroded.boundary.is_simple()
         signed_boundary_distance(eroded, pts)
     assert len(solves) == 1
+
+
+def test_arc_pairs_table():
+    # every pair i < j in lexicographic order, its two adjacency masks,
+    # and the pairs sharing no joint, shared read-only
+    for n in range(1, 9):
+        t = _arc_pairs(n)
+        i, j = np.triu_indices(n, 1)
+        assert np.array_equal(t.i, i) and np.array_equal(t.j, j)
+        assert np.array_equal(t.after, j == i + 1)
+        assert np.array_equal(t.before, (i == 0) & (j == n - 1))
+        far = (j > i + 1) & ~((i == 0) & (j == n - 1))
+        assert np.array_equal(t.far_i, i[far])
+        assert np.array_equal(t.far_j, j[far])
+        assert t.far_i.dtype == i.dtype
+        assert not any(a.flags.writeable for a in t)
+        assert _arc_pairs(n) is t
