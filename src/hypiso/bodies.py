@@ -39,12 +39,12 @@ from .spline import (
     ThicknessCertificate,
     _arc_pairs,
     _closure_gaps,
+    _frame_columns,
     _kernel,
     _on_arcs,
     _simple_chains,
     _support_vectors,
     _walk,
-    arc_frames_batch,
     arc_transports,
 )
 from .steiner import BodyMeasure
@@ -84,10 +84,10 @@ class ConvexFlagError(ValueError):
     """A body file's "convex" flag disagrees with its arcs."""
 
 
-def _arcs_convex(arcs) -> bool:
+def _arcs_convex(kappas) -> bool:
     """Convexity as every constructor reads it: no arc bends outward
     beyond roundoff, kappa >= -1e-12 throughout."""
-    return bool(min(a.kappa for a in arcs) >= -1e-12)
+    return bool(kappas.min() >= -1e-12)
 
 
 def _axis_boost(t: float) -> np.ndarray:
@@ -126,7 +126,7 @@ class Body:
     def convex(self) -> bool:
         """Whether no boundary arc bends outward (`_arcs_convex`), read
         from the arcs alone."""
-        return _arcs_convex(self.boundary.arcs)
+        return _arcs_convex(self.boundary.kappas)
 
     @cached_property
     def measure(self) -> BodyMeasure:
@@ -155,11 +155,10 @@ class Body:
         """
         spline = ArcSpline.from_json_dict(obj["boundary"])
         flag = obj.get("convex")
-        if flag is not None and flag != _arcs_convex(spline.arcs):
+        if flag is not None and flag != _arcs_convex(spline.kappas):
             raise ConvexFlagError(
                 f'"convex": {flag!r} disagrees with the arcs, '
-                f"whose least curvature is "
-                f"{min(a.kappa for a in spline.arcs):.6g}")
+                f"whose least curvature is {spline.kappas.min():.6g}")
         tf = obj.get("thick_for")
         return Body(boundary=spline,
                     thick_for=None if tf is None else float(tf),
@@ -395,11 +394,13 @@ def boundary_proximity(body: Body, pts: np.ndarray):
     pts has shape (n, 3) in hyperboloid coordinates.  Returns
     (dist, arc_index, s_local) arrays.
     """
-    return _proximity(body.boundary.arcs, body.boundary.frames, pts)
+    sp = body.boundary
+    return _proximity(sp.kappas, sp.lengths, sp.placed_frames, pts)
 
 
-def _proximity(arcs, frames, pts):
-    """`boundary_proximity` against arcs starting at the given frames.
+def _proximity(k, L, frames, pts):
+    """`boundary_proximity` against the arcs of curvatures k and lengths
+    L starting at frames, (n + 1, 3, 3) or (n, 3, 3).
 
     One stacked pass over all arcs per block of `_PROXIMITY_BLOCK`
     queries, equal bit for bit to a loop over the arcs; see the
@@ -408,8 +409,6 @@ def _proximity(arcs, frames, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nq = pts.shape[0]
     Q = pts @ _ETA  # row i dotted with x gives <pts[i], x>
-    k = np.array([a.kappa for a in arcs])
-    L = np.array([a.length for a in arcs])
     # the arcs of each root regime of `_critical_params`
     alpha = 1.0 - k * k
     band = np.abs(alpha) < 1e-11
@@ -417,7 +416,7 @@ def _proximity(arcs, frames, pts):
         band, ~band & (alpha > 0.0), ~band & (alpha < 0.0))) if ix.size]
     c1L, c2L = _kernel(k, L)
     # the start frames' columns p, t, n, as (3, arcs, 3)
-    cols = np.array([f.m for f in frames[:len(arcs)]]).transpose(2, 0, 1)
+    cols = frames[:len(k)].transpose(2, 0, 1)
     best, s = np.empty(nq), np.empty(nq)
     arc = np.empty(nq, dtype=int)
     for lo in range(0, nq, _PROXIMITY_BLOCK):
@@ -504,21 +503,22 @@ def signed_boundary_distance(body: Body, pts: np.ndarray) -> np.ndarray:
     if not body.convex and not body.boundary.is_simple():
         raise NonSimpleBoundaryError("boundary self-intersects; "
                                      "inside and outside are undefined")
-    return _signed_distance(body.boundary.arcs, body.boundary.frames, pts)
+    sp = body.boundary
+    return _signed_distance(sp.kappas, sp.lengths, sp.placed_frames, pts)
 
 
-def _signed_distance(arcs, frames, pts):
-    """`signed_boundary_distance` on arcs from the given frames."""
+def _signed_distance(k, L, frames, pts):
+    """`signed_boundary_distance` on the arcs of curvatures k and
+    lengths L from frames, as `_proximity` takes them."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d, arc, s = _proximity(arcs, frames, pts)
-    # <q, N> with the inward normal at each nearest point, all in one
-    # pass: N = -k c2 p - k c1 t + (1 - k^2 c2) n in its arc's start
-    # frame, whose <q, p>, <q, t>, <q, n> are read in one product
-    k = np.array([a.kappa for a in arcs])[arc]
-    c1, c2 = _kernel(k, s)
-    F = np.array([f.m for f in frames[:len(arcs)]])
-    p, t, n = np.einsum("ij,ijk->ki", pts @ _ETA, F[arc])
-    side = (-k * c2) * p + (-k * c1) * t + (1.0 - k * k * c2) * n
+    d, arc, s = _proximity(k, L, frames, pts)
+    # <q, N> with the inward normal N at each nearest point, all in one
+    # pass: N's coordinates in its arc's start frame (`_frame_columns`),
+    # whose <q, p>, <q, t>, <q, n> are read in one product
+    k = k[arc]
+    N = _frame_columns(k, *_kernel(k, s))[2]
+    p, t, n = np.einsum("ij,ijk->ki", pts @ _ETA, frames[arc])
+    side = N[:, 0] * p + N[:, 1] * t + N[:, 2] * n
     return np.where(side >= 0.0, d, -d)
 
 
@@ -588,10 +588,11 @@ _PERIMETER_SLACK = 1e-9
 _TOUCH_FORM = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-def _touch_candidates(arcs, mats):
+def _touch_candidates(kap, mats):
     """Centers and radii of every ball touching the boundary arcs in a
     configuration a deepest point can take: (centers (m, 3), radii (m,)).
-    mats[:-1] are the arcs' start frames, as in `ArcSpline.origin_frames`.
+    kap holds the arcs' curvatures and mats[:-1] their start frames, as
+    in `ArcSpline.origin_frames`.
 
     Arc i with start frame (p, t, n) and curvature k has the constant
     vector w = k p + n of `_support_vectors`.  A point at inward
@@ -607,7 +608,6 @@ def _touch_candidates(arcs, mats):
     Systems of rank below three, roots with r <= 0 and roots off the
     upper sheet are dropped.
     """
-    kap = np.array([a.kappa for a in arcs])
     W = _support_vectors(kap, mats[:-1])
 
     circ = kap > 1.0
@@ -689,14 +689,14 @@ def _deepest_center(body: Body):
     if not spline.is_simple():
         raise NonSimpleBoundaryError("boundary is not simple")
     F = spline.origin_frames
-    C, R = _touch_candidates(spline.arcs, F)
+    C, R = _touch_candidates(spline.kappas, F)
     top = math.asinh(spline.perimeter() / (2.0 * math.pi))
     keep = R <= top * (1.0 + _PERIMETER_SLACK)
     C, R = project_to_sheet(C[keep]), R[keep]
     live = np.arange(len(R))
     if body.convex:
         live = live[_supported(C, R, F[:-1, :, 2])]
-    depth = _signed_distance(spline.arcs, tuple(map(Frame, F)), C[live])
+    depth = _signed_distance(spline.kappas, spline.lengths, F, C[live])
     fits = np.zeros(len(R), dtype=bool)
     fits[live] = depth >= R[live] - INRADIUS_TOL * np.maximum(1.0, R[live])
     if not np.any(fits):
@@ -844,23 +844,28 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
     meta = body.meta
     out = [body] * len(rhos)  # rho = 0 leaves the body as it is
     todo = []  # (entry, rho, arcs, snapped)
+    K, L = [], []  # the offset kappas and lengths of each entry of todo
     slide = []  # (cosh rho, sinh rho) of each entry of todo
     for i, rho in enumerate(rhos):
         if rho == 0.0:
             continue
         try:
-            new_arcs = []
+            new_arcs, ks, ls = [], [], []
             snapped = False
             for a in spline.arcs:
                 k2, l2 = _offset_arc(a.kappa, a.length, rho)
                 if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
                     snapped = True
                 new_arcs.append(Arc(k2, l2))
+                ks.append(k2)
+                ls.append(l2)
             slide.append((math.cosh(rho), math.sinh(rho)))
         except (ValueError, ArithmeticError) as e:
             out[i] = e
             continue
         todo.append((i, rho, tuple(new_arcs), snapped))
+        K.append(ks)
+        L.append(ls)
     if not todo:
         return out
     # slide the start frame along its normal, by every rho at once; the
@@ -871,19 +876,21 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
     starts[:, :, 0] = f.p * ch - f.n * sh
     starts[:, :, 1] = f.t
     starts[:, :, 2] = f.n * ch - f.p * sh
-    chains = [arcs for _, _, arcs, _ in todo]
-    mats, _ = arc_transports([[a.kappa for a in arcs] for arcs in chains],
-                             [[a.length for a in arcs] for arcs in chains])
-    walk = _walk(mats)
-    gaps = _closure_gaps(walk[-1])
+    K, L = np.array(K), np.array(L)
+    mats, _ = arc_transports(K, L)
+    # a walk that overflows reads a NaN gap, which the closure check
+    # refuses; a chain that does not close is not judged
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk = _walk(mats)
+        gaps = _closure_gaps(walk[-1])
     judged = [j for j, (*_, snapped) in enumerate(todo)
-              if check_simple and not snapped]
+              if check_simple and not snapped and gaps[j] <= 1e-8]
     simple = dict(zip(judged, _simple_chains(
-        [chains[j] for j in judged], walk[:, judged]))) if judged else {}
+        K[judged], L[judged], walk[:, judged]))) if judged else {}
     for j, (i, rho, arcs, snapped) in enumerate(todo):
         try:
             boundary = ArcSpline._from_walk(
-                arcs, mats[j], walk[:, j], start=Frame(starts[j]),
+                arcs, K[j], L[j], mats[j], walk[:, j], start=Frame(starts[j]),
                 closure_tol=1e-8, residual=float(gaps[j]),
                 simple=simple.get(j))
         except GeometryError as e:
@@ -1088,10 +1095,8 @@ def rolls_freely(body: Body, lam: float) -> RollReport:
         raise ValueError("thickness parameter must exceed 1")
     rho = arccoth(lam)
     spline = body.boundary
-    arcs = spline.arcs
     F = spline.origin_frames
-    k = np.array([a.kappa for a in arcs])
-    L = np.array([a.length for a in arcs])
+    k, L = spline.kappas, spline.lengths
     W = _support_vectors(k, F[:-1])
     top = int(np.argmax(k))
     reach = arccoth(k[top]) if k[top] > 1.0 else math.inf
@@ -1112,9 +1117,8 @@ def rolls_freely(body: Body, lam: float) -> RollReport:
         sh = math.sinh(reach)
         turn = L[top] / sh
         apart = min(turn, math.pi)
-        pts, _, nrm = arc_frames_batch(
-            Frame(F[top]), k[top],
-            np.array([turn - apart, turn + apart]) * (sh / 2.0))
+        s = np.array([turn - apart, turn + apart]) * (sh / 2.0)
+        pts, _, nrm = _frame_columns(k[top], *_kernel(k[top], s)) @ F[top].T
         x, y, nx, ny = pts[0], pts[1], nrm[0], nrm[1]
     c = x * math.cosh(rho) + nx * math.sinh(rho)
     # the point of the ball farthest beyond the tangent geodesic

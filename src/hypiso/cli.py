@@ -144,7 +144,7 @@ def _build_body(args) -> Body:
 def cmd_construct(args) -> int:
     try:
         body = _build_body(args)
-    except (ValueError, GeometryError) as e:
+    except (ValueError, ArithmeticError) as e:
         raise UsageError(str(e))
     if args.out:
         _write_text(args.out, dumps(body.to_json_dict()) + "\n")
@@ -165,7 +165,7 @@ def cmd_offset(args) -> int:
     except NonSimpleBoundaryError as e:
         print(f"offset failed: {e}", file=sys.stderr)
         return EXIT_CHECK
-    except (ValueError, GeometryError) as e:
+    except (ValueError, ArithmeticError) as e:
         raise UsageError(str(e))
     if args.out:
         text = dumps(shifted.to_json_dict()) + "\n"
@@ -191,12 +191,13 @@ STEINER_RHOS = (0.1, 0.25, 0.4)
 
 def _steiner_agreement(body: Body, rhos) -> list:
     """At each rho, the larger gap between the measures of the offset
-    body and the outer Steiner flow, or the GeometryError or ValueError
-    that kept the offset body from being built.  The offset bodies are
-    built together by one `offsets` call."""
+    body and the outer Steiner flow, or the ValueError (GeometryError
+    among them) or ArithmeticError that kept the offset body from being
+    built.  The offset bodies are built together by one `offsets`
+    call."""
     out = []
     for rho, shifted in zip(rhos, offsets(body, rhos)):
-        if isinstance(shifted, (GeometryError, ValueError)):
+        if isinstance(shifted, (ValueError, ArithmeticError)):
             out.append(shifted)
             continue
         if isinstance(shifted, Exception):
@@ -299,9 +300,9 @@ def cmd_optimize(args) -> int:
             perimeter = sausage_measures(args.lam, args.d).perimeter
         problem = ShapeProblem(lam=args.lam, perimeter=perimeter,
                                n_arcs=args.n_arcs)
-    except ValueError as e:
+        cands = solve(problem, seed=args.seed, n_starts=args.n_starts)
+    except (ValueError, ArithmeticError) as e:
         raise UsageError(str(e))
-    cands = solve(problem, seed=args.seed, n_starts=args.n_starts)
     d_ref = perimeter_to_d(args.lam, perimeter)
     ref = sausage_measures(args.lam, d_ref)
     ref_objective = 2.0 * math.pi + ref.area

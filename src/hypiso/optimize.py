@@ -400,8 +400,10 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
     projected negative reduced gradients with backtracking, restoring
     after every step.  A candidate is converged when the projected
     gradient is below `KKT_TOL` with the constraints at restoration
-    accuracy.
+    accuracy.  n_starts below 1 raises ValueError.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, not {n_starts}")
     n = problem.n_arcs
     # length <= perimeter is implied by the sum constraint; making it
     # part of the box keeps restoration trials from overflowing cosh
@@ -502,8 +504,8 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
             continue
         try:
             spline = ArcSpline._from_walk(
-                tuple(Arc(k, l) for k, l in zip(kap, lon)),
-                pt.mats, pt.prefix, closure_tol=1e-8)
+                tuple(map(Arc, kap, lon)), kap, lon, pt.mats, pt.prefix,
+                closure_tol=1e-8)
         except (ValueError, GeometryError):
             continue
         if not spline.is_simple():

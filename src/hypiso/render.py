@@ -17,7 +17,6 @@ import numpy as np
 from .bodies import Body, _sausage_at_origin, inscribed_ball, rolls_freely
 from .geom import (
     CurveKind,
-    Frame,
     Point,
     classify_curvature,
     disk_to_uhp,
@@ -25,7 +24,7 @@ from .geom import (
     to_disk,
     to_uhp,
 )
-from .spline import Arc, arc_points
+from .spline import _frame_columns, _kernel
 
 _MODELS = ("disk", "uhp")
 
@@ -138,21 +137,18 @@ def arc_through_points(z0: complex, za: complex, zb: complex,
     return DiskArc(z0=z0, z1=z1, center=c, radius=r, a0=a0, sweep=sweep)
 
 
-def _view_arc(f: Frame, a: Arc, to_view) -> DiskArc:
-    """The image of an arc from frame f under to_view (`to_disk` or
-    `to_uhp`), from its ends and interior thirds: distinct even when
-    the arc is a full loop whose end returns to its start."""
-    ts = np.array([0.0, 1.0, 2.0, 3.0]) / 3.0 * a.length
-    z0, za, zb, z1 = (to_view(Point.from_array(p, validate=False))
-                      for p in arc_points(f, a.kappa, ts))
-    return arc_through_points(z0, za, zb, z1)
-
-
 def _view_arcs(body: Body, model: str) -> list[DiskArc]:
-    """The images of a body's boundary arcs in the disk or uhp view."""
+    """The images of a body's boundary arcs in the disk or uhp view,
+    each from its ends and interior thirds: distinct even when the arc
+    is a full loop whose end returns to its start."""
     to_view = to_disk if model == "disk" else to_uhp
     sp = body.boundary
-    return [_view_arc(f, a, to_view) for f, a in zip(sp.frames, sp.arcs)]
+    k = sp.kappas[:, None]
+    ts = np.arange(4.0) / 3.0 * sp.lengths[:, None]
+    pts = (_frame_columns(k, *_kernel(k, ts))[0]
+           @ sp.placed_frames[:-1].swapaxes(1, 2))
+    return [arc_through_points(*(to_view(Point.from_array(p, validate=False))
+                                 for p in row)) for row in pts]
 
 
 def _circle_as_view_arc(center_z: complex, radius: float,

@@ -13,15 +13,18 @@ acting on the frame columns (p, T, N).  With alpha = 1 - kappa^2 the
 exponential is I + c1(s) M + c2(s) M^2.
 
 One kernel, `_kernel`, evaluates (c1, c2) elementwise with kappa
-broadcast against s: one curvature with many arclengths (sampling), or
-one curvature per element (a chain's arcs, or distance queries against
-a whole chain).  Each element falls in one of three regimes: trig
-functions of s*sqrt(-alpha) for circles, hyperbolic functions of
-s*sqrt(alpha) for hypercircles and geodesics, and a Taylor series in
-x = alpha s^2 wherever |x| is small, which always covers the horocycle
-band.  The regimes join smoothly.  Curvatures of one family run that
-family alone, and a mix runs both and picks per element, so every
-element equals its curvature's one-element call bit for bit.
+broadcast against s: one curvature per element (a chain's arcs or
+samples, or distance queries against a whole chain), or one curvature
+against many arclengths (`arc_points`).  Each element falls in one of
+three regimes: trig functions of s*sqrt(-alpha) for circles,
+hyperbolic functions of s*sqrt(alpha) for hypercircles and geodesics,
+and a Taylor series in x = alpha s^2 wherever |x| is small, which
+always covers the horocycle band.  The regimes join smoothly.
+Curvatures of one family run that family alone, and a mix runs both
+and picks per element, so every element equals its curvature's
+one-element call bit for bit.  `_frame_columns` turns them into the
+point, tangent and normal in the arc's start frame, for every sampler
+and point query.
 
 `arc_transports` builds the stacked (n, 3, 3) transports of a whole
 chain from one kernel call and keeps the coefficients, from which
@@ -38,16 +41,17 @@ chains byte for byte: every step is elementwise or one 3x3 product
 per arc.  Everything else here reads from these: frames along a chain,
 sampled points and frames, closure, simplicity.
 
-One placement: a spline walks its arcs from the origin frame once
+One placement: a spline reads its arcs into arrays once
+(`ArcSpline.kappas`, `lengths`), walks them from the origin frame once
 (`ArcSpline.origin_frames`) and applies its start frame in one spot,
-`ArcSpline.frames`.  Every verdict (closure, simplicity, and rolling
-and inradius in `bodies`) reads the walk from the origin, so none
-depends on where the chain sits; point queries read the placed frames.
-The walk is one helper, `_walk`, the prefix products of one chain's
-transports or of a stack of chains' at once.  A caller that has
-already walked the arcs (the random bodies, whose closing Newton ends
-on that walk, and the parallel bodies of `bodies.offsets`, walked as
-one stack) hands the walk over with `ArcSpline._from_walk` and the
+`ArcSpline.placed_frames`.  Every verdict (closure, simplicity, and
+rolling and inradius in `bodies`) reads the walk from the origin, so
+none depends on where the chain sits; point queries read the placed
+frames.  The walk is one helper, `_walk`, the prefix products of one
+chain's transports or of a stack of chains' at once.  A caller that
+has already walked the arcs (the random bodies, whose closing Newton
+ends on that walk, and the parallel bodies of `bodies.offsets`, walked
+as one stack) hands the walk over with `ArcSpline._from_walk` and the
 chain is not walked twice.
 
 Simplicity is decided on the hyperboloid as well: a chain whose arcs
@@ -63,7 +67,6 @@ counterclockwise boundary has kappa >= 0 and the normal points inward.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -74,7 +77,6 @@ import numpy as np
 from .geom import (
     Frame,
     ORIGIN_FRAME,
-    arccoth,
     lorentz_cross,
     minkowski,
 )
@@ -124,50 +126,28 @@ def _kernel(kappa, s):
     same with sin and |alpha| where alpha < 0, and the series in x =
     alpha s^2 where 0 < |x| < `_SERIES_X` or alpha = 0; s = 0 is exact
     in closed form.  alpha = 0 runs with the circles, and the series
-    overwrites its 0 / 0.
-
-    One curvature (a 0-d kappa, as in sampling) reads its family and
-    the series mask from the sign of alpha: x = alpha s^2 has that
-    sign, so |x| < `_SERIES_X`, x != 0 is one bounded comparison per
-    side.  It computes its own family alone, so a circle or
-    hypercircle call raises a floating-point warning only where its
-    coefficients themselves overflow.  No other warning leaves the
-    call: a mix of curvatures computes both families and discards one,
-    which may overflow, and alpha = 0 divides 0 by 0.
+    overwrites its 0 / 0.  A mix of curvatures computes both families
+    and discards one, which may overflow, so no floating-point warning
+    leaves the call; a coefficient that overflows reads inf or NaN.
     """
     kappa = np.asarray(kappa, dtype=float)
     s = np.asarray(s, dtype=float)
     alpha = 1.0 - kappa * kappa
     x = alpha * s * s
-    if kappa.ndim:
-        series = np.abs(x) < _SERIES_X
-        if np.count_nonzero(series):
-            series &= (x != 0.0) | (alpha == 0.0)
-        hyp = alpha > 0.0
-        n_hyp = np.count_nonzero(hyp)
-        if n_hyp == hyp.size:
-            odd = np.sinh
-        elif n_hyp == 0:
-            odd = np.sin
-        else:
-            def odd(v):
-                return np.where(hyp, np.sinh(v), np.sin(v))
-        quiet = True
-        size = np.abs(alpha)
-        w = np.sqrt(size)
+    series = np.abs(x) < _SERIES_X
+    if np.count_nonzero(series):
+        series &= (x != 0.0) | (alpha == 0.0)
+    hyp = alpha > 0.0
+    n_hyp = np.count_nonzero(hyp)
+    if n_hyp == hyp.size:
+        odd = np.sinh
+    elif n_hyp == 0:
+        odd = np.sin
     else:
-        a = float(alpha)
-        if a > 0.0:
-            series = (x < _SERIES_X) & (x > 0.0)
-            odd, quiet = np.sinh, False
-        elif a < 0.0:
-            series = (x > -_SERIES_X) & (x < 0.0)
-            odd, quiet = np.sin, False
-        else:  # alpha = 0, or a NaN curvature
-            series = np.abs(x) < _SERIES_X
-            odd, quiet = np.sin, True
-        size = abs(a)
-        w = math.sqrt(size)
+        def odd(v):
+            return np.where(hyp, np.sinh(v), np.sin(v))
+    size = np.abs(alpha)
+    w = np.sqrt(size)
     patch = None
     if np.count_nonzero(series):
         if s.shape != x.shape:
@@ -179,7 +159,7 @@ def _kernel(kappa, s):
     # so numpy reuses its memory
     del x
     z = w * s
-    with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
+    with np.errstate(all="ignore"):
         c2 = odd(z / 2.0)
         c1 = odd(z)
         del z
@@ -188,10 +168,28 @@ def _kernel(kappa, s):
         c2 *= 2.0
         c2 /= size
     if patch is not None:
-        # a 0-d call computes numpy scalars, which take no assignment
+        # 0-d kappa and s give numpy scalars, which take no assignment
         c1, c2 = np.asarray(c1), np.asarray(c2)
         c1[series], c2[series] = patch
     return c1, c2
+
+
+def _frame_columns(k, c1, c2) -> np.ndarray:
+    """The columns p, T, N of I + c1 M + c2 M^2, shape (3, ..., 3): an
+    arc's point, tangent and normal at the arclength of (c1, c2) from
+    `_kernel`, in the arc's start frame.  Each entry is one expression
+    (T_1 = 1 + c2 (1 - kappa^2), where M @ M rounds otherwise)."""
+    cols = np.empty((3,) + np.shape(c1) + (3,))
+    cols[0, ..., 0] = 1.0 + c2
+    cols[0, ..., 1] = c1
+    cols[0, ..., 2] = k * c2
+    cols[1, ..., 0] = c1
+    cols[1, ..., 1] = 1.0 + c2 * (1.0 - k * k)
+    cols[1, ..., 2] = k * c1
+    cols[2, ..., 0] = -k * c2
+    cols[2, ..., 1] = -k * c1
+    cols[2, ..., 2] = 1.0 - k * k * c2
+    return cols
 
 
 class ArcCoeffs(NamedTuple):
@@ -282,26 +280,14 @@ def _walk(mats) -> np.ndarray:
 
 def arc_points(f: Frame, kappa: float, s):
     """Curve points at arclengths s along the arc starting at frame f."""
-    c1, c2 = _kernel(kappa, s)
-    coeff = np.stack([1.0 + c2, c1, kappa * c2], axis=-1)
-    return coeff @ f.m.T
+    return _frame_columns(kappa, *_kernel(kappa, s))[0] @ f.m.T
 
 
-def _normal_coeffs(kappa: float, c1, c2):
-    # normal column of I + c1 M + c2 M^2, in start-frame coordinates
-    return np.stack([-kappa * c2, -kappa * c1, 1.0 - kappa * kappa * c2],
-                    axis=-1)
-
-
-def arc_frames_batch(f: Frame, kappa: float, s):
-    """Points, tangents and normals at arclengths s (vectorized)."""
-    c1, c2 = _kernel(kappa, s)
-    k = kappa
-    one = np.ones_like(c1)
-    p_co = np.stack([1.0 + c2, c1, k * c2], axis=-1)
-    t_co = np.stack([c1, one + c2 * (1.0 - k * k), k * c1], axis=-1)
-    mt = f.m.T
-    return p_co @ mt, t_co @ mt, _normal_coeffs(k, c1, c2) @ mt
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float array."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -339,24 +325,25 @@ def _closure_gaps(ends) -> np.ndarray:
     return np.maximum(d[..., 0], d[..., 1])
 
 
-def _sample_chain(arcs, frames, n: int):
-    """`ArcSpline.sample_frames` of arcs starting at the given frames."""
+def _sample_chain(kappas, lengths, frames, n: int):
+    """`ArcSpline.sample_frames` of the arcs of curvatures kappas and
+    lengths starting at frames, in one `_kernel` call.  The samples sit
+    one row per arc, padded to the longest row, and each row is carried
+    by its arc's frame in one stacked product, so it rounds as a
+    product of that arc's samples alone would (a row of one sample
+    holds s = 0 alone, whose columns are exact)."""
     if n < 1:
         raise ValueError("need at least one sample")
-    total = sum(a.length for a in arcs)
-    pts, tans, nors, idxs, locs = [], [], [], [], []
-    for i, a in enumerate(arcs):
-        ni = max(1, math.ceil(n * a.length / total))
-        s = np.arange(ni) * (a.length / ni)
-        p, t, nn = arc_frames_batch(frames[i], a.kappa, s)
-        pts.append(p)
-        tans.append(t)
-        nors.append(nn)
-        idxs.append(np.full(ni, i))
-        locs.append(s)
-    return (np.concatenate(pts), np.concatenate(tans),
-            np.concatenate(nors), np.concatenate(idxs),
-            np.concatenate(locs))
+    total = sum(lengths.tolist())
+    counts = np.maximum(1, np.ceil(n * lengths / total)).astype(int)
+    on = np.arange(counts.max()) < counts[:, None]
+    arc, j = np.nonzero(on)
+    s = j * (lengths / counts)[arc]
+    k = kappas[arc]
+    rows = np.zeros((3,) + on.shape + (3,))
+    rows[:, on] = _frame_columns(k, *_kernel(k, s))
+    p, t, nn = (rows @ frames[:len(kappas)].swapaxes(1, 2))[:, on]
+    return p, t, nn, arc, s
 
 
 @dataclass(frozen=True)
@@ -388,28 +375,31 @@ class ArcSpline:
     def _check_closure(self):
         if math.isfinite(self.closure_tol):
             res = self.closure_residual()
-            if res > self.closure_tol:
+            if not res <= self.closure_tol:  # NaN fails too
                 raise GeometryError(
                     f"chain does not close: residual {res:.3e} exceeds "
                     f"{self.closure_tol:.1e}")
 
     @staticmethod
-    def _from_walk(arcs, transports, origin_frames,
+    def _from_walk(arcs, kappas, lengths, transports, origin_frames,
                    start: Frame = ORIGIN_FRAME,
                    closure_tol: float = CLOSURE_TOL,
                    residual: float | None = None,
                    simple: bool | None = None) -> "ArcSpline":
-        """The spline of arcs from start, given the caller's walk of
-        them from the origin frame: their (n, 3, 3) transports and the
-        (n + 1, 3, 3) prefix products from I, as `_transports` and
-        `origin_frames` would compute them (a chain's slice of a
-        stacked walk will do).  A caller that has also read the walk's
-        closure gap (`_closure_gaps`) or simplicity verdict
-        (`_simple_chains`) passes them as residual and simple.  The
-        closure check and every verdict then read that walk instead of
-        a second one."""
+        """The spline of arcs from start, given the caller's arrays:
+        their curvatures and lengths, and their walk from the origin
+        frame, the (n, 3, 3) transports and the (n + 1, 3, 3) prefix
+        products from I, as `_transports` and `origin_frames` would
+        compute them (a chain's slice of a stacked walk will do).  A
+        caller that has also read the walk's closure gap
+        (`_closure_gaps`) or simplicity verdict (`_simple_chains`)
+        passes them as residual and simple.  The closure check and
+        every verdict then read that walk instead of a second one.  The
+        arrays are kept as they are, kappas and lengths made read-only."""
         s = ArcSpline(start, tuple(arcs), closure_tol=math.inf)
-        s.__dict__.update(_transports=transports, origin_frames=origin_frames)
+        kappas.flags.writeable = lengths.flags.writeable = False
+        s.__dict__.update(kappas=kappas, lengths=lengths,
+                          _transports=transports, origin_frames=origin_frames)
         if residual is not None:
             s.__dict__["_residual"] = residual
         if simple is not None:
@@ -419,10 +409,19 @@ class ArcSpline:
         return s
 
     @cached_property
+    def kappas(self) -> np.ndarray:
+        """The arcs' curvatures, a read-only (n,) array."""
+        return _frozen([a.kappa for a in self.arcs])
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The arcs' lengths, a read-only (n,) array."""
+        return _frozen([a.length for a in self.arcs])
+
+    @cached_property
     def _transports(self) -> np.ndarray:
         """The stacked arc transports, shape (n, 3, 3)."""
-        return arc_transports([a.kappa for a in self.arcs],
-                              [a.length for a in self.arcs])[0]
+        return arc_transports(self.kappas, self.lengths)[0]
 
     @cached_property
     def origin_frames(self) -> np.ndarray:
@@ -432,10 +431,15 @@ class ArcSpline:
         return _walk(self._transports)
 
     @cached_property
-    def frames(self) -> tuple:
+    def placed_frames(self) -> np.ndarray:
         """`origin_frames` moved by the start frame, the one spot where
         it is applied: frames at each arc start, then the chain end."""
-        return tuple(map(Frame, self.start.m @ self.origin_frames))
+        return _frozen(self.start.m @ self.origin_frames)
+
+    @cached_property
+    def frames(self) -> tuple:
+        """`placed_frames` as `Frame` objects."""
+        return tuple(map(Frame, self.placed_frames))
 
     def closure_residual(self) -> float:
         """The closure gap of the arcs alone, wherever the chain sits.
@@ -451,7 +455,9 @@ class ArcSpline:
 
     @cached_property
     def _residual(self) -> float:
-        return float(_closure_gaps(self.origin_frames[-1]))
+        # a walk that overflows reads NaN, which no closure check passes
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_closure_gaps(self.origin_frames[-1]))
 
     def perimeter(self) -> float:
         return float(sum(a.length for a in self.arcs))
@@ -496,14 +502,16 @@ class ArcSpline:
         s_local[j] from that arc's start.  Arc endpoints are covered by
         the next arc's first sample, so the set wraps cleanly.
         """
-        return _sample_chain(self.arcs, self.frames, n)
+        return _sample_chain(self.kappas, self.lengths, self.placed_frames,
+                             n)
 
     def sample_points(self, n: int) -> np.ndarray:
         return self.sample_frames(n)[0]
 
     @cached_property
     def _simple(self) -> bool:
-        return _simple_chains([self.arcs], self.origin_frames[:, None])[0]
+        return _simple_chains(self.kappas[None], self.lengths[None],
+                              self.origin_frames[:, None])[0]
 
     def is_simple(self) -> bool:
         """Whether the closed chain does not cross itself (cached).
@@ -571,22 +579,21 @@ def _klein_turn(d) -> np.ndarray:
     return (d + _KLEIN_TURN_EPS) % (2.0 * math.pi) - _KLEIN_TURN_EPS
 
 
-def _klein_rotation_index(k, L, walk) -> np.ndarray:
+def _klein_rotation_index(k, L, around, walk) -> np.ndarray:
     """Full turns of the Klein-model tangent along closed chains.
 
-    k and L are the (m, n) curvatures and lengths of a stack of m
-    chains, walk their (n + 1, m, 3, 3) frames from `_walk`, the chains
-    walked from the origin frame: the index does not depend on
-    placement, and far-placed coordinates lose the angles to roundoff.
-    A single arc can turn by more than pi, so the turning of a circular
-    arc that runs more than half round its centre is read in two
-    halves, split at its midpoint.  Returns the (m,) indices.
+    k, L and around are the (m, n) curvatures, lengths and turnings
+    about the centre (`_simple_chains`) of a stack of m chains, walk
+    their (n + 1, m, 3, 3) frames from `_walk`, the chains walked from
+    the origin frame: the index does not depend on placement, and
+    far-placed coordinates lose the angles to roundoff.  A single arc
+    can turn by more than pi, so the turning of a circular arc that
+    runs more than half round its centre is read in two halves, split
+    at its midpoint.  Returns the (m,) indices.
     """
     angle = _klein_angle(walk)
     turn = _klein_turn(angle[1:] - angle[:-1])
-    # turning about the centre: length / sinh(arccoth kappa), arcs first
-    around = (L * np.sqrt(np.maximum(k * k - 1.0, 0.0))).T
-    split = around > math.pi
+    split = around.T > math.pi
     if split.any():
         mid = _klein_angle(walk[:-1][split] @ arc_transports(
             k.T[split], L.T[split] / 2.0)[0])
@@ -598,21 +605,6 @@ def _klein_rotation_index(k, L, walk) -> np.ndarray:
 # relative slack on one full turn, so a ball's single closing arc (one
 # turn up to rounding) stays simple
 _TURN_TOL = 1e-9
-
-
-def _winds_past_full_turn(a: Arc) -> bool:
-    """Exact test: a circular arc running more than once round its circle.
-
-    The pair solver below reads a circle arc's parameter within one
-    turn, so it cannot see an arc overlap itself.  A circle of
-    curvature |kappa| > 1 has radius arccoth |kappa|, and the arc turns
-    length / sinh(radius) radians about its center.
-    """
-    k = abs(a.kappa)
-    if k <= 1.0:
-        return False
-    turning = a.length / math.sinh(arccoth(k))
-    return turning > 2.0 * math.pi * (1.0 + _TURN_TOL)
 
 
 # ── crossings of chains with a concave arc ────────────────────────────────
@@ -694,34 +686,32 @@ def _arc_pairs(n: int) -> _ArcPairs:
     return table
 
 
-def _simple_chains(chains, walk) -> list:
+def _simple_chains(k, L, walk) -> list:
     """Simplicity verdicts of a stack of closed chains, one bool each.
 
-    chains holds m tuples of n arcs, walk their (n + 1, m, 3, 3) frames
-    from `_walk`.  No arc may run more than once round its circle.  The
-    chains whose arcs all have kappa >= 0 then share one
+    k and L are the (m, n) curvatures and lengths of m chains, walk
+    their (n + 1, m, 3, 3) frames from `_walk`.  No arc may run more
+    than once round its circle: the pair solver reads a circle arc's
+    parameter within one turn, so it cannot see an arc overlap itself.
+    The chains whose arcs all have kappa >= 0 then share one
     `_klein_rotation_index` call; each chain with a concave arc is
     solved by `_chain_crosses` on its slice of the walk.
     """
-    simple = [False] * len(chains)
-    convex = []
-    for i, arcs in enumerate(chains):
-        if any(_winds_past_full_turn(a) for a in arcs):
-            continue
-        if all(a.kappa >= 0.0 for a in arcs):
-            convex.append(i)
-        else:
-            simple[i] = not _chain_crosses(arcs, walk[:, i])
-    if convex:
-        k = np.array([[a.kappa for a in chains[i]] for i in convex])
-        L = np.array([[a.length for a in chains[i]] for i in convex])
-        frames = walk if len(convex) == len(chains) else walk[:, convex]
-        for i, index in zip(convex, _klein_rotation_index(k, L, frames)):
-            simple[i] = bool(index == 1)
-    return simple
+    # each arc's turning about its centre: length / sinh(arccoth |kappa|)
+    # on a circle, 0 off circles
+    around = L * np.sqrt(np.maximum(k * k - 1.0, 0.0))
+    ok = ~(around > 2.0 * math.pi * (1.0 + _TURN_TOL)).any(axis=1)
+    convex = ok & (k >= 0.0).all(axis=1)
+    simple = np.zeros(len(k), dtype=bool)
+    for i in np.flatnonzero(ok & ~convex):
+        simple[i] = not _chain_crosses(k[i], L[i], walk[:, i])
+    if convex.any():
+        simple[convex] = _klein_rotation_index(
+            k[convex], L[convex], around[convex], walk[:, convex]) == 1
+    return simple.tolist()
 
 
-def _chain_crosses(arcs, origin_frames) -> bool:
+def _chain_crosses(k, L, origin_frames) -> bool:
     """Whether two arcs of a closed chain meet off their shared joints.
 
     All pairs are solved in one batch on `ArcSpline.origin_frames`.
@@ -738,9 +728,7 @@ def _chain_crosses(arcs, origin_frames) -> bool:
     shared joints left out, or when they lie on one circle and run
     more than a full turn together.
     """
-    n = len(arcs)
-    k = np.array([a.kappa for a in arcs])
-    L = np.array([a.length for a in arcs])
+    n = len(k)
     F = origin_frames[:-1]
     W = _support_vectors(k, F)
     i, j, after, before, _, _ = _arc_pairs(n)

@@ -7,9 +7,14 @@ conversions and `random_isometry` with them.
 Reference implementations that the library's faster versions must
 match bit for bit: the Lorentz cross through `np.cross`, the inner
 double normals as `bodies._double_normals` first solved them, with a
-pair table built per call, and the JSON writer as `serialize.dumps`
-first wrote it.  `byte_identity_corpus` is the set of bodies they are
-compared on.
+pair table built per call, the JSON writer as `serialize.dumps` first
+wrote it, and the per-arc sampler, one kernel call and one frame
+product per arc, that `spline._sample_chain`, `arc_points`, the
+rolling witness and render's arc points replaced.  `byte_identity_corpus`
+is the set of bodies they are compared on.  The per-arc test of a
+circle arc winding past a full turn, and the image of one arc in a
+conformal view, serve the disk-view simplicity oracle of
+`test_spline.py`.
 
 Imported by the test modules next to it (`from model_oracles import
 dist_uhp`); pytest puts this directory on the import path.
@@ -41,8 +46,9 @@ from hypiso.geom import (
     minkowski,
 )
 from hypiso.optimize import random_thick_body
+from hypiso.render import arc_through_points
 from hypiso.serialize import fmt17
-from hypiso.spline import ArcSpline, _on_arcs
+from hypiso.spline import _TURN_TOL, ArcSpline, _kernel, _on_arcs
 
 
 def uhp_to_disk(w: complex) -> complex:
@@ -144,6 +150,86 @@ def double_normals_ref(k, L, F, W):
     on = (_on_arcs(k[first], L[first], F[first], x)
           & _on_arcs(k[second], L[second], F[second], y))
     return length[on], first[on], second[on], x[on], y[on]
+
+
+def arc_frames_ref(f: Frame, kappa: float, s):
+    """Points, tangents and normals at arclengths s of the arc of
+    curvature kappa from frame f: one kernel call, the three columns
+    of I + c1 M + c2 M^2 stacked, each carried by f in one product."""
+    c1, c2 = _kernel(kappa, s)
+    k = kappa
+    one = np.ones_like(c1)
+    p_co = np.stack([1.0 + c2, c1, k * c2], axis=-1)
+    t_co = np.stack([c1, one + c2 * (1.0 - k * k), k * c1], axis=-1)
+    n_co = np.stack([-kappa * c2, -kappa * c1, 1.0 - kappa * kappa * c2],
+                    axis=-1)
+    mt = f.m.T
+    return p_co @ mt, t_co @ mt, n_co @ mt
+
+
+def sample_frames_ref(spline: ArcSpline, n: int):
+    """`ArcSpline.sample_frames` arc by arc, through `arc_frames_ref`."""
+    arcs = spline.arcs
+    total = sum(a.length for a in arcs)
+    pts, tans, nors, idxs, locs = [], [], [], [], []
+    for i, a in enumerate(arcs):
+        ni = max(1, math.ceil(n * a.length / total))
+        s = np.arange(ni) * (a.length / ni)
+        p, t, nn = arc_frames_ref(spline.frames[i], a.kappa, s)
+        pts.append(p)
+        tans.append(t)
+        nors.append(nn)
+        idxs.append(np.full(ni, i))
+        locs.append(s)
+    return (np.concatenate(pts), np.concatenate(tans),
+            np.concatenate(nors), np.concatenate(idxs),
+            np.concatenate(locs))
+
+
+def focal_witness_ref(body: Body, lam: float):
+    """The witness (center, point) of `bodies.rolls_freely` where the
+    focal distance of its most curved arc binds, its tangent ball's
+    two points read through `arc_frames_ref`."""
+    rho = arccoth(lam)
+    spline = body.boundary
+    F = spline.origin_frames
+    k = np.array([a.kappa for a in spline.arcs])
+    top = int(np.argmax(k))
+    reach = arccoth(k[top])
+    sh = math.sinh(reach)
+    turn = spline.arcs[top].length / sh
+    apart = min(turn, math.pi)
+    pts, _, nrm = arc_frames_ref(
+        Frame(F[top]), k[top],
+        np.array([turn - apart, turn + apart]) * (sh / 2.0))
+    x, nx, ny = pts[0], nrm[0], nrm[1]
+    c = x * math.cosh(rho) + nx * math.sinh(rho)
+    t = minkowski(c, ny)
+    v = (ny + t * c) / math.sqrt(1.0 + t * t)
+    g = spline.start.m
+    return g @ c, g @ (c * math.cosh(rho) - v * math.sinh(rho))
+
+
+def winds_past_full_turn_ref(a) -> bool:
+    """Whether a circular arc runs more than once round its circle: a
+    circle of curvature |kappa| > 1 has radius arccoth |kappa|, and the
+    arc turns length / sinh(radius) radians about its center."""
+    k = abs(a.kappa)
+    if k <= 1.0:
+        return False
+    turning = a.length / math.sinh(arccoth(k))
+    return turning > 2.0 * math.pi * (1.0 + _TURN_TOL)
+
+
+def view_arc_ref(f: Frame, a, to_view):
+    """The image of an arc from frame f under to_view (`to_disk` or
+    `to_uhp`), from its ends and interior thirds, through
+    `arc_frames_ref`: distinct even when the arc is a full loop whose
+    end returns to its start."""
+    ts = np.array([0.0, 1.0, 2.0, 3.0]) / 3.0 * a.length
+    z0, za, zb, z1 = (to_view(Point.from_array(p, validate=False))
+                      for p in arc_frames_ref(f, a.kappa, ts)[0])
+    return arc_through_points(z0, za, zb, z1)
 
 
 def dumps_ref(obj, indent: int = 0) -> str:

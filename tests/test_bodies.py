@@ -137,6 +137,14 @@ def test_hull_degenerates_to_ball():
                 want.perimeter, rel=1e-14, abs=10.0 * d)
 
 
+def test_a_chain_whose_walk_overflows_does_not_close():
+    # both are finite, but their walks overflow and read a NaN closure
+    # residual, which a test of res > tol let through
+    for build in (lambda: ball(300.0), lambda: sausage(2.0, 200.0)):
+        with pytest.raises(GeometryError, match="residual nan"):
+            build()
+
+
 def test_q_counterexample_measures_and_thickness():
     q = q_counterexample(2.0, 0.1)
     assert q.measure.area == pytest.approx(3.1595852308986281, abs=1e-10)
@@ -721,9 +729,9 @@ def _unfiltered_deepest_center(body: Body):
     spline = body.boundary
     assert spline.is_simple()
     F = spline.origin_frames
-    C, R = bodies._touch_candidates(spline.arcs, F)
+    C, R = bodies._touch_candidates(spline.kappas, F)
     C = project_to_sheet(C)
-    depth = bodies._signed_distance(spline.arcs, tuple(map(Frame, F)), C)
+    depth = bodies._signed_distance(spline.kappas, spline.lengths, F, C)
     fits = depth >= R - INRADIUS_TOL * np.maximum(1.0, R)
     best = np.max(np.where(fits, R, -np.inf))
     k = int(np.argmax(fits & (R >= best - INRADIUS_TOL * max(1.0, best))))
@@ -750,7 +758,7 @@ def test_inscribed_ball_prefilter_keeps_the_winner():
         spline = body.boundary
         if min(a.kappa for a in spline.arcs) >= -1e-12:
             F = spline.origin_frames
-            C, R = bodies._touch_candidates(spline.arcs, F)
+            C, R = bodies._touch_candidates(spline.kappas, F)
             dropped += np.count_nonzero(~bodies._supported(
                 project_to_sheet(C), R, F[:-1, :, 2]))
     # the prefilter does drop candidates: most of them, on random bodies
@@ -947,10 +955,10 @@ def _sampled_rolling(body: Body, lam: float, n: int = 720) -> float:
     """
     rho = math.atanh(1.0 / lam)
     spline = body.boundary
-    frames = tuple(map(Frame, spline.origin_frames))
-    P, _, N = _sample_chain(spline.arcs, frames, n)[:3]
+    k, L, frames = spline.kappas, spline.lengths, spline.origin_frames
+    P, _, N = _sample_chain(k, L, frames, n)[:3]
     centers = P * math.cosh(rho) + N * math.sinh(rho)
-    d, _, _ = bodies._proximity(spline.arcs, frames, centers)
+    d, _, _ = bodies._proximity(k, L, frames, centers)
     return float(np.min(d - rho))
 
 

@@ -75,6 +75,56 @@ def test_construct_random_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_construct_whose_walk_overflows_exits_2_and_writes_nothing(
+        capsys, tmp_path):
+    # ball(700) is finite but its walk overflows, so its closure residual
+    # reads NaN, which once passed the check: the file was written and
+    # inradius died on it with a traceback
+    path = tmp_path / "b.json"
+    code, out, err = run(capsys, "construct", "ball", "--r", "700",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: chain does not close: residual nan exceeds "
+                   "1.0e-09\n")
+    assert not path.exists()
+
+
+def test_loading_a_chain_whose_walk_overflows_exits_3(capsys, tmp_path):
+    # a body file that closes nowhere: sausage(2, 200), written without
+    # its closure check, whose frame is fine and whose walk overflows
+    from hypiso.bodies import _fermi_frame
+    from hypiso.spline import Arc, ArcSpline
+    r = math.atanh(0.5)
+    cap = Arc(2.0, math.pi * math.sinh(r))
+    side = Arc(0.5, 400.0 * math.cosh(r))
+    spline = ArcSpline(_fermi_frame(200.0, -r), (cap, side, cap, side),
+                       closure_tol=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(spline.closure_residual())
+    path = tmp_path / "s.json"
+    path.write_text(dumps(Body(boundary=spline).to_json_dict()) + "\n")
+    code, out, err = run(capsys, "verify", str(path), "--lambda", "2")
+    assert code == 3 and out == ""
+    assert "chain does not close: residual nan" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "ball", "--r", "800"),
+    ("construct", "qbody", "--lambda", "2", "--eps", "0.1", "--d", "1e308"),
+    ("offset", "{b1}", "--rho", "800"),
+    ("optimize", "--lambda", "1e308", "--perimeter", "0"),
+], ids=["ball", "qbody", "offset", "optimize"])
+def test_arithmetic_errors_are_usage_errors(capsys, tmp_path, argv):
+    # math.sinh and math.cosh raise OverflowError past about 710, and the
+    # ball start of a zero perimeter divides by tanh(0): each once ended
+    # in a traceback (exit 1)
+    b1 = tmp_path / "b1.json"
+    run(capsys, "construct", "ball", "--r", "1", "--out", str(b1))
+    code, out, err = run(capsys, *(a.format(b1=b1) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -393,6 +443,17 @@ def test_verify_offset_error_is_reported_not_raised(capsys, tmp_path,
         assert c["error"].startswith("GeometryError: offset by")
 
 
+def test_steiner_agreement_reports_arithmetic_errors(monkeypatch):
+    import hypiso.cli as cli
+
+    def overflowing(body, rhos):
+        return [OverflowError("math range error") for _ in rhos]
+
+    monkeypatch.setattr(cli, "offsets", overflowing)
+    got = cli._steiner_agreement(ball(1.0), cli.STEINER_RHOS)
+    assert [type(e) for e in got] == [OverflowError] * 3
+
+
 def test_verify_reports_one_failed_offset_and_keeps_the_others(
         capsys, tmp_path, monkeypatch):
     # the three offset bodies are built together; an arc that cannot be
@@ -541,6 +602,20 @@ def test_optimize_requires_exactly_one_size(capsys):
     code, _, err = run(capsys, "optimize", "--lambda", "2",
                        "--perimeter", "9", "--d", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n-starts", "0"), "n_starts must be at least 1, not 0"),
+    (("--n-starts", "-2"), "n_starts must be at least 1, not -2"),
+    (("--seed", "-1"), "expected non-negative integer"),
+], ids=["n-starts-0", "n-starts-negative", "seed-negative"])
+def test_optimize_bad_start_options_exit_2(capsys, argv, message):
+    # no start at all left cands[0] to raise IndexError, and numpy's
+    # refusal of a negative seed was raised outside the error mapping
+    code, out, err = run(capsys, "optimize", "--lambda", "2", "--d", "0.5",
+                         *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_optimize_infeasible_perimeter_exits_2(capsys):

@@ -412,6 +412,13 @@ def test_solve_results_are_sorted_and_typed():
     assert set(obj) >= {"kappas", "lengths", "objective", "converged"}
 
 
+def test_solve_refuses_fewer_than_one_start():
+    problem = ShapeProblem(2.0, SAUSAGE_P, 8)
+    for n_starts in (0, -2):
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            solve(problem, n_starts=n_starts)
+
+
 def test_random_thick_body_properties():
     for seed in (7, 13):
         body = random_thick_body(2.0, 12, seed=seed)

@@ -17,8 +17,9 @@ from hypiso.geom import (
     minkowski,
     lorentz_cross,
     to_disk,
+    to_uhp,
 )
-from hypiso.render import _view_arc
+from hypiso.render import _view_arcs
 from hypiso.spline import (
     Arc,
     ArcSpline,
@@ -32,9 +33,16 @@ from hypiso.spline import (
     _closure_gaps,
     _kernel,
     _walk,
-    _winds_past_full_turn,
 )
 
+from model_oracles import (
+    arc_frames_ref,
+    byte_identity_corpus,
+    focal_witness_ref,
+    sample_frames_ref,
+    view_arc_ref,
+    winds_past_full_turn_ref,
+)
 from polygonal_area import area_polygonal
 
 ETA = np.diag([-1.0, 1.0, 1.0])
@@ -365,6 +373,47 @@ def test_c3_matches_its_series_across_the_switch():
     assert got.tolist() == [0.7 ** 3 / 6.0, 0.7 ** 3 / 6.0, 0.0]
 
 
+def test_chain_sampling_matches_the_per_arc_reference_bit_for_bit():
+    # one kernel call per chain and one frame product per row of samples
+    # must give what one kernel call and one frame product per arc gave:
+    # samples, arc points, the rolling witness and render's arc points,
+    # on the corpus and the snapped core of sausage(2, 1)
+    from hypiso.bodies import offset, rolls_freely, sausage
+    core = offset(sausage(2.0, 1.0), -math.atanh(0.5))
+    assert core.meta["degenerate_caps"]
+    bodies = [body for _, body in byte_identity_corpus()] + [core]
+    focal = 0
+    for body in bodies:
+        spline = body.boundary
+        for n in (1, 4, 64, 256, 720):
+            for got, want in zip(spline.sample_frames(n),
+                                 sample_frames_ref(spline, n)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        for f, a in zip(spline.frames, spline.arcs):
+            for s in (np.linspace(0.0, a.length, 7), np.array([0.5]),
+                      a.length / 3.0):
+                got, want = arc_points(f, a.kappa, s), arc_frames_ref(
+                    f, a.kappa, s)[0]
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        for model, to_view in (("disk", to_disk), ("uhp", to_uhp)):
+            assert _view_arcs(body, model) == [
+                view_arc_ref(f, a, to_view)
+                for f, a in zip(spline.frames, spline.arcs)]
+        if body.convex:
+            for lam in (1.5, 2.0, 3.0):
+                rep = rolls_freely(body, lam)
+                top = int(np.argmax([a.kappa for a in spline.arcs]))
+                if rep.binding_arcs != (top, top):
+                    continue
+                focal += 1
+                center, point = focal_witness_ref(body, lam)
+                assert rep.witness_center.v.tobytes() == center.tobytes()
+                assert rep.witness_point.v.tobytes() == point.tobytes()
+    assert focal > 100
+
+
 def test_arc_points_on_sheet():
     s = np.linspace(0.0, 2.0, 9)
     pts = arc_points(ORIGIN_FRAME, 0.8, s)
@@ -562,9 +611,9 @@ def _pair_intersections(a, b):
 
 def _disk_view_is_simple(s: ArcSpline, join_tol: float = 1e-9) -> bool:
     """The pairwise disk-view sweep over the chain walked from the origin."""
-    if any(_winds_past_full_turn(a) for a in s.arcs):
+    if any(winds_past_full_turn_ref(a) for a in s.arcs):
         return False
-    arcs = [_view_arc(Frame(m), a, to_disk)
+    arcs = [view_arc_ref(Frame(m), a, to_disk)
             for m, a in zip(s.origin_frames, s.arcs)]
     n = len(arcs)
     for i in range(n):
