@@ -705,7 +705,9 @@ def _simple_chains(k, L, walk) -> list:
     simple = np.zeros(len(k), dtype=bool)
     for i in np.flatnonzero(ok & ~convex):
         simple[i] = not _chain_crosses(k[i], L[i], walk[:, i])
-    if convex.any():
+    if convex.all():
+        simple[:] = _klein_rotation_index(k, L, around, walk) == 1
+    elif convex.any():
         simple[convex] = _klein_rotation_index(
             k[convex], L[convex], around[convex], walk[:, convex]) == 1
     return simple.tolist()
