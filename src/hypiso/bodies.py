@@ -20,13 +20,15 @@ import numpy as np
 
 from .geom import (
     _ETA,
+    HOROCYCLE_BAND,
     ORIGIN,
     Frame,
     Point,
     apply_isometry_frame,
-    arccoth,
+    curve_height,
     exp_map,
     fermi_point,
+    lam_ball_radius,
     lorentz_cross,
     minkowski,
     project_to_sheet,
@@ -212,11 +214,9 @@ def sausage(lam: float, d: float) -> Body:
     1/lam, so the body is exactly thick for lam.  d = 0 gives the ball
     whose boundary curvature is lam.
     """
-    if lam <= 1.0:
-        raise ValueError("thickness parameter must exceed 1")
+    r = lam_ball_radius(lam)  # cap radius, coth(r) = lam
     if d < 0.0:
         raise ValueError("half-length must be nonnegative")
-    r = arccoth(lam)  # cap radius, coth(r) = lam
     cap = Arc(lam, math.pi * math.sinh(r))
     arcs = [cap]
     if d > 0.0:
@@ -281,15 +281,13 @@ def q_counterexample(lam: float, eps: float, d: float = 1.0) -> Body:
     than half a turn, and the matched ball no longer rolls freely
     inside.  eps = 0 reproduces the sausage.
     """
-    if lam <= 1.0:
-        raise ValueError("thickness parameter must exceed 1")
+    rc = lam_ball_radius(lam)  # cap radius
     if not 0.0 <= eps < 1.0 / lam:
         raise ValueError("eps must lie in [0, 1/lam)")
     if d <= 0.0:
         raise ValueError("half-length must be positive")
     ks = 1.0 / lam - eps
-    h = math.atanh(ks)          # side's height below its base geodesic
-    rc = arccoth(lam)  # cap radius
+    h = curve_height(ks)  # side's height below its base geodesic
 
     # base height t0 in closed form: `_axis_boost(t0)` moves the right
     # cap's center c0, seen from the unboosted junction frame, onto the
@@ -612,15 +610,14 @@ def _touch_candidates(kap, mats):
 
     circ = kap > 1.0
     centers = W[circ] / np.sqrt(kap[circ] ** 2 - 1.0)[:, None]
-    radii = np.array([arccoth(k) for k in kap[circ]])
+    radii = np.array([curve_height(k) for k in kap[circ]])
 
     n = len(kap)
     if n < 2:  # no pair or triple
         return centers, radii
     # every pair i < j and triple i < j < k, in lexicographic order
-    r = np.arange(n)
-    i, j = np.argwhere(r[:, None] < r).T
-    ijk = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    pairs = _arc_pairs(n)
+    i, j, ijk = pairs.i, pairs.j, pairs.triples
     # <c, w> - sinh r + k cosh r = 0, each row scaled to unit length
     rows = np.column_stack([W @ _ETA, -np.ones(n), kap])
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -791,38 +788,29 @@ def inscribed_ball(body: Body):
 def _offset_arc(kappa: float, length: float, rho: float):
     """Offset one arc outward by rho (inward when rho < 0).
 
-    Returns (kappa', length').  Raises DegenerateBodyError when a cap
-    or a concave arc collapses.  A cap radius landing in the snap band
-    just above zero is clamped, so erosion by exactly the inradius
+    Returns (kappa', length', snapped).  The offset lies at signed
+    height h + rho, h = `curve_height(kappa)`, so a convex cap and a
+    concave arc share one rule, of radius s (h + rho) with s the sign
+    of kappa, and both horocycles scale by exp(s rho).  A radius below
+    the snap band raises DegenerateBodyError; one inside it is clamped
+    to the band's top (snapped), so erosion by exactly the inradius
     yields the degenerate core instead of failing.
     """
-    if abs(kappa - 1.0) <= 1e-12:
-        return 1.0, length * math.exp(rho)
-    if abs(kappa + 1.0) <= 1e-12:
-        return -1.0, length * math.exp(-rho)
+    s = math.copysign(1.0, kappa)
+    if abs(abs(kappa) - 1.0) <= HOROCYCLE_BAND:
+        return s, length * math.exp(s * rho), False
+    h = curve_height(kappa)
+    h2 = h + rho
     if abs(kappa) < 1.0:
-        h = math.atanh(kappa)
-        h2 = h + rho
-        return math.tanh(h2), length * math.cosh(h2) / math.cosh(h)
-    if kappa > 1.0:
-        r = arccoth(kappa)
-        r2 = r + rho
-        if r2 < _CAP_SNAP_LO:
-            raise DegenerateBodyError(
-                f"cap of radius {r:.6g} collapses under offset {rho:.6g}")
-        snapped = r2 < _CAP_SNAP_HI
-        if snapped:
-            r2 = _CAP_SNAP_HI
-        return 1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
-    # kappa < -1: concave circular arc, center on the outward side
-    r = arccoth(-kappa)
-    r2 = r - rho
+        return math.tanh(h2), length * math.cosh(h2) / math.cosh(h), False
+    r, r2 = s * h, s * h2
     if r2 < _CAP_SNAP_LO:
+        what = "cap" if s > 0.0 else "concave arc"
         raise DegenerateBodyError(
-            f"concave arc of radius {r:.6g} collapses under offset {rho:.6g}")
-    if r2 < _CAP_SNAP_HI:
-        r2 = _CAP_SNAP_HI
-    return -1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
+            f"{what} of radius {r:.6g} collapses under offset {rho:.6g}")
+    snapped = r2 < _CAP_SNAP_HI
+    r2 = max(r2, _CAP_SNAP_HI)
+    return s / math.tanh(r2), length * math.sinh(r2) / math.sinh(r), snapped
 
 
 def offsets(body: Body, rhos, check_simple: bool = True) -> list:
@@ -831,8 +819,8 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
     Entry i is `offset(body, rhos[i], check_simple)` or the exception
     that call would raise, bit for bit: the arcs come from the same
     scalar `_offset_arc`, and every check stays per distance (the
-    closure of each chain within 1e-8, then, unless a cap snapped or
-    check_simple is false, its simplicity).  What is shared is the
+    closure of each chain within 1e-8, then, unless a convex cap
+    snapped or check_simple is false, its simplicity).  What is shared is the
     work on the chains: one `arc_transports` call and one `_walk` over
     the (m, n) stack of offset arcs, one `_closure_gaps` call on the
     end frames, and one `_simple_chains` call, whose chains with
@@ -850,22 +838,18 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
         if rho == 0.0:
             continue
         try:
-            new_arcs, ks, ls = [], [], []
-            snapped = False
+            new_arcs, snapped = [], False
             for a in spline.arcs:
-                k2, l2 = _offset_arc(a.kappa, a.length, rho)
-                if a.kappa > 1.0 and arccoth(a.kappa) + rho < _CAP_SNAP_HI:
-                    snapped = True
+                k2, l2, snap = _offset_arc(a.kappa, a.length, rho)
                 new_arcs.append(Arc(k2, l2))
-                ks.append(k2)
-                ls.append(l2)
+                snapped |= snap and k2 > 0.0
             slide.append((math.cosh(rho), math.sinh(rho)))
         except (ValueError, ArithmeticError) as e:
             out[i] = e
             continue
         todo.append((i, rho, tuple(new_arcs), snapped))
-        K.append(ks)
-        L.append(ls)
+        K.append([a.kappa for a in new_arcs])
+        L.append([a.length for a in new_arcs])
     if not todo:
         return out
     # slide the start frame along its normal, by every rho at once; the
@@ -1048,11 +1032,10 @@ def _double_normals(k, L, F, W):
         u2 = (-1.0 - k[second]) / np.concatenate([gb, ga])
         length = np.log(u2 / u1)
     # a parallel pair's constant distance in closed form, unless a
-    # horocycle takes part: the signed distances atanh kappa from the
-    # common geodesic, or arccoth kappa from the common center, add up
+    # horocycle takes part: the curves' signed heights (`curve_height`)
+    # over their common geodesic or center add up
     if a.size > n_cut:
-        h = np.array([math.atanh(v) if abs(v) < 1.0 else
-                      arccoth(v) if abs(v) > 1.0 else math.nan for v in k])
+        h = np.array([curve_height(v) for v in k])
         closed = np.arange(a.size) >= n_cut
         closed = (np.concatenate([closed, closed])
                   & np.isfinite(h[first] + h[second]))
@@ -1091,15 +1074,13 @@ def rolls_freely(body: Body, lam: float) -> RollReport:
     the witness leaves by the start frame, so the report does not
     depend on placement.
     """
-    if lam <= 1.0:
-        raise ValueError("thickness parameter must exceed 1")
-    rho = arccoth(lam)
+    rho = lam_ball_radius(lam)
     spline = body.boundary
     F = spline.origin_frames
     k, L = spline.kappas, spline.lengths
     W = _support_vectors(k, F[:-1])
     top = int(np.argmax(k))
-    reach = arccoth(k[top]) if k[top] > 1.0 else math.inf
+    reach = curve_height(k[top]) if k[top] > 1.0 else math.inf
     length, first, second, x, y = _double_normals(k, L, F, W)
     if length.size and length.min() / 2.0 < reach:
         b = int(np.argmin(length))

@@ -217,15 +217,13 @@ def cmd_verify(args) -> int:
     if lam is None:
         raise UsageError("no --lambda given and none stored in the body")
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise UsageError("thickness parameter must be finite")
-    if lam <= 1.0:
-        raise UsageError("thickness parameter must exceed 1")
+    try:  # the certificate refuses a non-finite lam or lam <= 1
+        cert = body.thickness_certificate(lam)
+    except ValueError as e:
+        raise UsageError(str(e))
     tol = _tolerance()
 
     checks = []
-
-    cert = body.thickness_certificate(lam)
     checks.append({
         "name": f"thickness[lam={lam:g}]", "gate": True, "ok": cert.ok,
         "min_kappa": cert.min_kappa, "max_kappa": cert.max_kappa,
@@ -287,6 +285,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # optimize
 
+def _or_null(x: float):
+    """x, or None (null) for a number an unrestored start lacks (inf)."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_optimize(args) -> int:
     if args.lam is None:
         raise UsageError("optimize needs --lambda")
@@ -321,17 +324,20 @@ def cmd_optimize(args) -> int:
             "perimeter": ref.perimeter,
             "objective": ref_objective,
         },
-        "best": best.to_json_dict(),
-        "gap": best.objective - ref_objective,
-        "start_objectives": [c.objective for c in cands],
+        "best": {k: _or_null(v) if isinstance(v, float) else v
+                 for k, v in best.to_json_dict().items()},
+        "gap": _or_null(best.objective - ref_objective),
+        "start_objectives": [_or_null(c.objective) for c in cands],
         "n_converged": sum(1 for c in cands if c.converged),
     }
     _write_text(args.out, dumps(report) + "\n")
+    if not math.isfinite(best.objective):
+        print(f"optimize failed: none of the {len(cands)} starts could be "
+              f"restored to a closed chain", file=sys.stderr)
+        return EXIT_CHECK
     if args.out:
         print(csv_line([best.objective, ref_objective,
                         best.objective - ref_objective]))
-    if not math.isfinite(best.objective):
-        return EXIT_CHECK
     return EXIT_OK
 
 
@@ -395,8 +401,6 @@ def _table_rows(args) -> list[str]:
         ds = _parse_grid(args.grid_d, "d")
         rows.append("lambda,d,area,perimeter,deficit")
         for lam in lams:
-            if lam <= 1.0:
-                raise UsageError("thickness parameter must exceed 1")
             for d in ds:
                 m = sausage_measures(lam, d)
                 rep = deficit(m, lam)

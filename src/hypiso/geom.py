@@ -240,9 +240,8 @@ def classify_curvature(kappa: float) -> CurveClass:
         return CurveClass(CurveKind.GEODESIC)
     if abs(kappa - 1.0) <= HOROCYCLE_BAND:
         return CurveClass(CurveKind.HOROCYCLE)
-    if kappa < 1.0:
-        return CurveClass(CurveKind.HYPERCIRCLE, math.atanh(kappa))
-    return CurveClass(CurveKind.CIRCLE, arccoth(kappa))
+    kind = CurveKind.HYPERCIRCLE if kappa < 1.0 else CurveKind.CIRCLE
+    return CurveClass(kind, curve_height(kappa))
 
 
 # ── hypercircle conversion lemmas ─────────────────────────────────────────
@@ -281,13 +280,36 @@ def arccoth(x: float) -> float:
     """arccoth x = atanh(1/x), for |x| > 1: the radius of the circle of
     curvature x.
 
-    The one spot where a radius is read from a curvature.  Rolling,
-    inradius and the constructors all call it, so a radius found by
-    one of them has the same bits as the same radius found by another;
+    The one spot where a radius is read from a curvature, through
+    `curve_height` and `lam_ball_radius`, so a radius found by one
+    caller has the same bits as the same radius found by another;
     numpy's arctanh differs from math.atanh in the last bit on about
     a fifth of its arguments.
     """
     return math.atanh(1.0 / x)
+
+
+def curve_height(kappa: float) -> float:
+    """Signed height of the curve of curvature kappa: atanh kappa over
+    its geodesic (|kappa| < 1), arccoth kappa from its centre
+    (|kappa| > 1), NaN on a horocycle.  Its parallel curve at distance
+    rho outward is the curve at height h + rho."""
+    if abs(kappa) < 1.0:
+        return math.atanh(kappa)
+    if abs(kappa) > 1.0:
+        return arccoth(kappa)
+    return math.nan
+
+
+def lam_ball_radius(lam: float) -> float:
+    """Radius arccoth lam of the ball of boundary curvature lam; the one
+    check of the thickness parameter, which every function taking it
+    calls, so a non-finite lam or lam <= 1 gets one ValueError."""
+    if not math.isfinite(lam):
+        raise ValueError("thickness parameter must be finite")
+    if lam <= 1.0:
+        raise ValueError("thickness parameter must exceed 1")
+    return arccoth(lam)
 
 
 def sausage_side_curvature(lam: float) -> float:
@@ -296,9 +318,7 @@ def sausage_side_curvature(lam: float) -> float:
     The hypercircle at distance arccoth(lam) from a geodesic has
     curvature tanh(arccoth(lam)) = 1/lam.
     """
-    if lam <= 1.0:
-        raise ValueError("cap curvature must exceed 1")
-    return math.tanh(arccoth(lam))
+    return math.tanh(lam_ball_radius(lam))
 
 
 def curvature_scaled(c: float, big_r: float) -> float:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import ORIGIN_FRAME, arccoth
+from .geom import ORIGIN_FRAME, lam_ball_radius
 from .spline import (
     Arc,
     ArcCoeffs,
@@ -39,24 +39,24 @@ _PG_STEP0 = 0.1
 
 def lam_ball_circumference(lam: float) -> float:
     """Perimeter of the ball whose boundary curvature equals lam."""
-    if lam <= 1.0:
-        raise ValueError("thickness parameter must exceed 1")
-    return 2.0 * math.pi * math.sinh(arccoth(lam))
+    return 2.0 * math.pi * math.sinh(lam_ball_radius(lam))
 
 
 def perimeter_to_d(lam: float, perimeter: float) -> float:
     """Half-length of the sausage with the given thickness and perimeter.
 
     Inverts perimeter = 2 pi sinh(R) + 4 d cosh(R) with R = arccoth(lam).
-    Perimeters below the matching ball's circumference leave no room
-    for any thick body and are rejected.
+    Perimeters not finite or below the matching ball's circumference,
+    which leave no room for any thick body, are rejected.
     """
-    floor = lam_ball_circumference(lam)
+    r = lam_ball_radius(lam)
+    if not math.isfinite(perimeter):
+        raise ValueError("perimeter must be finite")
+    floor = 2.0 * math.pi * math.sinh(r)
     if perimeter < floor - 1e-12:
         raise ValueError(
             f"perimeter {perimeter:.6g} is below the thick feasibility "
             f"floor {floor:.6g}")
-    r = arccoth(lam)
     return max(0.0, (perimeter - floor) / (4.0 * math.cosh(r)))
 
 
@@ -69,16 +69,9 @@ class ShapeProblem:
     n_arcs: int
 
     def __post_init__(self):
-        if not math.isfinite(self.lam):
-            raise ValueError("thickness parameter must be finite")
-        if not math.isfinite(self.perimeter):
-            raise ValueError("perimeter must be finite")
-        if self.lam <= 1.0:
-            raise ValueError("thickness parameter must exceed 1")
+        perimeter_to_d(self.lam, self.perimeter)  # refuses lam, perimeter
         if self.n_arcs < 4:
             raise ValueError("need at least 4 arcs")
-        if self.perimeter < lam_ball_circumference(self.lam) - 1e-12:
-            raise ValueError("perimeter below the thick feasibility floor")
 
 
 @dataclass(frozen=True)
@@ -478,10 +471,7 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
     frame, so its closure check and simplicity verdict read the chain
     that restoration closed, without walking the arcs again.
     """
-    if not math.isfinite(lam):
-        raise ValueError("thickness parameter must be finite")
-    if lam <= 1.0:
-        raise ValueError("thickness parameter must exceed 1")
+    lam_ball_radius(lam)  # refuses a non-finite lam or lam <= 1
     if n_arcs < 4:
         raise ValueError("need at least 4 arcs")
     rng = np.random.default_rng(seed)

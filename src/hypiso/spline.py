@@ -77,6 +77,7 @@ import numpy as np
 from .geom import (
     Frame,
     ORIGIN_FRAME,
+    lam_ball_radius,
     lorentz_cross,
     minkowski,
 )
@@ -470,16 +471,11 @@ class ArcSpline:
         return self.total_turning() - 2.0 * math.pi
 
     def check_thickness(self, lam: float, tol: float = 1e-12) -> ThicknessCertificate:
-        if lam <= 1.0:
-            raise ValueError("thickness parameter must exceed 1")
+        lam_ball_radius(lam)  # refuses a non-finite lam or lam <= 1
         lo = 1.0 / lam
         kappas = [a.kappa for a in self.arcs]
-        bad = []
-        for i, k in enumerate(kappas):
-            if k < lo - tol:
-                bad.append((i, k, "lower"))
-            elif k > lam + tol:
-                bad.append((i, k, "upper"))
+        bad = [(i, k, "lower" if k < lo - tol else "upper")
+               for i, k in enumerate(kappas) if not lo - tol <= k <= lam + tol]
         return ThicknessCertificate(
             ok=not bad, lam=lam, min_kappa=min(kappas),
             max_kappa=max(kappas), violations=tuple(bad), tol=tol)
@@ -666,21 +662,25 @@ class _ArcPairs(NamedTuple):
     before: np.ndarray  # (0, n - 1): the end of arc j is the start of i
     far_i: np.ndarray   # the pairs sharing no joint, in the same order
     far_j: np.ndarray
+    triples: np.ndarray  # (m, 3): every i < j < k, in lexicographic order
 
 
 @lru_cache(maxsize=64)
 def _arc_pairs(n: int) -> _ArcPairs:
     """The pair table of a closed chain of n arcs, built once per n.
 
-    The pair solvers (`_chain_crosses`, `bodies._double_normals`) run
-    once per body on a few arcs, where building the table is a fixed
-    cost comparable to the solve itself.
+    The pair solvers (`_chain_crosses`, `bodies._double_normals`) and
+    the inradius search (`bodies._touch_candidates`, which reads the
+    triples too) run once per body on a few arcs, where building the
+    table is a fixed cost comparable to the solve itself.
     """
     i, j = np.triu_indices(n, 1)
     after = j == i + 1
     before = (i == 0) & (j == n - 1)
     far = ~after & ~before
-    table = _ArcPairs(i, j, after, before, i[far], j[far])
+    r = np.arange(n)
+    triples = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    table = _ArcPairs(i, j, after, before, i[far], j[far], triples)
     for a in table:
         a.flags.writeable = False
     return table
@@ -733,7 +733,7 @@ def _chain_crosses(k, L, origin_frames) -> bool:
     n = len(k)
     F = origin_frames[:-1]
     W = _support_vectors(k, F)
-    i, j, after, before, _, _ = _arc_pairs(n)
+    i, j, after, before, *_ = _arc_pairs(n)
     m = lorentz_cross(W[i], W[j])
     w_size = np.linalg.norm(W, axis=1)
     parallel = (np.linalg.norm(m, axis=1)

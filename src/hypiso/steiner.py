@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geom import arccoth
+from .geom import lam_ball_radius
 
 SIGN_STEINER_CONSISTENT = "steiner_consistent"
 SIGN_AS_PRINTED = "as_printed"
@@ -48,26 +48,30 @@ class BodyMeasure:
             raise ValueError("measures must be finite")
 
 
-def outer_flow(m: BodyMeasure, rho: float) -> BodyMeasure:
-    """Measures of the outer parallel body at distance rho >= 0."""
-    if rho < 0.0:
-        raise ValueError("outer flow expects rho >= 0; use inner_flow")
+def _boost(m: BodyMeasure, rho: float) -> BodyMeasure:
+    """The flow by signed rho, the boost of (A + 2 pi, P); cosh is even
+    and sinh odd to the bit, so rho < 0 gives the inverse boost's bits."""
     a2, p = m.area + 2.0 * math.pi, m.perimeter
     ch, sh = math.cosh(rho), math.sinh(rho)
     return BodyMeasure(a2 * ch + p * sh - 2.0 * math.pi, a2 * sh + p * ch)
 
 
+def outer_flow(m: BodyMeasure, rho: float) -> BodyMeasure:
+    """Measures of the outer parallel body at distance rho >= 0."""
+    if rho < 0.0:
+        raise ValueError("outer flow expects rho >= 0; use inner_flow")
+    return _boost(m, rho)
+
+
 def inner_flow(m: BodyMeasure, rho: float) -> BodyMeasure:
-    """Scalar erosion by rho >= 0: the inverse boost.
+    """Scalar erosion by rho >= 0: the boost by -rho.
 
     Valid while rho stays below the inradius; past it the formula keeps
     flowing and the area goes negative, which is_past_inradius flags.
     """
     if rho < 0.0:
         raise ValueError("inner flow expects rho >= 0; use outer_flow")
-    a2, p = m.area + 2.0 * math.pi, m.perimeter
-    ch, sh = math.cosh(rho), math.sinh(rho)
-    return BodyMeasure(a2 * ch - p * sh - 2.0 * math.pi, p * ch - a2 * sh)
+    return _boost(m, -rho)
 
 
 def is_past_inradius(m: BodyMeasure) -> bool:
@@ -87,11 +91,9 @@ def sausage_measures(lam: float, d: float) -> BodyMeasure:
     Caps are half-circles of radius R = arccoth(lam); the two sides are
     hypercircle arcs over a core segment of length 2 d.
     """
-    if lam <= 1.0:
-        raise ValueError("cap curvature must exceed 1")
+    r = lam_ball_radius(lam)
     if d < 0.0:
         raise ValueError("core half-length must be >= 0")
-    r = arccoth(lam)
     sh, ch = math.sinh(r), math.cosh(r)
     return BodyMeasure(
         2.0 * math.pi * (ch - 1.0) + 4.0 * d * sh,
@@ -105,8 +107,24 @@ def ball_measures(r: float) -> BodyMeasure:
                        2.0 * math.pi * math.sinh(r))
 
 
-def _root_term(lam: float) -> float:
-    return math.sqrt(max(1.0 - 1.0 / (lam * lam), 0.0))
+def _check_bound(perimeter: float, lam: float) -> None:
+    """The arguments both area bounds refuse, in the order they check."""
+    if not math.isfinite(lam):
+        raise ValueError("curvature bound lambda must be finite")
+    if lam <= 1.0:
+        raise ValueError("curvature bound must exceed 1")
+    if perimeter < 0.0:
+        raise ValueError("perimeter must be >= 0")
+
+
+def _signed_bound(perimeter: float, lam: float, term: float,
+                  sign_convention: str) -> float:
+    """P/lam - term (steiner_consistent) or P/lam + term (as_printed)."""
+    if sign_convention == SIGN_STEINER_CONSISTENT:
+        return perimeter / lam - term
+    if sign_convention == SIGN_AS_PRINTED:
+        return perimeter / lam + term
+    raise ValueError(f"unknown sign convention {sign_convention!r}")
 
 
 def area_lower_bound(perimeter: float, lam: float,
@@ -116,18 +134,10 @@ def area_lower_bound(perimeter: float, lam: float,
     steiner_consistent:  P/lam - 2 pi (1 - sqrt(1 - 1/lam^2))
     as_printed:          P/lam + 2 pi (1 - sqrt(1 - 1/lam^2))
     """
-    if not math.isfinite(lam):
-        raise ValueError("curvature bound lambda must be finite")
-    if lam <= 1.0:
-        raise ValueError("curvature bound must exceed 1")
-    if perimeter < 0.0:
-        raise ValueError("perimeter must be >= 0")
-    term = 2.0 * math.pi * (1.0 - _root_term(lam))
-    if sign_convention == SIGN_STEINER_CONSISTENT:
-        return perimeter / lam - term
-    if sign_convention == SIGN_AS_PRINTED:
-        return perimeter / lam + term
-    raise ValueError(f"unknown sign convention {sign_convention!r}")
+    _check_bound(perimeter, lam)
+    root = math.sqrt(max(1.0 - 1.0 / (lam * lam), 0.0))
+    return _signed_bound(perimeter, lam, 2.0 * math.pi * (1.0 - root),
+                         sign_convention)
 
 
 @dataclass(frozen=True)
@@ -189,12 +199,7 @@ def bound_scaled(perimeter: float, lam: float, c: float,
     cancel; the series limit at c = 0 is pi / lam^2, recovering the
     Euclidean bound P/lam - pi/lam^2.
     """
-    if not math.isfinite(lam):
-        raise ValueError("curvature bound lambda must be finite")
-    if lam <= 1.0:
-        raise ValueError("curvature bound must exceed 1")
-    if perimeter < 0.0:
-        raise ValueError("perimeter must be >= 0")
+    _check_bound(perimeter, lam)
     if c < 0.0:
         raise ValueError("curvature scale must be >= 0")
     if c >= lam:
@@ -204,8 +209,4 @@ def bound_scaled(perimeter: float, lam: float, c: float,
         term = (math.pi / lam ** 2) * (1.0 + x / 4.0 + x * x / 8.0)
     else:
         term = (2.0 * math.pi / (c * c)) * (1.0 - math.sqrt(1.0 - (c / lam) ** 2))
-    if sign_convention == SIGN_STEINER_CONSISTENT:
-        return perimeter / lam - term
-    if sign_convention == SIGN_AS_PRINTED:
-        return perimeter / lam + term
-    raise ValueError(f"unknown sign convention {sign_convention!r}")
+    return _signed_bound(perimeter, lam, term, sign_convention)

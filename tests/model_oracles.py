@@ -10,7 +10,10 @@ double normals as `bodies._double_normals` first solved them, with a
 pair table built per call, the JSON writer as `serialize.dumps` first
 wrote it, and the per-arc sampler, one kernel call and one frame
 product per arc, that `spline._sample_chain`, `arc_points`, the
-rolling witness and render's arc points replaced.  `byte_identity_corpus`
+rolling witness and render's arc points replaced, and the parallel-curve
+rules as first written, one branch per curve kind: the arc offset with
+its separate cap-snap test, the outer and inner Steiner flows and the
+two area bounds, each with its own checks.  `byte_identity_corpus`
 is the set of bodies they are compared on.  The per-arc test of a
 circle arc winding past a full turn, and the image of one arc in a
 conformal view, serve the disk-view simplicity oracle of
@@ -27,8 +30,11 @@ import math
 import numpy as np
 
 from hypiso.bodies import (
+    _CAP_SNAP_HI,
+    _CAP_SNAP_LO,
     _PARALLEL_TOL,
     Body,
+    DegenerateBodyError,
     ball,
     offset,
     q_counterexample,
@@ -253,6 +259,98 @@ def dumps_ref(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return pad + json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def offset_arc_ref(kappa: float, length: float, rho: float):
+    """`bodies._offset_arc` as first written, one branch per curve kind:
+    (kappa', length'), or DegenerateBodyError when a circle collapses."""
+    if abs(kappa - 1.0) <= 1e-12:
+        return 1.0, length * math.exp(rho)
+    if abs(kappa + 1.0) <= 1e-12:
+        return -1.0, length * math.exp(-rho)
+    if abs(kappa) < 1.0:
+        h = math.atanh(kappa)
+        h2 = h + rho
+        return math.tanh(h2), length * math.cosh(h2) / math.cosh(h)
+    if kappa > 1.0:
+        r = arccoth(kappa)
+        r2 = r + rho
+        if r2 < _CAP_SNAP_LO:
+            raise DegenerateBodyError(
+                f"cap of radius {r:.6g} collapses under offset {rho:.6g}")
+        if r2 < _CAP_SNAP_HI:
+            r2 = _CAP_SNAP_HI
+        return 1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
+    # kappa < -1: concave circular arc, center on the outward side
+    r = arccoth(-kappa)
+    r2 = r - rho
+    if r2 < _CAP_SNAP_LO:
+        raise DegenerateBodyError(
+            f"concave arc of radius {r:.6g} collapses under offset {rho:.6g}")
+    if r2 < _CAP_SNAP_HI:
+        r2 = _CAP_SNAP_HI
+    return -1.0 / math.tanh(r2), length * math.sinh(r2) / math.sinh(r)
+
+
+def cap_snapped_ref(kappa: float, rho: float) -> bool:
+    """The test `bodies.offsets` first made after each arc offset: did a
+    convex cap land in the snap band?"""
+    return kappa > 1.0 and arccoth(kappa) + rho < _CAP_SNAP_HI
+
+
+def outer_flow_ref(area: float, perimeter: float, rho: float):
+    """`steiner.outer_flow` as first written: (area, perimeter)."""
+    a2, p = area + 2.0 * math.pi, perimeter
+    ch, sh = math.cosh(rho), math.sinh(rho)
+    return a2 * ch + p * sh - 2.0 * math.pi, a2 * sh + p * ch
+
+
+def inner_flow_ref(area: float, perimeter: float, rho: float):
+    """`steiner.inner_flow` as first written, the inverse boost."""
+    a2, p = area + 2.0 * math.pi, perimeter
+    ch, sh = math.cosh(rho), math.sinh(rho)
+    return a2 * ch - p * sh - 2.0 * math.pi, p * ch - a2 * sh
+
+
+def _check_bound_ref(perimeter: float, lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError("curvature bound lambda must be finite")
+    if lam <= 1.0:
+        raise ValueError("curvature bound must exceed 1")
+    if perimeter < 0.0:
+        raise ValueError("perimeter must be >= 0")
+
+
+def area_lower_bound_ref(perimeter: float, lam: float, sign_convention: str):
+    """`steiner.area_lower_bound` as first written."""
+    _check_bound_ref(perimeter, lam)
+    term = 2.0 * math.pi * (1.0 - math.sqrt(max(1.0 - 1.0 / (lam * lam),
+                                                 0.0)))
+    if sign_convention == "steiner_consistent":
+        return perimeter / lam - term
+    if sign_convention == "as_printed":
+        return perimeter / lam + term
+    raise ValueError(f"unknown sign convention {sign_convention!r}")
+
+
+def bound_scaled_ref(perimeter: float, lam: float, c: float,
+                     sign_convention: str):
+    """`steiner.bound_scaled` as first written."""
+    _check_bound_ref(perimeter, lam)
+    if c < 0.0:
+        raise ValueError("curvature scale must be >= 0")
+    if c >= lam:
+        raise ValueError("scale must satisfy c < lam")
+    if c < 1e-4:
+        x = (c / lam) ** 2
+        term = (math.pi / lam ** 2) * (1.0 + x / 4.0 + x * x / 8.0)
+    else:
+        term = (2.0 * math.pi / (c * c)) * (1.0 - math.sqrt(1.0 - (c / lam) ** 2))
+    if sign_convention == "steiner_consistent":
+        return perimeter / lam - term
+    if sign_convention == "as_printed":
+        return perimeter / lam + term
+    raise ValueError(f"unknown sign convention {sign_convention!r}")
 
 
 def _moved(body: Body, dist: float) -> Body:

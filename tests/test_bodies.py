@@ -23,7 +23,12 @@ from hypiso.geom import (
 )
 from hypiso.optimize import random_thick_body
 from hypiso.render import _view_arcs
-from model_oracles import byte_identity_corpus, double_normals_ref
+from model_oracles import (
+    byte_identity_corpus,
+    cap_snapped_ref,
+    double_normals_ref,
+    offset_arc_ref,
+)
 from hypiso.spline import (
     CLOSURE_TOL,
     _support_vectors,
@@ -892,6 +897,71 @@ def test_offsets_match_offset_alone_bit_for_bit():
                                       closure_tol=1e-8)
                     _same_spline(g.boundary, fresh)
     assert errors == {"DegenerateBodyError", "NonSimpleBoundaryError"}
+
+
+def _offset_arc_cases(n):
+    """n seeded (kappa, length, rho): every curve kind, kappa within
+    3e-12 of +-1 (the horocycle band's edges), and rho within 2e-9 of
+    the offset that collapses a cap or a concave arc (the snap band)."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(n // 4):
+        kind = rng.integers(5)
+        if kind == 0:
+            k = rng.uniform(-4.0, 4.0)
+        elif kind == 1:
+            k = rng.choice([-1.0, 1.0]) + rng.uniform(-3e-12, 3e-12)
+        elif kind == 2:
+            k = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12, 0)
+        elif kind == 3:
+            k = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 4)
+        else:
+            k = rng.choice([-1.0, 1.0]) * (1.0 + 10.0 ** rng.uniform(-11, -1))
+        k = float(k)
+        length = float(rng.uniform(1e-3, 5.0))
+        rhos = [rng.uniform(-3.0, 3.0), rng.uniform(-0.05, 0.05)]
+        if abs(k) > 1.0:
+            # the offset at which the circle's radius reaches 0
+            edge = -math.copysign(math.atanh(1.0 / abs(k)), k)
+            rhos += [edge + rng.uniform(-2e-9, 2e-9),
+                     edge + rng.choice([-1e-12, 0.0, 1e-12, 1e-9, 5e-10])]
+        else:
+            rhos += [rng.uniform(-8.0, 8.0), 0.0]
+        cases += [(k, length, float(r)) for r in rhos]
+    return cases
+
+
+def test_offset_arc_matches_the_five_branch_reference_bit_for_bit():
+    # one signed rule for caps and concave arcs, one for both horocycles:
+    # the same bits, exceptions and snaps as one branch per curve kind;
+    # it rests on math.atanh being odd to the bit, checked here too
+    cases = _offset_arc_cases(20000)
+    assert len(cases) == 20000
+    seen = set()
+    for k, length, rho in cases:
+        x = 1.0 / abs(k) if abs(k) > 1.0 else abs(k)
+        if x < 1.0:
+            assert math.atanh(-x) == -math.atanh(x)
+        try:
+            want = offset_arc_ref(k, length, rho)
+        except bodies.DegenerateBodyError as e:
+            with pytest.raises(bodies.DegenerateBodyError) as got:
+                bodies._offset_arc(k, length, rho)
+            assert str(got.value) == str(e)
+            seen.add("collapse")
+            continue
+        k2, l2, snapped = bodies._offset_arc(k, length, rho)
+        assert (k2.hex(), l2.hex()) == (want[0].hex(), want[1].hex())
+        # a concave arc at (k, rho) mirrors the cap at (-k, -rho); an
+        # arc in the horocycle band is no circle, so it never snaps (the
+        # first test read a cap snap there once rho neared -arccoth k,
+        # about -14)
+        band = abs(abs(k) - 1.0) <= 1e-12
+        assert snapped == (not band and (cap_snapped_ref(k, rho)
+                                         or cap_snapped_ref(-k, -rho)))
+        if snapped:
+            seen.add("cap snap" if k > 0.0 else "concave snap")
+    assert seen == {"collapse", "cap snap", "concave snap"}
 
 
 def test_offsets_keep_each_distance_its_own_error(monkeypatch):

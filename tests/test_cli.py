@@ -618,6 +618,46 @@ def test_optimize_bad_start_options_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _nulls(obj) -> int:
+    if isinstance(obj, dict):
+        return sum(_nulls(v) for v in obj.values())
+    if isinstance(obj, list):
+        return sum(_nulls(v) for v in obj)
+    return obj is None
+
+
+def test_optimize_writes_null_for_starts_that_do_not_restore(capsys,
+                                                            tmp_path):
+    # two of the three starts never restore: their objectives are null,
+    # the best start restored, so the run writes its report, prints its
+    # CSV line and exits 0
+    report = tmp_path / "o.json"
+    code, out, err = run(capsys, "optimize", "--lambda", "3",
+                         "--perimeter", "10", "--n-arcs", "12",
+                         "--n-starts", "3", "--out", str(report))
+    assert code == 0 and err == ""
+    obj = json.loads(report.read_text())
+    assert _nulls(obj) == 2
+    assert obj["start_objectives"][1:] == [None, None]
+    best, ref, gap = (float(v) for v in out.strip().split(","))
+    assert (best, gap) == (obj["best"]["objective"], obj["gap"])
+
+
+def test_optimize_without_a_restored_start_exits_1(capsys):
+    # no start restores: the report has no objective, residuals or gap
+    # (five nulls), no CSV line is printed, and stderr names the failure
+    code, out, err = run(capsys, "optimize", "--lambda", "2",
+                         "--perimeter", "800", "--n-starts", "1")
+    assert code == 1
+    assert err == ("optimize failed: none of the 1 starts could be "
+                   "restored to a closed chain\n")
+    obj = json.loads(out)
+    assert _nulls(obj) == 5
+    assert obj["gap"] is None and obj["start_objectives"] == [None]
+    assert [obj["best"][k] for k in ("objective", "closure_residual",
+                                     "kkt_residual")] == [None] * 3
+
+
 def test_optimize_infeasible_perimeter_exits_2(capsys):
     code, _, err = run(capsys, "optimize", "--lambda", "2",
                        "--perimeter", "3", "--n-arcs", "8")
@@ -626,6 +666,7 @@ def test_optimize_infeasible_perimeter_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("construct", "sausage", "--lambda", "inf", "--d", "1"),
     ("construct", "random", "--lambda", "nan", "--seed", "1"),
     ("construct", "random", "--lambda", "inf", "--seed", "1"),
     ("optimize", "--lambda", "nan", "--perimeter", "10"),

@@ -14,6 +14,7 @@ from hypiso.geom import (
     Point,
     classify_curvature,
     curvature_scaled,
+    curve_height,
     disk_curvature_at_origin,
     dist,
     dist_disk,
@@ -23,6 +24,7 @@ from hypiso.geom import (
     from_disk,
     hypercircle_curvature_from_angle,
     hypercircle_distance_from_angle,
+    lam_ball_radius,
     lorentz_cross,
     minkowski,
     random_isometry,
@@ -30,6 +32,14 @@ from hypiso.geom import (
     to_disk,
     to_uhp,
 )
+from hypiso.bodies import ball, q_counterexample, rolls_freely, sausage
+from hypiso.optimize import (
+    ShapeProblem,
+    lam_ball_circumference,
+    perimeter_to_d,
+    random_thick_body,
+)
+from hypiso.steiner import sausage_measures
 from model_oracles import (
     apply_isometry_point,
     dist_uhp,
@@ -239,3 +249,46 @@ def test_lorentz_cross_is_eta_times_np_cross_bit_for_bit():
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == lorentz_cross_ref(a, b).tobytes()
         assert (eta * got).tobytes() == np.cross(a, b).tobytes()
+
+
+# every public function that takes the thickness parameter lam, called
+# with valid other arguments
+_TAKES_LAM = {
+    "lam_ball_radius": lam_ball_radius,
+    "sausage_side_curvature": sausage_side_curvature,
+    "sausage": lambda lam: sausage(lam, 1.0),
+    "q_counterexample": lambda lam: q_counterexample(lam, 0.1),
+    "rolls_freely": lambda lam: rolls_freely(ball(1.0), lam),
+    "Body.thickness_certificate":
+        lambda lam: ball(1.0).thickness_certificate(lam),
+    "ArcSpline.check_thickness":
+        lambda lam: ball(1.0).boundary.check_thickness(lam),
+    "sausage_measures": lambda lam: sausage_measures(lam, 1.0),
+    "lam_ball_circumference": lam_ball_circumference,
+    "perimeter_to_d": lambda lam: perimeter_to_d(lam, 10.0),
+    "ShapeProblem": lambda lam: ShapeProblem(lam, 10.0, 16),
+    "random_thick_body": lambda lam: random_thick_body(lam, 12, 0),
+}
+
+
+@pytest.mark.parametrize("lam, message", [
+    (math.nan, "thickness parameter must be finite"),
+    (math.inf, "thickness parameter must be finite"),
+    (1.0, "thickness parameter must exceed 1"),
+    (0.5, "thickness parameter must exceed 1"),
+], ids=["nan", "inf", "one", "half"])
+@pytest.mark.parametrize("name", sorted(_TAKES_LAM))
+def test_every_function_taking_lambda_refuses_it_alike(name, lam, message):
+    # one rule, `lam_ball_radius`, refuses a non-finite lam or lam <= 1
+    with pytest.raises(ValueError) as e:
+        _TAKES_LAM[name](lam)
+    assert str(e.value) == message
+
+
+def test_curve_height_is_signed():
+    # atanh over the geodesic, arccoth from the centre, NaN on horocycles
+    assert curve_height(0.5) == math.atanh(0.5) == -curve_height(-0.5)
+    assert curve_height(2.0) == math.atanh(0.5) == -curve_height(-2.0)
+    assert curve_height(0.0) == 0.0
+    assert math.isnan(curve_height(1.0)) and math.isnan(curve_height(-1.0))
+    assert lam_ball_radius(2.0) == curve_height(2.0)

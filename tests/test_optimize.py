@@ -82,6 +82,18 @@ def test_problem_validation():
             ShapeProblem(lam, perimeter, 16)
 
 
+def test_perimeter_to_d_refuses_a_non_finite_perimeter():
+    # the perimeter floor lives in perimeter_to_d, which ShapeProblem
+    # reads; its message holds both numbers
+    for perimeter in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^perimeter must be finite$"):
+            perimeter_to_d(2.0, perimeter)
+    with pytest.raises(ValueError) as e:
+        ShapeProblem(2.0, 3.0, 16)
+    assert str(e.value) == ("perimeter 3 is below the thick feasibility "
+                            "floor 3.6276")
+
+
 def test_closure_residual_zero_on_sausage():
     kap, lon = _sausage_x(2.0, 1.0)
     assert np.max(np.abs(_closure(kap, lon).c[1:])) < 1e-12

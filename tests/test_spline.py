@@ -1,5 +1,6 @@
 """Arc chains: Frenet transport, closure, measures, splitting, simplicity."""
 
+import itertools
 import math
 import warnings
 
@@ -782,5 +783,10 @@ def test_arc_pairs_table():
         assert np.array_equal(t.far_i, i[far])
         assert np.array_equal(t.far_j, j[far])
         assert t.far_i.dtype == i.dtype
+        # every triple i < j < k, in lexicographic order
+        ijk = np.array(list(itertools.combinations(range(n), 3)),
+                       dtype=np.intp).reshape(-1, 3)
+        assert np.array_equal(t.triples, ijk) and t.triples.dtype == np.intp
+        assert t.triples.shape == ijk.shape
         assert not any(a.flags.writeable for a in t)
         assert _arc_pairs(n) is t

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,12 @@ from hypiso.steiner import (
     is_past_inradius,
     outer_flow,
     sausage_measures,
+)
+from model_oracles import (
+    area_lower_bound_ref,
+    bound_scaled_ref,
+    inner_flow_ref,
+    outer_flow_ref,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -172,3 +179,52 @@ def test_measure_validation():
         BodyMeasure(math.inf, 5.0)
     with pytest.raises(ValueError):
         BodyMeasure(1.0, math.nan)
+
+
+def _bits(x):
+    return tuple(v.hex() for v in x)
+
+
+def test_flows_match_the_two_written_out_boosts_bit_for_bit():
+    # inner_flow is the outer boost at -rho: cosh even and sinh odd to
+    # the bit give the inverse boost's terms exactly
+    rng = np.random.default_rng(30)
+    for _ in range(20000):
+        m = BodyMeasure(float(rng.uniform(0.0, 50.0)),
+                        float(rng.uniform(0.0, 60.0)))
+        rho = float(rng.choice([rng.uniform(0.0, 4.0), 0.0,
+                                10.0 ** rng.uniform(-12, 0)]))
+        assert math.sinh(-rho) == -math.sinh(rho)
+        assert math.cosh(-rho) == math.cosh(rho)
+        out, inn = outer_flow(m, rho), inner_flow(m, rho)
+        assert _bits((out.area, out.perimeter)) == _bits(
+            outer_flow_ref(m.area, m.perimeter, rho))
+        assert _bits((inn.area, inn.perimeter)) == _bits(
+            inner_flow_ref(m.area, m.perimeter, rho))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except ValueError as e:
+        return str(e)
+
+
+def test_bounds_match_their_first_written_forms():
+    # one validation and one sign rule shared by both bounds: the same
+    # bits, and the same message for every refused argument
+    rng = np.random.default_rng(30)
+    signs = (SIGN_STEINER_CONSISTENT, SIGN_AS_PRINTED, "bogus")
+    bad_lams = (0.5, 1.0, math.inf, math.nan)
+    for _ in range(20000):
+        lam = float(rng.choice([rng.uniform(1.0, 10.0), rng.choice(bad_lams)],
+                               p=[0.9, 0.1]))
+        perimeter = float(rng.choice([rng.uniform(0.0, 80.0), -1.0, 0.0],
+                                     p=[0.9, 0.05, 0.05]))
+        c = float(rng.choice([rng.uniform(0.0, 3.0), 0.0, -0.5,
+                              10.0 ** rng.uniform(-7, -3)]))
+        sign = str(rng.choice(signs, p=[0.45, 0.45, 0.1]))
+        assert _outcome(area_lower_bound, perimeter, lam, sign) == \
+            _outcome(area_lower_bound_ref, perimeter, lam, sign)
+        assert _outcome(bound_scaled, perimeter, lam, c, sign) == \
+            _outcome(bound_scaled_ref, perimeter, lam, c, sign)
