@@ -953,9 +953,9 @@ def test_offset_arc_matches_the_five_branch_reference_bit_for_bit():
         k2, l2, snapped = bodies._offset_arc(k, length, rho)
         assert (k2.hex(), l2.hex()) == (want[0].hex(), want[1].hex())
         # a concave arc at (k, rho) mirrors the cap at (-k, -rho); an
-        # arc in the horocycle band is no circle, so it never snaps (the
-        # first test read a cap snap there once rho neared -arccoth k,
-        # about -14)
+        # arc in the horocycle band is no circle, so it never snaps,
+        # where cap_snapped_ref, testing kappa > 1 alone, reads a snap
+        # for kappa just above 1 once rho < -arccoth kappa (about -14)
         band = abs(abs(k) - 1.0) <= 1e-12
         assert snapped == (not band and (cap_snapped_ref(k, rho)
                                          or cap_snapped_ref(-k, -rho)))
