@@ -39,6 +39,7 @@ from .spline import (
     GeometryError,
     NonSimpleBoundaryError,
     ThicknessCertificate,
+    _BUILD_CLOSURE_TOL,
     _arc_pairs,
     _closure_gaps,
     _frame_columns,
@@ -819,13 +820,14 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
     Entry i is `offset(body, rhos[i], check_simple)` or the exception
     that call would raise, bit for bit: the arcs come from the same
     scalar `_offset_arc`, and every check stays per distance (the
-    closure of each chain within 1e-8, then, unless a convex cap
-    snapped or check_simple is false, its simplicity).  What is shared is the
-    work on the chains: one `arc_transports` call and one `_walk` over
-    the (m, n) stack of offset arcs, one `_closure_gaps` call on the
-    end frames, and one `_simple_chains` call, whose chains with
-    kappa >= 0 share one Klein rotation index.  Each body's spline is
-    seeded with its slice of the walk through `ArcSpline._from_walk`.
+    closure of each chain within `_BUILD_CLOSURE_TOL`, then, unless a
+    convex cap snapped or check_simple is false, its simplicity).  What
+    is shared is the work on the chains: one `arc_transports` call and
+    one `_walk` over the (m, n) stack of offset arcs, one
+    `_closure_gaps` call on the end frames, and one `_simple_chains`
+    call, whose chains with kappa >= 0 share one Klein rotation index.
+    Each body's spline is seeded with its slice of the walk through
+    `ArcSpline._from_walk`.
     """
     spline = body.boundary
     f = spline.start
@@ -868,14 +870,15 @@ def offsets(body: Body, rhos, check_simple: bool = True) -> list:
         walk = _walk(mats)
         gaps = _closure_gaps(walk[-1])
     judged = [j for j, (*_, snapped) in enumerate(todo)
-              if check_simple and not snapped and gaps[j] <= 1e-8]
+              if check_simple and not snapped
+              and gaps[j] <= _BUILD_CLOSURE_TOL]
     simple = dict(zip(judged, _simple_chains(
         K[judged], L[judged], walk[:, judged]))) if judged else {}
     for j, (i, rho, arcs, snapped) in enumerate(todo):
         try:
             boundary = ArcSpline._from_walk(
                 arcs, K[j], L[j], mats[j], walk[:, j], start=Frame(starts[j]),
-                closure_tol=1e-8, residual=float(gaps[j]),
+                closure_tol=_BUILD_CLOSURE_TOL, residual=float(gaps[j]),
                 simple=simple.get(j))
         except GeometryError as e:
             out[i] = e
@@ -903,8 +906,9 @@ def offset(body: Body, rho: float, check_simple: bool = True) -> Body:
     Each arc maps to the constant-curvature arc at distance |rho| on
     the appropriate side; the start frame slides along its normal.  The
     offset chain of a closed C1 chain closes again, which is verified
-    (within 1e-8), and unless a cap snapped or check_simple is false it
-    must be simple, or NonSimpleBoundaryError is raised.  This is
+    (within `_BUILD_CLOSURE_TOL`), and unless a cap snapped or
+    check_simple is false it must be simple, or NonSimpleBoundaryError
+    is raised.  This is
     `offsets(body, [rho], check_simple)[0]`, whose exception is raised.
     """
     got = offsets(body, [rho], check_simple)[0]

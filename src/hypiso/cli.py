@@ -169,8 +169,9 @@ def cmd_offset(args) -> int:
         raise UsageError(str(e))
     if args.out:
         text = dumps(shifted.to_json_dict()) + "\n"
-        # offset accepts a chain closing within 1e-8, the loader within
-        # CLOSURE_TOL: a long chain can pass the one and fail the other
+        # offset accepts a chain closing within _BUILD_CLOSURE_TOL, the
+        # loader within CLOSURE_TOL: a long chain can pass the one and
+        # fail the other
         try:
             _body_from(json.loads(text), "the offset body")
         except InputError as e:

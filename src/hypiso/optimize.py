@@ -21,6 +21,7 @@ from .spline import (
     ArcCoeffs,
     ArcSpline,
     GeometryError,
+    _BUILD_CLOSURE_TOL,
     _arc_generators,
     _walk,
     arc_transports,
@@ -35,6 +36,12 @@ _RESTORE_MAX_ITER = 60
 _ACTIVE_SET_PASSES = 4
 # first trial step of `_pg_loop`
 _PG_STEP0 = 0.1
+# A random body's restored draw with an arc at most this long is
+# redrawn: restoration squeezed that arc out, and the body would have
+# fewer arcs than it was asked for.  Drawn lengths are at least
+# 2.3 / (lam n_arcs), and restoration closes to `RESTORE_TOL`, so the
+# cut sits orders of magnitude from both.
+_MIN_DRAWN_LENGTH = 1e-6
 
 
 def lam_ball_circumference(lam: float) -> float:
@@ -89,7 +96,8 @@ class Candidate:
     def to_spline(self) -> ArcSpline:
         arcs = [Arc(k, l) for k, l in zip(self.kappas, self.lengths)
                 if l > 1e-12]
-        return ArcSpline(ORIGIN_FRAME, tuple(arcs), closure_tol=1e-8)
+        return ArcSpline(ORIGIN_FRAME, tuple(arcs),
+                         closure_tol=_BUILD_CLOSURE_TOL)
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,15 +220,27 @@ def _accepted(c, norm, t):
     return np.abs(c).max(axis=-1) <= norm * (1.0 - 0.2 * t)
 
 
-def _restore(x, n, perimeter, lb, ub):
+def _clipped(v, lb, ub):
+    """Trial points v, shape (2n,) or (m, 2n), clipped to the box."""
+    return np.minimum(np.maximum(v, lb), ub)
+
+
+def _reflected(v, lb, ub):
+    """Trial points reflected at the box (v -> 2 lb - v below it, then
+    v -> 2 ub - v above it) and clipped; a point inside keeps its bits."""
+    v = np.where(v < lb, 2.0 * lb - v, v)
+    v = np.where(v > ub, 2.0 * ub - v, v)
+    return _clipped(v, lb, ub)
+
+
+def _restore(x, n, perimeter, lb, ub, *, reflect=False):
     """Newton least-norm steps back onto the constraint manifold.
 
     Returns the accepted `_Point`, once the residual norm is at most
-    `RESTORE_TOL`, or None after `_RESTORE_MAX_ITER` steps.  Variables
-    pinned at the box have their columns dropped before the min-norm
-    solve, otherwise clipping stalls the iteration; each step backtracks
-    on the residual norm.  The full step t = 1, clipped to the box once,
-    is evaluated alone; when it is rejected, the nine halvings
+    `RESTORE_TOL`, or None after `_RESTORE_MAX_ITER` steps.  Each step
+    solves the 4x4 Gram system of the min-norm step over all columns
+    and backtracks on the residual norm.  The full step t = 1 is
+    evaluated alone; when it is rejected, the nine halvings
     t = 1/2 ... 1/512 are evaluated as one (9, 2n) stack and the first
     of them, in order, that passes takes the step, as a loop trying them
     one by one would.  The accepted trial's evaluation, sliced out of the stack
@@ -231,6 +251,18 @@ def _restore(x, n, perimeter, lb, ub):
     after it has converged there: the three residuals then pin the
     product near the rotation by pi, and the backtracking keeps the norm
     falling.
+
+    A step that crosses the box is kept inside by one of two rules.
+    The clipping rule (the default, which the optimizer uses) drops the
+    columns of the variables the step pushes past a bound and solves
+    again, up to four passes, then clips the full step and every
+    halving to the box.  The reflective rule (reflect=True, used for
+    `random_thick_body`'s draws) keeps the one solve and reflects the
+    full step and every halving at the box, after Coleman and Li's
+    interior trust-region method: the pinned variables of the clipping
+    rule stall draws that reflection closes.  A step in which nothing
+    crosses a bound is the same arithmetic under both rules, so a draw
+    that never clips gives the same bytes.
     """
     pt = _evaluate(x.copy(), n, perimeter)
     for _ in range(_RESTORE_MAX_ITER):
@@ -244,8 +276,10 @@ def _restore(x, n, perimeter, lb, ub):
             return None
         J = _jacobian(pt)
         free = np.ones(x.size, dtype=bool)
-        delta = stepped = None
+        delta = step = inside = None
         for _ in range(4):
+            # the boolean index copies J even when every column is free;
+            # that copy's layout fixes the Gram product's rounding
             Jf = J[:, free]
             try:
                 y = np.linalg.solve(Jf @ Jf.T + _RIDGE, -c)
@@ -254,19 +288,21 @@ def _restore(x, n, perimeter, lb, ub):
             delta = np.zeros_like(x)
             delta[free] = Jf.T @ y
             step = x + delta
-            stepped = np.minimum(np.maximum(step, lb), ub)
-            clipped = stepped != step
-            if not clipped.any():
+            crossed = _clipped(step, lb, ub) != step
+            inside = not crossed.any()
+            if inside or reflect:
                 break
-            free &= ~clipped
+            free &= ~crossed
             if not free.any():
                 return None
-        pt = _evaluate(stepped, n, perimeter)
+        # a full step that ends inside the box keeps its halvings inside
+        # too, where clipping leaves them alone and is the cheaper rule
+        box = _reflected if reflect and not inside else _clipped
+        pt = _evaluate(box(step, lb, ub), n, perimeter)
         if _accepted(pt.c, norm, 1.0):
             continue
-        trials = _evaluate(
-            np.minimum(np.maximum(x + _HALVINGS[:, None] * delta, lb), ub),
-            n, perimeter)
+        trials = _evaluate(box(x + _HALVINGS[:, None] * delta, lb, ub),
+                           n, perimeter)
         passed = np.flatnonzero(_accepted(trials.c, norm, _HALVINGS))
         if not passed.size:
             return None
@@ -464,12 +500,17 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
     """Random simple closed body with curvature inside [1/lam, lam].
 
     Draws curvatures and lengths, then closes the chain with the
-    optimizer's restoration at the drawn perimeter.  Draws it cannot
-    close, that close on the reversed branch or that self-intersect
-    are redrawn; deterministic per seed.  The spline takes the accepted
-    point's transports and prefix products as its walk from the origin
-    frame, so its closure check and simplicity verdict read the chain
-    that restoration closed, without walking the arcs again.
+    optimizer's restoration at the drawn perimeter, under its
+    reflective rule: a Newton step that crosses the curvature box or a
+    zero length is reflected back into the box instead of pinning the
+    variables it crosses, which closes most draws that the clipping
+    rule leaves stuck.  Draws it cannot close, that close on the
+    reversed branch, that it closes by squeezing an arc out, or that
+    self-intersect are redrawn; deterministic per seed.  The spline
+    takes the accepted point's transports and prefix products as its
+    walk from the origin frame, so its closure check and simplicity
+    verdict read the chain that restoration closed, without walking the
+    arcs again.
     """
     lam_ball_radius(lam)  # refuses a non-finite lam or lam <= 1
     if n_arcs < 4:
@@ -486,16 +527,17 @@ def random_thick_body(lam: float, n_arcs: int, seed: int) -> Body:
         lon *= target / (kap @ lon)
         perim = float(lon.sum())
         ub = np.concatenate([np.full(n, hi), np.full(n, perim)])
-        pt = _restore(np.concatenate([kap, lon]), n, perim, lb, ub)
+        pt = _restore(np.concatenate([kap, lon]), n, perim, lb, ub,
+                      reflect=True)
         if pt is None:
             continue
         kap, lon = pt.x[:n], pt.x[n:]
-        if np.any(lon <= 1e-6):
+        if np.any(lon <= _MIN_DRAWN_LENGTH):
             continue
         try:
             spline = ArcSpline._from_walk(
                 tuple(map(Arc, kap, lon)), kap, lon, pt.mats, pt.prefix,
-                closure_tol=1e-8)
+                closure_tol=_BUILD_CLOSURE_TOL)
         except (ValueError, GeometryError):
             continue
         if not spline.is_simple():

@@ -83,6 +83,14 @@ from .geom import (
 )
 
 CLOSURE_TOL = 1e-9
+# Closure gap at which a chain built in memory is accepted: an offset
+# chain (`bodies.offsets`), a random body's restored draw and an
+# optimizer candidate.  It is ten times `CLOSURE_TOL`, the loader's,
+# because a builder's walk can be long or far out, and its roundoff
+# grows like cosh^2 of the walk's length: sausage(2, 4) offset by 0.2
+# closes at 1.85e-9.  A built chain between the two is refused on
+# load, so `cli offset` checks a body file by loading it back.
+_BUILD_CLOSURE_TOL = 1e-8
 
 
 class GeometryError(ValueError):

@@ -261,9 +261,27 @@ def _trial_constraints(x, n, perimeter):
     return _evaluate(x, n, perimeter).c
 
 
-def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
+def _reflect_ref(v, lb, ub):
+    """v reflected at the box one entry at a time, then clipped."""
+    v = v.copy()
+    for i in range(v.size):
+        if v[i] < lb[i]:
+            v[i] = 2.0 * lb[i] - v[i]
+        if v[i] > ub[i]:
+            v[i] = 2.0 * ub[i] - v[i]
+    return np.clip(v, lb, ub)
+
+
+def _reference_newton(x, n, perimeter, lb, ub, reflect=False,
+                      tol=RESTORE_TOL, max_iter=60, crossings=None):
     """The restoration loop with one Jacobian and one trial product per
-    step, kept as the reference: (x, E) on convergence, else None."""
+    step, kept as the reference: (x, E) on convergence, else None.
+    Under the clipping rule a step that crosses the box drops the
+    crossing columns and solves again, up to four passes, and its trials
+    are clipped; under the reflective rule (reflect=True) the one
+    all-column step and its trials are reflected at the box.  When
+    crossings is a list, each step appends how many variables its first
+    solve pushed past a bound."""
     x = x.copy()
     for _ in range(max_iter):
         c, J, E = _newton_point(x, n, perimeter)
@@ -274,7 +292,7 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
             return None
         free = np.ones(x.size, dtype=bool)
         delta = None
-        for _ in range(4):
+        for k in range(4):
             Jf = J[:, free]
             gram = Jf @ Jf.T + 1e-13 * np.eye(4)
             try:
@@ -285,7 +303,9 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
             delta[free] = Jf.T @ y
             stepped = np.clip(x + delta, lb, ub)
             clipped = stepped != x + delta
-            if not clipped.any():
+            if k == 0 and crossings is not None:
+                crossings.append(int(clipped.sum()))
+            if reflect or not clipped.any():
                 break
             free &= ~clipped
             if not free.any():
@@ -293,7 +313,8 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
         t = 1.0
         improved = False
         for _ in range(10):
-            xt = np.clip(x + t * delta, lb, ub)
+            xt = x + t * delta
+            xt = _reflect_ref(xt, lb, ub) if reflect else np.clip(xt, lb, ub)
             ct = _trial_constraints(xt, n, perimeter)
             if np.max(np.abs(ct)) <= norm * (1.0 - 0.2 * t):
                 x = xt
@@ -306,13 +327,16 @@ def _reference_newton(x, n, perimeter, lb, ub, tol=RESTORE_TOL, max_iter=60):
 
 
 def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
-    # draws as random_thick_body makes them, plus perturbed sausages.
-    # The reference's calls are traced, one letter each: a Newton step
-    # (J), or one where restoration may stop early on the reversed
-    # branch (R), each followed by its line-search trials (t).  Searches
-    # that accept at t <= 1/4 or reject all ten trials take the stacked
-    # halvings, so both must occur often on the stretch restoration
-    # shares with the reference, before any R.
+    # draws as random_thick_body makes them, plus perturbed sausages,
+    # under the clipping and the reflective rule.  The reference's calls
+    # are traced, one letter each: a Newton step (J), or one where
+    # restoration may stop early on the reversed branch (R), each
+    # followed by its line-search trials (t).  Searches that accept at
+    # t <= 1/4 or reject all ten trials take the stacked halvings, so
+    # both must occur often on the stretch restoration shares with the
+    # reference, before any R.  A draw whose clipping reference never
+    # pushes a variable past the box takes the same steps under both
+    # rules, so it must give the same bytes.
     trace = []
 
     def traced(f, letter):
@@ -328,48 +352,63 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
         and np.max(np.abs(out[0][1:])) < 1e-2 else "J"))
     monkeypatch.setitem(globals(), "_trial_constraints", traced(
         _trial_constraints, lambda out: "t"))
-    rng = np.random.default_rng(16)
-    outcomes = {"forward": 0, "reversed": 0, "failed": 0}
-    searches = {"accepted at t <= 1/4": 0, "rejected all ten": 0}
-    for i in range(200):
-        lam = (1.5, 2.0, 3.0)[i % 3]
-        n = 12
-        if i % 4 == 3:
-            kap, lon = _sausage_x(2.0, 1.0)
-            lam, n = 2.0, kap.size
-            x0 = np.concatenate([kap, lon]) + 0.1 * rng.standard_normal(2 * n)
-            perim = SAUSAGE_P
-        else:
-            kap = rng.uniform(1.0 / lam, lam, size=n)
-            lon = rng.uniform(0.5, 1.5, size=n)
-            lon *= 2.0 * math.pi * (1.0 + rng.uniform(0.1, 0.8)) / (kap @ lon)
-            perim = float(lon.sum())
-            x0 = np.concatenate([kap, lon])
-        lb = np.concatenate([np.full(n, 1.0 / lam), np.zeros(n)])
-        ub = np.concatenate([np.full(n, lam), np.full(n, perim)])
-        x0 = np.clip(x0, lb, ub)
-        got = _restore(x0, n, perim, lb, ub)
-        trace.clear()
-        ref = _reference_newton(x0, n, perim, lb, ub)
-        steps = re.findall("[JR]t*", "".join(trace))
-        for k, step in enumerate(steps):
-            if step[0] == "R":
-                break
-            if k < len(steps) - 1:
-                searches["accepted at t <= 1/4"] += len(step) >= 4
-            elif ref is None and len(step) == 11 and len(steps) < 60:
-                searches["rejected all ten"] += 1
-        if ref is None:
-            outcomes["failed"] += 1
-            assert got is None
-        elif ref[1][1, 1] < 0.0:
-            outcomes["reversed"] += 1
-            assert got is None
-        else:
-            outcomes["forward"] += 1
-            assert got is not None and got.x.tobytes() == ref[0].tobytes()
-    assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, outcomes
-    assert min(searches.values()) >= 10, searches
+    never_crossed = 0
+    for reflect in (False, True):
+        rng = np.random.default_rng(16)
+        outcomes = {"forward": 0, "reversed": 0, "failed": 0}
+        searches = {"accepted at t <= 1/4": 0, "rejected all ten": 0}
+        for i in range(200):
+            lam = (1.5, 2.0, 3.0)[i % 3]
+            n = 12
+            if i % 4 == 3:
+                kap, lon = _sausage_x(2.0, 1.0)
+                lam, n = 2.0, kap.size
+                x0 = np.concatenate([kap, lon]) + \
+                    0.1 * rng.standard_normal(2 * n)
+                perim = SAUSAGE_P
+            else:
+                kap = rng.uniform(1.0 / lam, lam, size=n)
+                lon = rng.uniform(0.5, 1.5, size=n)
+                lon *= 2.0 * math.pi * (1.0 + rng.uniform(0.1, 0.8)) / \
+                    (kap @ lon)
+                perim = float(lon.sum())
+                x0 = np.concatenate([kap, lon])
+            lb = np.concatenate([np.full(n, 1.0 / lam), np.zeros(n)])
+            ub = np.concatenate([np.full(n, lam), np.full(n, perim)])
+            x0 = np.clip(x0, lb, ub)
+            got = _restore(x0, n, perim, lb, ub, reflect=reflect)
+            trace.clear()
+            crossings = []
+            ref = _reference_newton(x0, n, perim, lb, ub, reflect,
+                                    crossings=crossings)
+            steps = re.findall("[JR]t*", "".join(trace))
+            for k, step in enumerate(steps):
+                if step[0] == "R":
+                    break
+                if k < len(steps) - 1:
+                    searches["accepted at t <= 1/4"] += len(step) >= 4
+                elif ref is None and len(step) == 11 and len(steps) < 60:
+                    searches["rejected all ten"] += 1
+            if ref is None:
+                outcomes["failed"] += 1
+                assert got is None
+            elif ref[1][1, 1] < 0.0:
+                outcomes["reversed"] += 1
+                assert got is None
+            else:
+                outcomes["forward"] += 1
+                assert got is not None and \
+                    got.x.tobytes() == ref[0].tobytes()
+            if not reflect and not any(crossings):
+                never_crossed += 1
+                other = _restore(x0, n, perim, lb, ub, reflect=True)
+                assert (got is None) == (other is None)
+                if got is not None:
+                    assert other.x.tobytes() == got.x.tobytes()
+        assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, \
+            (reflect, outcomes)
+        assert min(searches.values()) >= 10, (reflect, searches)
+    assert never_crossed >= 20, never_crossed
 
 
 def test_point_row_matches_single_evaluation_bit_for_bit():
@@ -444,16 +483,48 @@ def test_random_thick_body_properties():
             2.0 * math.pi + s.area_gauss_bonnet(), abs=1e-12)
 
 
-def test_random_thick_body_redraws_doubly_wound_arcs():
-    # this seed used to close with one arc running 1.32 times round its
-    # circle, a non-simple body that broke the isoperimetric inequality
-    body = random_thick_body(2.0, 12, seed=80)
+def test_random_thick_body_redraws_doubly_wound_arcs(monkeypatch):
+    # this seed's first closed draw has one arc running 1.09 times round
+    # its circle, a non-simple body that would break the isoperimetric
+    # inequality; the simplicity check must redraw it
+    rejected = []
+    is_simple = ArcSpline.is_simple
+
+    def recorded(spline):
+        ok = is_simple(spline)
+        if not ok:
+            rejected.append(spline)
+        return ok
+
+    def turns(a):
+        return a.length / (2.0 * math.pi * math.sinh(math.atanh(1.0 / a.kappa)))
+
+    monkeypatch.setattr(ArcSpline, "is_simple", recorded)
+    body = random_thick_body(3.0, 12, seed=1008)
+    assert len(rejected) == 1
+    assert max(turns(a) for a in rejected[0].arcs if a.kappa > 1.0) > 1.0
     for a in body.boundary.arcs:
         if a.kappa > 1.0:
-            turning = a.length / math.sinh(math.atanh(1.0 / a.kappa))
-            assert turning < 2.0 * math.pi
+            assert turns(a) < 1.0
     A, L = body.measure.area, body.measure.perimeter
     assert L * L >= 4.0 * math.pi * A + A * A
+
+
+def test_random_thick_body_redraws_few_draws(monkeypatch):
+    # the reflective restoration closes most draws: 100 bodies at
+    # lam = 2 take 126 restorations (179 with the clipping rule)
+    calls = []
+    restore = optimize._restore
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return restore(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_restore", counted)
+    for seed in range(1, 101):
+        random_thick_body(2.0, 12, seed)
+    assert len(calls) <= 140, len(calls)
+    assert all(kw == {"reflect": True} for kw in calls)
 
 
 def test_random_thick_body_is_deterministic():
@@ -497,8 +568,8 @@ def test_random_thick_body_checks_closure_of_the_walk_it_is_given(
     # 1e-8 closure check reads that walk and rejects every draw
     restore = optimize._restore
 
-    def nudged(x, n, perimeter, lb, ub):
-        pt = restore(x, n, perimeter, lb, ub)
+    def nudged(x, n, perimeter, lb, ub, **kwargs):
+        pt = restore(x, n, perimeter, lb, ub, **kwargs)
         if pt is None:
             return None
         xn = pt.x.copy()
