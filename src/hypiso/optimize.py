@@ -36,6 +36,15 @@ _RESTORE_MAX_ITER = 60
 _ACTIVE_SET_PASSES = 4
 # first trial step of `_pg_loop`
 _PG_STEP0 = 0.1
+# A candidate's arc no longer than this is left out of its spline: it
+# is a length `_polish` zeroed or descent pressed onto the bound 0, and
+# restoration closes only to `RESTORE_TOL`, so it is zero to that
+# accuracy.
+_ZERO_LENGTH = 1e-12
+# A candidate converges when, with its KKT residual below `KKT_TOL`,
+# its four constraints hold to the size of the loader's `CLOSURE_TOL`,
+# the closure a body file must meet.
+_CONVERGED_RESIDUAL = 1e-9
 # A random body's restored draw with an arc at most this long is
 # redrawn: restoration squeezed that arc out, and the body would have
 # fewer arcs than it was asked for.  Drawn lengths are at least
@@ -95,7 +104,7 @@ class Candidate:
 
     def to_spline(self) -> ArcSpline:
         arcs = [Arc(k, l) for k, l in zip(self.kappas, self.lengths)
-                if l > 1e-12]
+                if l > _ZERO_LENGTH]
         return ArcSpline(ORIGIN_FRAME, tuple(arcs),
                          closure_tol=_BUILD_CLOSURE_TOL)
 
@@ -200,12 +209,37 @@ def _jacobian(pt: _Point) -> np.ndarray:
     return J
 
 
-# Below this residual norm the three closure entries pin the chain
-# product near the identity or near the rotation by pi (|E[1, 1]| is
-# then above 0.9999), and the short steps that keep the norm falling
-# do not cross between the two: on 8 800 random_thick_body draws at
-# five (lam, n) the early exit changed no output bit.
-_BRANCH_NORM = 1e-2
+# A chain whose residual norm r is below this has made its choice of
+# branch, so `_restore` drops one whose end tangent is reversed
+# (E[1, 1] < 0) instead of converging there.  E's tangent column is a
+# spacelike unit vector, E[1, 1]^2 = 1 + E[0, 1]^2 - E[2, 1]^2, and
+# |E[2, 1]| <= r, so |E[1, 1]| >= sqrt(1 - r^2), 0.866 at r = 0.5.
+# Accepted steps only lower the norm, so to change branch below it one
+# step would have to move E[1, 1] by 1.73.
+# Raised from 1e-2, it changed no body of random_thick_body(lam, 12, s)
+# for lam in {1.5, 2, 3} and s = 1..1000; at 1.0, where the bound
+# says nothing, 34 of the 1003 draws that close at lam = 2 are dropped
+# (1 at 0.75).
+_BRANCH_NORM = 0.5
+
+# Under the reflective rule, a draw whose line search accepts
+# t <= _STALLED_T on _STALLED_STEPS consecutive steps is dropped: a
+# Newton model that keeps shrinking the step is failing (Dennis and
+# Schnabel, sections 6.3 and 7.2), and a redraw costs less than the
+# rest of the stall.  On the 1253 draws of random_thick_body(2, 12, s),
+# s = 1..1000, the exit drops 10 of the 1012 that would close and
+# saves 427 of 7795 Newton steps; one stalled step alone would drop
+# 99, t <= 1/4 would drop 19, and a run of three saves only 281.  The
+# optimizer does not take this exit: it moved solve's best turning at
+# (lam, P, n) = (1.5, 15, 16) from the sausage's 14.68321 to 14.71801.
+_STALLED_T = 0.125
+_STALLED_STEPS = 2
+
+# A residual norm above this is a chain too long for its walk: E's
+# entries grow like cosh of the perimeter.  On criterion 09's problem
+# and at (3, 10) no norm exceeds 723; the ball start of
+# `hypiso optimize --lambda 2 --perimeter 800` reads 2.65e8 and stops.
+_DIVERGED_NORM = 1e8
 
 
 # the halvings t = 1/2 ... 1/512 of a rejected full Newton step
@@ -215,9 +249,14 @@ _HALVINGS = 0.5 ** np.arange(1, 10)
 _RIDGE = 1e-13 * np.eye(4)
 
 
+# A trial at step t must cut the residual norm by this share of the
+# cut the linear model promises, norm -> (1 - t) norm
+_SUFFICIENT_DECREASE = 0.2
+
+
 def _accepted(c, norm, t):
     """The line-search test on the residual norm, per trial for stacks."""
-    return np.abs(c).max(axis=-1) <= norm * (1.0 - 0.2 * t)
+    return np.abs(c).max(axis=-1) <= norm * (1.0 - _SUFFICIENT_DECREASE * t)
 
 
 def _clipped(v, lb, ub):
@@ -236,21 +275,14 @@ def _reflected(v, lb, ub):
 def _restore(x, n, perimeter, lb, ub, *, reflect=False):
     """Newton least-norm steps back onto the constraint manifold.
 
-    Returns the accepted `_Point`, once the residual norm is at most
-    `RESTORE_TOL`, or None after `_RESTORE_MAX_ITER` steps.  Each step
-    solves the 4x4 Gram system of the min-norm step over all columns
-    and backtracks on the residual norm.  The full step t = 1 is
-    evaluated alone; when it is rejected, the nine halvings
+    Each step solves the 4x4 Gram system of the min-norm step over all
+    columns and backtracks on the residual norm.  The full step t = 1
+    is evaluated alone; when it is rejected, the nine halvings
     t = 1/2 ... 1/512 are evaluated as one (9, 2n) stack and the first
-    of them, in order, that passes takes the step, as a loop trying them
-    one by one would.  The accepted trial's evaluation, sliced out of the stack
-    with its transports and prefix products, is the next step's starting
-    point and the caller's next Jacobian.  A chain that closes on the
-    reversed branch (end tangent opposite the start, E[1, 1] < 0) is
-    rejected as soon as the residual norm is below 1e-2, instead of
-    after it has converged there: the three residuals then pin the
-    product near the rotation by pi, and the backtracking keeps the norm
-    falling.
+    of them, in order, that passes takes the step, as a loop trying
+    them one by one would.  The accepted trial's evaluation, sliced out
+    of the stack with its transports and prefix products, is the next
+    step's starting point and the caller's next Jacobian.
 
     A step that crosses the box is kept inside by one of two rules.
     The clipping rule (the default, which the optimizer uses) drops the
@@ -262,17 +294,35 @@ def _restore(x, n, perimeter, lb, ub, *, reflect=False):
     interior trust-region method: the pinned variables of the clipping
     rule stall draws that reflection closes.  A step in which nothing
     crosses a bound is the same arithmetic under both rules, so a draw
-    that never clips gives the same bytes.
+    that never clips gives the same bytes unless the reflective rule
+    drops it as stalled.
+
+    Exits, checked at each step's start in this order, then within it:
+    - the accepted `_Point`, once the residual norm is at most
+      `RESTORE_TOL` with the end tangent forward (E[1, 1] > 0); None
+      when it converged on the reversed branch;
+    - None when the norm is not finite or above `_DIVERGED_NORM`;
+    - None on the reversed branch (E[1, 1] < 0) as soon as the norm is
+      below `_BRANCH_NORM`, instead of after converging there;
+    - under the reflective rule only, None after `_STALLED_STEPS`
+      consecutive steps whose line search accepted t <= `_STALLED_T`;
+    - None when the Gram system is singular, when the clipping rule's
+      passes leave no column free, or when the line search rejects all
+      ten trials;
+    - None after `_RESTORE_MAX_ITER` steps.
     """
     pt = _evaluate(x.copy(), n, perimeter)
+    stalled = 0
     for _ in range(_RESTORE_MAX_ITER):
         x, c, E = pt.x, pt.c, pt.E
         norm = np.abs(c).max()
         if norm <= RESTORE_TOL:
             return pt if E[1, 1] > 0.0 else None
-        if not math.isfinite(norm) or norm > 1e8:
+        if not math.isfinite(norm) or norm > _DIVERGED_NORM:
             return None
         if norm < _BRANCH_NORM and E[1, 1] < 0.0:
+            return None
+        if stalled == _STALLED_STEPS:
             return None
         J = _jacobian(pt)
         free = np.ones(x.size, dtype=bool)
@@ -300,6 +350,7 @@ def _restore(x, n, perimeter, lb, ub, *, reflect=False):
         box = _reflected if reflect and not inside else _clipped
         pt = _evaluate(box(step, lb, ub), n, perimeter)
         if _accepted(pt.c, norm, 1.0):
+            stalled = 0
             continue
         trials = _evaluate(box(x + _HALVINGS[:, None] * delta, lb, ub),
                            n, perimeter)
@@ -307,6 +358,8 @@ def _restore(x, n, perimeter, lb, ub, *, reflect=False):
         if not passed.size:
             return None
         pt = trials.row(passed[0])
+        stalled = stalled + 1 if reflect and \
+            _HALVINGS[passed[0]] <= _STALLED_T else 0
     return None
 
 
@@ -477,7 +530,7 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
         spline_res = math.inf
         try:
             cand_arcs = [Arc(k, l) for k, l in
-                         zip(x[:n], x[n:]) if l > 1e-12]
+                         zip(x[:n], x[n:]) if l > _ZERO_LENGTH]
             spline_res = ArcSpline(ORIGIN_FRAME, tuple(cand_arcs),
                                    closure_tol=math.inf).closure_residual()
         except (ValueError, GeometryError):
@@ -487,7 +540,7 @@ def solve(problem: ShapeProblem, seed: int = 0, n_starts: int = 8,
             objective=_objective(x, n),
             closure_residual=spline_res,
             kkt_residual=kkt,
-            converged=bool(kkt < KKT_TOL and np.max(np.abs(c)) < 1e-9),
+            converged=bool(kkt < KKT_TOL and np.max(np.abs(c)) < _CONVERGED_RESIDUAL),
             n_iters=it))
     out.sort(key=lambda cand: cand.objective)
     return out

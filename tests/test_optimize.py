@@ -272,23 +272,37 @@ def _reflect_ref(v, lb, ub):
     return np.clip(v, lb, ub)
 
 
-def _reference_newton(x, n, perimeter, lb, ub, reflect=False,
-                      tol=RESTORE_TOL, max_iter=60, crossings=None):
+def _reference_newton(x, n, perimeter, lb, ub, reflect=False, stall=True,
+                      tol=RESTORE_TOL, max_iter=60, crossings=None,
+                      exits=None):
     """The restoration loop with one Jacobian and one trial product per
     step, kept as the reference: (x, E) on convergence, else None.
     Under the clipping rule a step that crosses the box drops the
     crossing columns and solves again, up to four passes, and its trials
     are clipped; under the reflective rule (reflect=True) the one
-    all-column step and its trials are reflected at the box.  When
-    crossings is a list, each step appends how many variables its first
-    solve pushed past a bound."""
+    all-column step and its trials are reflected at the box, and unless
+    stall is False the loop gives up after two consecutive steps whose
+    search accepted t <= 1/8.  When crossings is a list, each step appends how many
+    variables its first solve pushed past a bound; when exits is a
+    list, a stalled exit appends "stalled".  Below `_BRANCH_NORM` the
+    end tangent's E[1, 1] is asserted to stay at least
+    sqrt(1 - norm^2) from 0, the bound that lets restoration drop the
+    reversed branch there."""
     x = x.copy()
+    stalled = 0
     for _ in range(max_iter):
         c, J, E = _newton_point(x, n, perimeter)
         norm = np.max(np.abs(c))
         if norm <= tol:
             return x, E
         if not np.isfinite(norm) or norm > 1e8:
+            return None
+        if norm < optimize._BRANCH_NORM:
+            # to roundoff: E's tangent column is a unit spacelike vector
+            assert abs(E[1, 1]) >= math.sqrt(1.0 - norm * norm) - 1e-12
+        if stalled == 2:
+            if exits is not None:
+                exits.append("stalled")
             return None
         free = np.ones(x.size, dtype=bool)
         delta = None
@@ -323,20 +337,24 @@ def _reference_newton(x, n, perimeter, lb, ub, reflect=False,
             t *= 0.5
         if not improved:
             return None
+        stalled = stalled + 1 if reflect and stall and t <= 0.125 else 0
     return None
 
 
 def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
     # draws as random_thick_body makes them, plus perturbed sausages,
-    # under the clipping and the reflective rule.  The reference's calls
+    # under the clipping rule, the reflective rule with its stall exit
+    # switched off, and the reflective rule.  The reference's calls
     # are traced, one letter each: a Newton step (J), or one where
     # restoration may stop early on the reversed branch (R), each
     # followed by its line-search trials (t).  Searches that accept at
     # t <= 1/4 or reject all ten trials take the stacked halvings, so
     # both must occur often on the stretch restoration shares with the
-    # reference, before any R.  A draw whose clipping reference never
-    # pushes a variable past the box takes the same steps under both
-    # rules, so it must give the same bytes.
+    # reference, before any R.  The stall exit ends most searches that
+    # would reject all ten, so the pass without it keeps that floor,
+    # and the pass with it must take the exit often.  A draw whose
+    # clipping reference never pushes a variable past the box takes the
+    # same steps under both rules, so it must give the same bytes.
     trace = []
 
     def traced(f, letter):
@@ -349,13 +367,17 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
     monkeypatch.setitem(globals(), "_newton_point", traced(
         _newton_point,
         lambda out: "R" if out[2][1, 1] < 0.0
-        and np.max(np.abs(out[0][1:])) < 1e-2 else "J"))
+        and np.max(np.abs(out[0][1:])) < optimize._BRANCH_NORM else "J"))
     monkeypatch.setitem(globals(), "_trial_constraints", traced(
         _trial_constraints, lambda out: "t"))
     never_crossed = 0
-    for reflect in (False, True):
+    stall_steps = optimize._STALLED_STEPS
+    for reflect, stall in ((False, True), (True, False), (True, True)):
+        monkeypatch.setattr(optimize, "_STALLED_STEPS",
+                            stall_steps if stall else math.inf)
         rng = np.random.default_rng(16)
         outcomes = {"forward": 0, "reversed": 0, "failed": 0}
+        exits = []
         searches = {"accepted at t <= 1/4": 0, "rejected all ten": 0}
         for i in range(200):
             lam = (1.5, 2.0, 3.0)[i % 3]
@@ -379,8 +401,8 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
             got = _restore(x0, n, perim, lb, ub, reflect=reflect)
             trace.clear()
             crossings = []
-            ref = _reference_newton(x0, n, perim, lb, ub, reflect,
-                                    crossings=crossings)
+            ref = _reference_newton(x0, n, perim, lb, ub, reflect, stall,
+                                    crossings=crossings, exits=exits)
             steps = re.findall("[JR]t*", "".join(trace))
             for k, step in enumerate(steps):
                 if step[0] == "R":
@@ -407,7 +429,12 @@ def test_restore_matches_reference_loop_bit_for_bit(monkeypatch):
                     assert other.x.tobytes() == got.x.tobytes()
         assert outcomes["forward"] >= 100 and outcomes["reversed"] >= 5, \
             (reflect, outcomes)
-        assert min(searches.values()) >= 10, (reflect, searches)
+        assert searches["accepted at t <= 1/4"] >= 10, (reflect, searches)
+        assert searches["rejected all ten"] >= (
+            10 if not (reflect and stall) else 1), (reflect, searches)
+        # the stall exit is the reflective rule's alone
+        assert len(exits) >= 10 if reflect and stall else not exits, \
+            (reflect, exits)
     assert never_crossed >= 20, never_crossed
 
 
@@ -525,6 +552,33 @@ def test_random_thick_body_redraws_few_draws(monkeypatch):
         random_thick_body(2.0, 12, seed)
     assert len(calls) <= 140, len(calls)
     assert all(kw == {"reflect": True} for kw in calls)
+
+
+def test_random_thick_body_newton_budget(monkeypatch):
+    # restoration drops a draw on the reversed branch once its residual
+    # norm is below 0.5, and a stalled draw after two steps at t <= 1/8:
+    # 100 bodies at lam = 2 take 757 Newton steps and 117 stacked
+    # halvings, at lam = 3 841 and 72 (870 and 204, 1162 and 229 with
+    # the exit at 1e-2 and no stall exit)
+    counts = {"steps": 0, "stacks": 0}
+    jacobian, evaluate = optimize._jacobian, optimize._evaluate
+
+    def counted_jacobian(pt):
+        counts["steps"] += 1
+        return jacobian(pt)
+
+    def counted_evaluate(x, n, perimeter):
+        counts["stacks"] += x.ndim == 2
+        return evaluate(x, n, perimeter)
+
+    monkeypatch.setattr(optimize, "_jacobian", counted_jacobian)
+    monkeypatch.setattr(optimize, "_evaluate", counted_evaluate)
+    for lam, max_steps, max_stacks in ((2.0, 800, 150), (3.0, 900, 120)):
+        counts.update(steps=0, stacks=0)
+        for seed in range(1, 101):
+            random_thick_body(lam, 12, seed)
+        assert counts["steps"] <= max_steps, (lam, counts)
+        assert counts["stacks"] <= max_stacks, (lam, counts)
 
 
 def test_random_thick_body_is_deterministic():
