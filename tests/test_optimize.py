@@ -282,12 +282,12 @@ def _reference_newton(x, n, perimeter, lb, ub, reflect=False, stall=True,
     are clipped; under the reflective rule (reflect=True) the one
     all-column step and its trials are reflected at the box, and unless
     stall is False the loop gives up after two consecutive steps whose
-    search accepted t <= 1/8.  When crossings is a list, each step appends how many
-    variables its first solve pushed past a bound; when exits is a
-    list, a stalled exit appends "stalled".  Below `_BRANCH_NORM` the
-    end tangent's E[1, 1] is asserted to stay at least
-    sqrt(1 - norm^2) from 0, the bound that lets restoration drop the
-    reversed branch there."""
+    search accepted t <= 1/8.  When crossings is a list, each step
+    appends how many variables its first solve pushed past a bound;
+    when exits is a list, a stalled exit appends "stalled".  Below
+    `_BRANCH_NORM` the end tangent's E[1, 1] is asserted to stay at
+    least sqrt(1 - norm^2) from 0, the bound that lets restoration drop
+    the reversed branch there."""
     x = x.copy()
     stalled = 0
     for _ in range(max_iter):
